@@ -194,7 +194,6 @@ class Sweep {
           "\"instrs\": %llu, \"minstr_per_s\": %.3f, "
           "\"abort_trace_dropped\": %llu, "
           "\"sched_mode\": \"%s\", \"sched_seed\": %llu, "
-          "\"jit_mode\": \"%s\", \"jit_threshold\": %u, \"jit_cap\": %u, "
           "\"host_threads\": %u,",
           r->threads, static_cast<unsigned long long>(r->cycles),
           static_cast<unsigned long long>(r->total_ops), r->throughput(),
@@ -205,8 +204,7 @@ class Sweep {
           r->host_minstr_per_s(),
           static_cast<unsigned long long>(r->abort_trace_dropped),
           r->sched_mode.c_str(),
-          static_cast<unsigned long long>(r->sched_seed), r->jit_mode.c_str(),
-          r->jit_threshold, r->jit_cap, r->host_threads);
+          static_cast<unsigned long long>(r->sched_seed), r->host_threads);
       // Parallel-engine host counters (host-side like wall_ms: excluded
       // from differential comparisons).
       std::fprintf(f, "\n     \"host_par\": ");

@@ -121,6 +121,7 @@ void BM_InterpreterArithLoop(benchmark::State& state) {
   b.while_([&] { return b.cmp_slt(i, b.param(0)); },
            [&] { b.assign(i, b.add(i, b.const_i(1))); });
   b.ret(i);
+  m.finalize();
   NullEnv env;
   interp::Interp it(env);
   // Single-stepped (budget 1): every instruction is its own step, as the
@@ -149,108 +150,6 @@ BENCHMARK(BM_InterpreterArithLoop)
     ->Arg(1)        // old single-stepping behaviour
     ->Arg(1 << 20)  // effectively unbounded fusion
     ->ArgName("budget");
-
-// Execution-tier shootout (interp/jit.hpp). Four dispatch variants over the
-// same IR: single-stepping (budget 1), the fused switch loop (PR 2), the
-// recorded-superblock portable executor, and the x86-64 native template
-// backend. Simulated results are identical across all four (jit_test.cpp
-// proves it); only host instrs/second moves, reported via items_per_second
-// computed from the interpreter's own retired-instruction counter — never
-// from a hand-derived per-iteration estimate.
-enum Tier : std::int64_t {
-  kSingleStep = 0,
-  kFused = 1,
-  kSuperblock = 2,
-  kNativeJit = 3,
-};
-
-interp::JitConfig tier_config(std::int64_t tier) {
-  interp::JitConfig cfg;
-  cfg.tier = tier == kSuperblock  ? interp::JitTier::kPortable
-             : tier == kNativeJit ? interp::JitTier::kNative
-                                  : interp::JitTier::kOff;
-  cfg.threshold = 1;
-  return cfg;
-}
-
-void run_tier_bench(benchmark::State& state, ir::Function* f,
-                    std::uint64_t arg) {
-  const std::int64_t tier = state.range(0);
-  if (tier == kNativeJit && !interp::jit_native_available()) {
-    state.SkipWithError("native JIT tier not compiled in");
-    return;
-  }
-  const sim::Cycle budget = tier == kSingleStep ? 1 : sim::Cycle{1} << 20;
-  const interp::JitConfig cfg = tier_config(tier);
-  NullEnv env;
-  interp::Interp it(env, &cfg);
-  // Warm once so trace recording/compilation happens outside the timed
-  // region (threshold 1: the first execution records, the rest run traces).
-  it.start(f, std::vector<std::uint64_t>{arg});
-  while (!it.step(budget).finished) {
-  }
-  std::uint64_t instrs = 0;  // start() zeroes the counter; accumulate here
-  for (auto _ : state) {
-    it.start(f, std::vector<std::uint64_t>{arg});
-    while (!it.step(budget).finished) {
-    }
-    benchmark::DoNotOptimize(it.result());
-    instrs += it.instrs_executed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
-}
-
-/// Straight counted loop: the body is branch-free, so decode-time fusion
-/// already linearizes it. Measures pure dispatch overhead per tier.
-void BM_DispatchTierStraightLoop(benchmark::State& state) {
-  ir::Module m;
-  ir::FunctionBuilder b(m, "straight", {nullptr});
-  const ir::Reg i = b.var(b.const_i(0));
-  const ir::Reg acc = b.var(b.const_i(1));
-  b.while_([&] { return b.cmp_slt(i, b.param(0)); },
-           [&] {
-             b.assign(acc, b.add(acc, b.xor_(acc, i)));
-             b.assign(i, b.add(i, b.const_i(1)));
-           });
-  b.ret(acc);
-  run_tier_bench(state, b.function(), 4096);
-}
-BENCHMARK(BM_DispatchTierStraightLoop)
-    ->Arg(kSingleStep)
-    ->Arg(kFused)
-    ->Arg(kSuperblock)
-    ->Arg(kNativeJit)
-    ->ArgName("tier");
-
-/// Data-dependent biased branch (~7/8 one way) inside the loop: pair fusion
-/// stops at every CondBr, so the fused tier re-enters the switch loop each
-/// iteration, while a superblock guards the hot direction and keeps going.
-/// This is the shape the trace compiler exists for and the BENCH_jit.json
-/// headline number.
-void BM_DispatchTierBranchyLoop(benchmark::State& state) {
-  ir::Module m;
-  ir::FunctionBuilder b(m, "branchy", {nullptr});
-  const ir::Reg i = b.var(b.const_i(0));
-  const ir::Reg acc = b.var(b.const_i(1));
-  b.while_([&] { return b.cmp_slt(i, b.param(0)); },
-           [&] {
-             const ir::Reg h = b.and_(
-                 b.lshr(b.mul(i, b.const_i(2654435761)), b.const_i(13)),
-                 b.const_i(7));
-             b.if_else(b.cmp_ne(h, b.const_i(0)),
-                       [&] { b.assign(acc, b.add(acc, b.xor_(acc, i))); },
-                       [&] { b.assign(acc, b.mul(acc, b.const_i(3))); });
-             b.assign(i, b.add(i, b.const_i(1)));
-           });
-  b.ret(acc);
-  run_tier_bench(state, b.function(), 4096);
-}
-BENCHMARK(BM_DispatchTierBranchyLoop)
-    ->Arg(kSingleStep)
-    ->Arg(kFused)
-    ->Arg(kSuperblock)
-    ->Arg(kNativeJit)
-    ->ArgName("tier");
 
 // End-to-end smoke of the parallel experiment runner: two tiny full-system
 // runs per iteration, scheduled through the pool. Registered as a ctest

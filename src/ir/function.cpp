@@ -33,21 +33,17 @@ Function::Function(std::string name, unsigned id,
       next_reg_(static_cast<unsigned>(param_pointees_.size())) {}
 
 BasicBlock* Function::add_block(std::string name) {
+  ST_CHECK_MSG(!decoded_, "block added after Module::finalize");
   blocks_.push_back(std::make_unique<BasicBlock>(
       this, std::move(name), static_cast<unsigned>(blocks_.size())));
   rpo_valid_ = false;
-  invalidate_decoded();
   return blocks_.back().get();
 }
 
 const DecodedCode& Function::decoded() const {
-  if (!decoded_) decoded_ = std::make_unique<DecodedCode>(decode_function(*this));
+  ST_CHECK_MSG(decoded_ != nullptr,
+               "function executed before Module::finalize");
   return *decoded_;
-}
-
-SuperblockCache& Function::jit_cache() const {
-  if (!jit_) jit_ = std::make_unique<SuperblockCache>(decoded().code.size());
-  return *jit_;
 }
 
 Reg Function::fresh_reg() {

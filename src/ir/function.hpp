@@ -9,7 +9,6 @@
 
 #include "ir/decode.hpp"
 #include "ir/instr.hpp"
-#include "ir/superblock.hpp"
 
 namespace st::ir {
 
@@ -80,23 +79,11 @@ class Function {
 
   unsigned instr_count() const;
 
-  /// Pre-decoded flat code (see ir/decode.hpp), built lazily on first use
-  /// and cached. add_block and Module::finalize (which assigns PCs)
-  /// invalidate it; passes that splice instructions into existing blocks
-  /// must finish before the first execution — the compile pipeline
-  /// guarantees this by finalizing last.
+  /// Pre-decoded flat code (see ir/decode.hpp). Module::finalize decodes
+  /// every function once, after instrumentation and PC assignment, so the
+  /// result is immutable and shared by every interpreter without locking.
+  /// Checks that the owning module has been finalized.
   const DecodedCode& decoded() const;
-  void invalidate_decoded() const {
-    decoded_.reset();
-    jit_.reset();  // traces index the decoded layout; never outlive it
-  }
-
-  /// Per-function superblock trace cache (ir/superblock.hpp): step-entry
-  /// profile counters plus installed traces over the current decoded()
-  /// layout. Built lazily by the first JIT-enabled interpreter; dropped
-  /// together with decoded() whenever the code changes, so a stale trace
-  /// can never execute.
-  SuperblockCache& jit_cache() const;
 
  private:
   std::string name_;
@@ -106,8 +93,10 @@ class Function {
   unsigned next_reg_;
   mutable std::vector<BasicBlock*> rpo_cache_;
   mutable bool rpo_valid_ = false;
-  mutable std::unique_ptr<DecodedCode> decoded_;
-  mutable std::unique_ptr<SuperblockCache> jit_;
+  // Set once by Module::finalize; no block may be added afterwards.
+  std::unique_ptr<const DecodedCode> decoded_;
+
+  friend class Module;
 };
 
 }  // namespace st::ir

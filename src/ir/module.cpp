@@ -49,9 +49,9 @@ void Module::finalize() {
         pc_map_.emplace(ins.pc, &ins);
       }
     }
-    // Instrumentation and PC assignment are done; anything decoded before
-    // this point (e.g. by a unit test) is stale now.
-    f->invalidate_decoded();
+    // Instrumentation and PC assignment are done: decode once, here, so
+    // execution only ever reads immutable code (no lazy fill to race on).
+    f->decoded_ = std::make_unique<const DecodedCode>(decode_function(*f));
   }
   finalized_ = true;
 }

@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "htm/htm.hpp"
-#include "interp/jit.hpp"
 #include "obs/prov.hpp"
 #include "obs/trace.hpp"
 #include "sim/machine.hpp"
@@ -75,15 +74,9 @@ struct RuntimeConfig {
   std::size_t arena_bytes = 16u << 20;
   std::uint64_t seed = 1;
   /// Host-side interpreter macro-stepping; simulated results are identical
-  /// either way (see sim::Machine::fuse_budget). Defaults to the
-  /// STAGTM_MACROSTEP env knob.
-  bool macrostep = sim::Machine::default_step_fusion();
-  /// Interpreter execution tier (interp/jit.hpp). Host-side only, like
-  /// macrostep: which dispatcher retires instructions never changes a
-  /// simulated result (CI-enforced byte-identical across tiers). Defaults
-  /// to the STAGTM_JIT / STAGTM_JIT_THRESHOLD / STAGTM_JIT_CAP env knobs,
-  /// sampled when this config is constructed.
-  interp::JitConfig jit = interp::JitConfig::from_env();
+  /// either way (see sim::Machine::fuse_budget). Off single-steps every
+  /// instruction: the reference the differential tests compare against.
+  bool macrostep = true;
   /// Event tracing (obs/trace.hpp). Tracing is a pure observer: no sink is
   /// even allocated unless trace.enabled(), and simulated results are
   /// CI-enforced identical with tracing on and off. Defaults OFF here;
@@ -99,8 +92,8 @@ struct RuntimeConfig {
   /// by default: no log is allocated and the commit path is unchanged.
   bool record_commits = false;
   /// Host worker threads sharding the event loop (sim/machine.hpp's
-  /// parallel deterministic engine). Host-side only, like macrostep and
-  /// jit: simulated results are bit-identical for any value (CI-enforced).
+  /// parallel deterministic engine). Host-side only, like macrostep:
+  /// simulated results are bit-identical for any value (CI-enforced).
   /// Defaults to the STAGTM_THREADS env knob (unset = 1 = serial loop).
   unsigned host_threads = sim::Machine::default_host_threads();
   /// Checker-validation backdoor: compile out the lazy global-lock

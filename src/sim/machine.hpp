@@ -170,8 +170,7 @@ class Machine {
   unsigned host_threads() const { return host_threads_; }
 
   /// STAGTM_THREADS: host worker threads per machine, in [1,256]; unset
-  /// defaults to 1 (serial). Read afresh per call, like
-  /// default_step_fusion().
+  /// defaults to 1 (serial). Read afresh per call, never latched.
   static unsigned default_host_threads();
 
   /// True while worker threads are inside a parallel lookahead window
@@ -183,17 +182,9 @@ class Machine {
 
   /// Disables (or re-enables) multi-instruction fusion hints: with fusion
   /// off, fuse_budget() is pinned to 1 and every step retires at most one
-  /// instruction. Defaults to the STAGTM_MACROSTEP environment knob.
+  /// instruction. On by default.
   void set_step_fusion(bool on) { fusion_ = on; }
   bool step_fusion() const { return fusion_; }
-
-  /// STAGTM_MACROSTEP: unset or "1" enables fusion, "0" disables it;
-  /// anything else exits with a diagnostic. Read afresh on every call —
-  /// each Machine samples it at construction (and set_step_fusion can
-  /// override per instance afterwards), so changing the environment
-  /// between Machine constructions takes effect; nothing is latched
-  /// process-wide.
-  static bool default_step_fusion();
 
   /// Optional event sink (see obs/trace.hpp): the scheduler stamps a
   /// core_done event when a task finishes, giving exported timelines an
@@ -221,7 +212,7 @@ class Machine {
   };
   std::vector<Core> cores_;
   Cycle fuse_budget_ = 1;
-  bool fusion_ = default_step_fusion();
+  bool fusion_ = true;
   unsigned host_threads_ = 1;
   // Written by the main thread strictly before the window-start barrier and
   // after the window-end barrier, so workers read it race-free.

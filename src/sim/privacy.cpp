@@ -10,7 +10,7 @@ namespace st::sim {
 
 bool default_private_lines() {
   // Re-read per call (sampled at config construction), same contract as
-  // Machine::default_step_fusion: no process-wide latch.
+  // Machine::default_host_threads: no process-wide latch.
   return env_onoff("STAGTM_PRIVATE", true);
 }
 

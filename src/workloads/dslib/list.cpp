@@ -230,6 +230,25 @@ void host_list_push_sorted(sim::Heap& heap, unsigned arena,
     heap.store(prev + o.next, n, 8);
 }
 
+sim::Addr host_list_append(sim::Heap& heap, unsigned arena,
+                           const ListLib& lib, sim::Addr list, sim::Addr tail,
+                           std::int64_t key, std::int64_t val) {
+  const Offs o = offs(lib);
+  if (tail == 0) {
+    ST_CHECK_MSG(heap.load(list + o.head, 8) == 0,
+                 "host_list_append: no tail given for a non-empty list");
+  } else {
+    ST_CHECK_MSG(static_cast<std::int64_t>(heap.load(tail + o.key, 8)) < key,
+                 "host_list_append: keys must be strictly ascending");
+  }
+  const sim::Addr n = heap.alloc(arena, lib.node_t->size);
+  heap.store(n + o.key, static_cast<std::uint64_t>(key), 8);
+  heap.store(n + o.val, static_cast<std::uint64_t>(val), 8);
+  heap.store(n + o.next, 0, 8);
+  heap.store(tail == 0 ? list + o.head : tail + o.next, n, 8);
+  return n;
+}
+
 std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
     const sim::Heap& heap, const ListLib& lib, sim::Addr list) {
   const Offs o = offs(lib);

@@ -34,6 +34,13 @@ ListLib build_list_lib(ir::Module& m);
 sim::Addr host_list_new(sim::Heap& heap, unsigned arena, const ListLib& lib);
 void host_list_push_sorted(sim::Heap& heap, unsigned arena, const ListLib& lib,
                            sim::Addr list, std::int64_t key, std::int64_t val);
+/// Links a new node after `tail` (0: `list` must be empty) and returns it,
+/// so a caller with strictly ascending keys builds a sorted list in one
+/// pass — the same heap image host_list_push_sorted leaves, without its
+/// walk from the head per insert.
+sim::Addr host_list_append(sim::Heap& heap, unsigned arena, const ListLib& lib,
+                           sim::Addr list, sim::Addr tail, std::int64_t key,
+                           std::int64_t val);
 std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
     const sim::Heap& heap, const ListLib& lib, sim::Addr list);
 /// Checks strict key ordering; returns the length.

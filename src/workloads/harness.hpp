@@ -7,7 +7,6 @@
 #include <string>
 
 #include "check/scheduler.hpp"
-#include "interp/jit.hpp"
 #include "obs/prov.hpp"
 #include "stm/stm.hpp"
 #include "workloads/workload.hpp"
@@ -40,19 +39,14 @@ struct RunOptions {
   bool lazy_htm = false;  // commit-time conflict detection (paper §8)
   /// Host-side interpreter macro-stepping (fused pure-register runs). Never
   /// changes simulated results — exists so differential tests can compare
-  /// fused vs single-stepped executions in one process. The STAGTM_MACROSTEP
-  /// env knob sets the process-wide default.
-  bool macrostep = sim::Machine::default_step_fusion();
+  /// fused vs single-stepped executions in one process.
+  bool macrostep = true;
   /// Host worker threads sharding the event loop (sim/machine.hpp parallel
   /// deterministic engine, DESIGN.md §13). Host-side like macrostep:
   /// simulated results are bit-identical for any value (CI-enforced).
   /// Defaults to the STAGTM_THREADS env knob (unset = 1 = serial loop);
   /// the runner caps jobs x host_threads at hardware concurrency.
   unsigned host_threads = sim::Machine::default_host_threads();
-  /// Interpreter execution tier (interp/jit.hpp). Host-side like macrostep:
-  /// simulated results are identical across tiers (CI-enforced). Defaults
-  /// to the STAGTM_JIT / STAGTM_JIT_THRESHOLD / STAGTM_JIT_CAP env knobs.
-  interp::JitConfig jit = interp::JitConfig::from_env();
   /// Private-line window classification (sim/privacy.hpp, DESIGN.md §14).
   /// Host-side like macrostep: whether private-line hits classify as
   /// window-local (and take the directory-skipping fast paths) never
@@ -125,11 +119,6 @@ struct RunResult {
   /// Schedule-perturbation provenance ("off" when no perturbation ran).
   std::string sched_mode = "off";
   std::uint64_t sched_seed = 0;
-  /// JIT-tier provenance (host-side; recorded so a results file says which
-  /// dispatcher produced it even though the numbers are tier-invariant).
-  std::string jit_mode = "off";
-  std::uint32_t jit_threshold = 0;
-  std::uint32_t jit_cap = 0;
   /// Conflict-provenance summary (host-side observer output, excluded from
   /// differential comparisons like host_threads/par). Meaningful only when
   /// prov_enabled; prof_path names the binary file for stagtm-prof.

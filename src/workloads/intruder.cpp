@@ -55,10 +55,12 @@ class Intruder final : public Workload {
     inq_ = dslib::host_list_new(heap, arena, lib_.list);
     outq_ = dslib::host_list_new(heap, arena, lib_.list);
     const std::uint64_t packets = ops_per_thread() * sys.config().cores + 64;
-    for (std::uint64_t i = 0; i < packets; ++i)
-      dslib::host_list_push_sorted(heap, arena, lib_.list, inq_,
-                                   static_cast<std::int64_t>(i + 1),
-                                   static_cast<std::int64_t>(i + 1));
+    sim::Addr tail = 0;
+    for (std::uint64_t i = 0; i < packets; ++i) {
+      const auto key = static_cast<std::int64_t>(i + 1);
+      tail = dslib::host_list_append(heap, arena, lib_.list, inq_, tail, key,
+                                     key);
+    }
     next_flow_.assign(sys.config().cores, 0);
     rngs_.clear();
     for (unsigned t = 0; t < sys.config().cores; ++t)

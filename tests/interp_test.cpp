@@ -81,6 +81,7 @@ TEST_P(BinopSemantics, MatchesHostArithmetic) {
   ir::Module m;
   ir::FunctionBuilder b(m, "f", {nullptr, nullptr});
   b.ret(b.binop(c.op, b.param(0), b.param(1)));
+  m.finalize();
   const auto got = run(b.function(), {static_cast<std::uint64_t>(c.a),
                                       static_cast<std::uint64_t>(c.b)});
   EXPECT_EQ(static_cast<std::int64_t>(got), c.want);
@@ -114,6 +115,7 @@ TEST(Interp, LoopComputesTriangularNumber) {
              b.assign(i, b.add(i, b.const_i(1)));
            });
   b.ret(acc);
+  m.finalize();
   EXPECT_EQ(run(b.function(), {10}), 55u);
   EXPECT_EQ(run(b.function(), {0}), 0u);
 }
@@ -126,6 +128,7 @@ TEST(Interp, CallsPassArgsAndReturnValues) {
   const ir::Reg a = caller.call(callee.function(), {caller.param(0)});
   const ir::Reg b2 = caller.call(callee.function(), {caller.param(1)});
   caller.ret(caller.add(a, b2));
+  m.finalize();
   EXPECT_EQ(run(caller.function(), {3, 4}), 25u);
 }
 
@@ -137,6 +140,7 @@ TEST(Interp, NestedCallsThreeDeep) {
   f2.ret(f2.call(f3.function(), {f2.mul(f2.param(0), f2.const_i(2))}));
   ir::FunctionBuilder f1(m, "f1", {nullptr});
   f1.ret(f1.call(f2.function(), {f1.add(f1.param(0), f1.const_i(5))}));
+  m.finalize();
   EXPECT_EQ(run(f1.function(), {10}), 31u);  // (10+5)*2+1
 }
 
@@ -145,6 +149,7 @@ TEST(Interp, MemoryOpsRoundTripThroughEnv) {
   ir::FunctionBuilder b(m, "memrw", {nullptr});
   b.store(b.param(0), b.const_i(0xBEEF), 8);
   b.ret(b.load(b.param(0), 8));
+  m.finalize();
   EXPECT_EQ(run(b.function(), {0x8000}), 0xBEEFu);
 }
 
@@ -155,6 +160,7 @@ TEST(Interp, GepComputesFieldAddresses) {
   ir::FunctionBuilder b(m, "setb", {t, nullptr});
   b.store_field(b.param(0), t, "b", b.param(1));
   b.ret(b.load_field(b.param(0), t, "b"));
+  m.finalize();
   MapEnv env;
   EXPECT_EQ(run(b.function(), {0x9000, 123}, &env), 123u);
   EXPECT_EQ(env.mem[0x9008], 123u);  // field b lives at offset 8
@@ -166,6 +172,7 @@ TEST(Interp, GepIndexScalesByElementSize) {
   ir::FunctionBuilder b(m, "setelem", {arr, nullptr, nullptr});
   b.store_elem(b.param(0), arr, b.param(1), b.param(2));
   b.ret(b.const_i(0));
+  m.finalize();
   MapEnv env;
   run(b.function(), {0xA000, 5, 77}, &env);
   EXPECT_EQ(env.mem[0xA000 + 40], 77u);
@@ -180,6 +187,7 @@ TEST(Interp, AllocAndFreeGoThroughEnv) {
   b.store_field(p, t, "v", b.const_i(9));
   b.free_(p);
   b.ret(p);
+  m.finalize();
   MapEnv env;
   const auto addr = run(b.function(), {}, &env);
   ASSERT_EQ(env.freed.size(), 1u);
@@ -195,6 +203,7 @@ TEST(Interp, AlpointRetriesThenProceeds) {
   alp.a = b.param(0);
   b.insert_block()->instrs().push_back(alp);
   b.ret(b.const_i(1));
+  m.finalize();
   MapEnv env;
   env.alp_retries_remaining = 3;
   Interp it(env);
@@ -212,6 +221,7 @@ TEST(Interp, InstrsExecutedCountsRetiredInstructions) {
   ir::Module m;
   ir::FunctionBuilder b(m, "three", {});
   b.ret(b.add(b.const_i(1), b.const_i(2)));
+  m.finalize();
   MapEnv env;
   Interp it(env);
   it.start(b.function(), {});
@@ -224,6 +234,7 @@ TEST(InterpDeath, DivisionByZeroDies) {
   ir::Module m;
   ir::FunctionBuilder b(m, "divz", {nullptr});
   b.ret(b.sdiv(b.param(0), b.const_i(0)));
+  m.finalize();
   MapEnv env;
   Interp it(env);
   it.start(b.function(), std::vector<std::uint64_t>{5});

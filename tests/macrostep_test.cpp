@@ -68,6 +68,7 @@ ir::Function* build_sum_loop(ir::Module& m) {
 TEST(Macrostep, BudgetOneSingleSteps) {
   ir::Module m;
   ir::Function* f = build_sum_loop(m);
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(f, std::vector<std::uint64_t>{8});
@@ -84,6 +85,7 @@ TEST(Macrostep, BudgetOneSingleSteps) {
 TEST(Macrostep, LargeBudgetFusesPureRunsSameResultAndCycles) {
   ir::Module m;
   ir::Function* f = build_sum_loop(m);
+  m.finalize();
   CountingEnv env;
 
   // Reference: single-stepped, summing the per-step cycle costs.
@@ -126,6 +128,7 @@ TEST(Macrostep, FusedRunStopsBeforeBoundary) {
   const ir::Reg v = b.var(b.add(b.param(0), b.const_i(1)));
   b.store(b.param(0), v, 8);
   b.ret(b.add(v, v));
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(b.function(), std::vector<std::uint64_t>{0x2000});
@@ -151,6 +154,7 @@ TEST(Macrostep, FusedRunStopsBeforeBoundary) {
 TEST(Macrostep, BudgetCapsFusedCycleCost) {
   ir::Module m;
   ir::Function* f = build_sum_loop(m);
+  m.finalize();
   CountingEnv env;
   interp::Interp it(env);
   it.start(f, std::vector<std::uint64_t>{1000});
@@ -184,6 +188,7 @@ TEST(Macrostep, BudgetSweepIsInvariant) {
            });
   b.ret(acc);
   ir::Function* f = b.function();
+  m.finalize();
 
   CountingEnv env;
   interp::Interp ref(env);
@@ -230,6 +235,7 @@ TEST(MacrostepDeath, CallWithTooManyArgsIsRejected) {
   call.args = {0};  // one argument to a register-less callee
   caller->entry()->instrs().push_back(call);
   caller->entry()->instrs().push_back(ret);
+  m.finalize();
 
   CountingEnv env;
   interp::Interp it(env);
@@ -308,7 +314,9 @@ TEST(Macrostep, SoloCoreGetsUnboundedBudget) {
 
 // ---------------------------------------------------------------------------
 // Differential full-system runs: fusion must not change any simulated
-// number, on workloads with real contention, aborts, and advisory locks.
+// number, on every workload, with real contention, aborts, and advisory
+// locks. Each row compares a fused run against the single-stepped
+// reference (macrostep off: every instruction its own scheduler event).
 // ---------------------------------------------------------------------------
 
 void expect_identical_runs(const char* workload, runtime::Scheme scheme) {
@@ -340,21 +348,48 @@ void expect_identical_runs(const char* workload, runtime::Scheme scheme) {
   EXPECT_EQ(a.totals.l1_misses, b.totals.l1_misses) << workload;
 }
 
-TEST(MacrostepDifferential, Ssca2Baseline) {
-  expect_identical_runs("ssca2", runtime::Scheme::kBaseline);
-}
+struct DifferentialCase {
+  const char* test_name;
+  const char* workload;
+  runtime::Scheme scheme;
+};
 
-TEST(MacrostepDifferential, Ssca2Staggered) {
-  expect_identical_runs("ssca2", runtime::Scheme::kStaggered);
-}
+constexpr DifferentialCase kDifferentialCases[] = {
+    {"Ssca2Baseline", "ssca2", runtime::Scheme::kBaseline},
+    {"Ssca2Staggered", "ssca2", runtime::Scheme::kStaggered},
+    {"ListHiStaggered", "list-hi", runtime::Scheme::kStaggered},
+    {"ListHiStaggeredSW", "list-hi", runtime::Scheme::kStaggeredSW},
+    {"ListLo", "list-lo", runtime::Scheme::kStaggered},
+    {"Genome", "genome", runtime::Scheme::kStaggered},
+    {"Intruder", "intruder", runtime::Scheme::kStaggered},
+    {"Kmeans", "kmeans", runtime::Scheme::kStaggered},
+    {"Labyrinth", "labyrinth", runtime::Scheme::kStaggered},
+    {"Vacation", "vacation", runtime::Scheme::kStaggeredSW},
+    {"Tsp", "tsp", runtime::Scheme::kStaggered},
+    {"Memcached", "memcached", runtime::Scheme::kStaggered},
+};
 
-TEST(MacrostepDifferential, ListHiStaggered) {
-  expect_identical_runs("list-hi", runtime::Scheme::kStaggered);
-}
+class MacrostepDifferential : public ::testing::Test {
+ public:
+  explicit MacrostepDifferential(const DifferentialCase& c) : c_(c) {}
+  void TestBody() override { expect_identical_runs(c_.workload, c_.scheme); }
 
-TEST(MacrostepDifferential, ListHiStaggeredSW) {
-  expect_identical_runs("list-hi", runtime::Scheme::kStaggeredSW);
-}
+ private:
+  DifferentialCase c_;
+};
+
+// One named test per table row (MacrostepDifferential.<test_name>), so ctest
+// runs and reports each workload separately.
+const bool kDifferentialRegistered = [] {
+  for (const DifferentialCase& c : kDifferentialCases) {
+    ::testing::RegisterTest(
+        "MacrostepDifferential", c.test_name, nullptr, nullptr, __FILE__,
+        __LINE__, [c]() -> MacrostepDifferential* {
+          return new MacrostepDifferential(c);
+        });
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace st

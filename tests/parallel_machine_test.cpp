@@ -11,7 +11,6 @@
 #include <random>
 #include <string>
 
-#include "interp/jit.hpp"
 #include "obs/metrics.hpp"
 #include "workloads/harness.hpp"
 #include "workloads/workload.hpp"
@@ -20,7 +19,7 @@ namespace st::workloads {
 namespace {
 
 /// Serializes everything simulated about a run into one comparable string.
-/// Host-side fields (wall_ms, host_threads, par, jit provenance) are
+/// Host-side fields (wall_ms, host_threads, par) are
 /// deliberately excluded — they are allowed to differ.
 std::string sim_fingerprint(const RunResult& r) {
   char* buf = nullptr;
@@ -84,18 +83,14 @@ TEST(ParallelMachine, AllWorkloadsBitIdenticalAtFourHostThreads) {
 }
 
 /// Randomized differential fuzz over the host-side configuration space:
-/// worker count in {2, 4, 8}, eager vs lazy conflict detection, interpreter
-/// tier, macro-stepping, scheme, and seed. Fixed fuzz seed so failures
+/// worker count in {2, 4, 8}, eager vs lazy conflict detection,
+/// macro-stepping, scheme, and seed. Fixed fuzz seed so failures
 /// reproduce; each sample is checked against its own serial twin.
-TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModesAndJitTiers) {
+TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModes) {
   const char* names[] = {"list-hi", "kmeans", "ssca2", "intruder", "vacation"};
   const runtime::Scheme schemes[] = {runtime::Scheme::kBaseline,
                                      runtime::Scheme::kStaggered,
                                      runtime::Scheme::kStaggeredSW};
-  const interp::JitTier tiers[] = {
-      interp::JitTier::kOff, interp::JitTier::kPortable,
-      interp::jit_native_available() ? interp::JitTier::kNative
-                                     : interp::JitTier::kPortable};
   std::mt19937 rng(20260808);
   for (int i = 0; i < 10; ++i) {
     RunOptions opt = base_options();
@@ -103,8 +98,6 @@ TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModesAndJitTiers) {
     opt.lazy_htm = (rng() % 2) != 0;
     opt.macrostep = (rng() % 2) != 0;
     opt.seed = 1 + rng() % 5;
-    opt.jit.tier = tiers[rng() % 3];
-    opt.jit.threshold = 2;
     const std::string name = names[rng() % 5];
     const unsigned workers = 1u << (1 + rng() % 3);  // 2, 4, 8
 
@@ -114,8 +107,7 @@ TEST(ParallelMachine, FuzzHostThreadsAcrossHtmModesAndJitTiers) {
     const RunResult par = run_workload(name, opt);
     EXPECT_EQ(sim_fingerprint(serial), sim_fingerprint(par))
         << name << " workers=" << workers << " lazy=" << opt.lazy_htm
-        << " macrostep=" << opt.macrostep << " seed=" << opt.seed
-        << " jit=" << interp::jit_tier_name(opt.jit.tier);
+        << " macrostep=" << opt.macrostep << " seed=" << opt.seed;
   }
 }
 

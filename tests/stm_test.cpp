@@ -1,7 +1,7 @@
 // src/stm: the TL2 fallback tier. Orec-word encoding and index hashing,
 // Bloom summaries, STAGTM_STM_* / STAGTM_MAX_RETRIES env contracts, direct
 // executor-level hybrid runs, and the workload-level hybrid matrix:
-// determinism across host threads and jit tiers, serializability via the
+// determinism across host threads, serializability via the
 // serial-replay oracle, and tier accounting in commit logs and counters.
 #include <gtest/gtest.h>
 
@@ -373,39 +373,33 @@ TEST(StmHybrid, StmOnlyModePassesOracle) {
   EXPECT_TRUE(rep.ok) << rep.divergence;
 }
 
-TEST(StmHybrid, DeterministicAcrossHostThreadsAndJitTiers) {
+TEST(StmHybrid, DeterministicAcrossHostThreads) {
   // The tentpole determinism claim: with the STM tier live (forced via a
   // zero HTM budget so every commit exercises orec traffic), simulated
-  // results are bit-identical for any host-thread count and jit tier.
+  // results are bit-identical for any host-thread count.
   auto ref_o = hybrid_opts(true, 4, 0.04);
   ref_o.max_retries = 0;
   ref_o.checked = true;
   ref_o.host_threads = 1;
-  ref_o.jit.tier = interp::JitTier::kOff;
   const auto ref = workloads::run_workload("list-hi", ref_o);
   ASSERT_TRUE(ref.invariant_failure.empty()) << ref.invariant_failure;
   ASSERT_NE(ref.commit_log, nullptr);
   for (const unsigned ht : {2u, 4u}) {
-    for (const bool jit : {false, true}) {
-      auto o = ref_o;
-      o.host_threads = ht;
-      o.jit.tier = jit ? interp::JitTier::kPortable : interp::JitTier::kOff;
-      o.jit.threshold = 4;  // compile hot blocks quickly at tiny scale
-      const auto r = workloads::run_workload("list-hi", o);
-      ASSERT_EQ(r.cycles, ref.cycles) << "ht=" << ht << " jit=" << jit;
-      ASSERT_EQ(r.state_digest, ref.state_digest)
-          << "ht=" << ht << " jit=" << jit;
-      ASSERT_NE(r.commit_log, nullptr);
-      ASSERT_EQ(r.commit_log->size(), ref.commit_log->size());
-      for (std::size_t i = 0; i < ref.commit_log->size(); ++i) {
-        const auto& a = (*ref.commit_log)[i];
-        const auto& b = (*r.commit_log)[i];
-        ASSERT_EQ(a.cycle, b.cycle) << i;
-        ASSERT_EQ(a.core, b.core) << i;
-        ASSERT_EQ(a.ab_id, b.ab_id) << i;
-        ASSERT_EQ(a.tier, b.tier) << i;
-        ASSERT_EQ(a.result, b.result) << i;
-      }
+    auto o = ref_o;
+    o.host_threads = ht;
+    const auto r = workloads::run_workload("list-hi", o);
+    ASSERT_EQ(r.cycles, ref.cycles) << "ht=" << ht;
+    ASSERT_EQ(r.state_digest, ref.state_digest) << "ht=" << ht;
+    ASSERT_NE(r.commit_log, nullptr);
+    ASSERT_EQ(r.commit_log->size(), ref.commit_log->size());
+    for (std::size_t i = 0; i < ref.commit_log->size(); ++i) {
+      const auto& a = (*ref.commit_log)[i];
+      const auto& b = (*r.commit_log)[i];
+      ASSERT_EQ(a.cycle, b.cycle) << i;
+      ASSERT_EQ(a.core, b.core) << i;
+      ASSERT_EQ(a.ab_id, b.ab_id) << i;
+      ASSERT_EQ(a.tier, b.tier) << i;
+      ASSERT_EQ(a.result, b.result) << i;
     }
   }
 }

@@ -69,8 +69,13 @@ std::uint64_t run(ir::Function* f, std::vector<std::uint64_t> args,
   return 0;
 }
 
+// gtest (and the ctest names gtest_discover_tests derives) print this
+// parameter as its raw bytes, so the struct must have no padding: a one-byte
+// op followed by seven padding bytes named each case after stale stack bytes.
 struct BinCase {
-  ir::Op op;
+  BinCase(ir::Op op, std::int64_t a, std::int64_t b, std::int64_t want)
+      : op(static_cast<std::uint64_t>(op)), a(a), b(b), want(want) {}
+  std::uint64_t op;
   std::int64_t a, b, want;
 };
 
@@ -80,7 +85,7 @@ TEST_P(BinopSemantics, MatchesHostArithmetic) {
   const BinCase c = GetParam();
   ir::Module m;
   ir::FunctionBuilder b(m, "f", {nullptr, nullptr});
-  b.ret(b.binop(c.op, b.param(0), b.param(1)));
+  b.ret(b.binop(static_cast<ir::Op>(c.op), b.param(0), b.param(1)));
   m.finalize();
   const auto got = run(b.function(), {static_cast<std::uint64_t>(c.a),
                                       static_cast<std::uint64_t>(c.b)});

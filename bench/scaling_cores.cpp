@@ -1,17 +1,10 @@
-// Core-scaling curves for the parallel deterministic engine (DESIGN.md §13,
-// sim/machine.hpp): sweeps the simulated core count 16..256 and, for every
-// configuration, runs the same simulation serially (host_threads=1) and
-// sharded (STAGTM_THREADS host workers) in interleaved A/B rounds.
-//
-// stdout carries only simulated results (cycles, ops, throughput, commits,
-// aborts) and is byte-identical across STAGTM_THREADS — CI compares it.
-// Host wall-clock medians and the serial/parallel speedup go to stderr
-// (BENCH_parallel.json records them). Every parallel run is additionally
-// checked bit-identical to its serial twin in-process, so this bench is a
-// differential test of the engine as a side effect.
-#include <algorithm>
-#include <vector>
-
+// Core-scaling curves: sweeps the simulated core count 16..256 and prints
+// each configuration's simulated results (cycles, ops, throughput, commits,
+// aborts). At 64 cores every workload also runs with the private-line
+// classification (DESIGN.md §14) off and on: the twins are checked
+// identical in-process, and the directory-probe reduction (the one
+// intended delta) goes to stderr so stdout stays byte-identical across
+// STAGTM_PRIVATE — CI compares it.
 #include "bench_common.hpp"
 #include "common/check.hpp"
 
@@ -20,21 +13,16 @@ using namespace st::bench;
 
 namespace {
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-/// The simulated fields the engine must reproduce exactly (the full-width
-/// contract is CI's byte comparison; this is the in-process subset).
+/// The simulated fields the privacy twins must reproduce exactly (the
+/// full-width contract is CI's byte comparison; this is the in-process
+/// subset).
 void check_identical(const workloads::RunResult& a,
                      const workloads::RunResult& b) {
   ST_CHECK_MSG(a.cycles == b.cycles && a.total_ops == b.total_ops &&
                    a.totals.commits == b.totals.commits &&
                    a.totals.total_aborts() == b.totals.total_aborts() &&
                    a.totals.interp_instrs == b.totals.interp_instrs,
-               "parallel engine diverged from the serial event loop");
+               "STAGTM_PRIVATE changed a simulated result");
 }
 
 }  // namespace
@@ -50,12 +38,6 @@ int main() {
   // allocating core until the commit that links it — so it exercises the
   // classification: expect a visible dir_probes reduction.
   const char* names[] = {"ssca2", "kmeans", "genome"};
-  const unsigned rounds = static_cast<unsigned>(
-      env_u64("STAGTM_ROUNDS", 3, 1, 100, "an integer in [1,100]"));
-  const unsigned host_threads = sim::Machine::default_host_threads();
-  std::fprintf(stderr, "[%u A/B rounds, host_threads 1 vs %u]\n", rounds,
-               host_threads);
-
   for (const char* name : names) {
     std::printf("\n--- %s (Staggered) ---\n", name);
     std::printf("%6s %14s %12s %12s %10s %10s\n", "cores", "cycles",
@@ -63,19 +45,7 @@ int main() {
     for (unsigned cores : counts) {
       workloads::RunOptions o =
           base_options(runtime::Scheme::kStaggered, cores);
-      std::vector<double> serial_ms, par_ms;
-      workloads::RunResult shown;
-      for (unsigned round = 0; round < rounds; ++round) {
-        for (int par = 0; par < 2; ++par) {  // interleaved A/B
-          o.host_threads = par == 0 ? 1 : host_threads;
-          workloads::RunResult r = workloads::run_workload(name, o);
-          (par == 0 ? serial_ms : par_ms).push_back(r.wall_ms);
-          if (round == 0 && par == 0)
-            shown = std::move(r);
-          else
-            check_identical(shown, r);
-        }
-      }
+      const workloads::RunResult shown = workloads::run_workload(name, o);
       std::printf("%6u %14llu %12llu %12.6f %10llu %10llu\n", cores,
                   static_cast<unsigned long long>(shown.cycles),
                   static_cast<unsigned long long>(shown.total_ops),
@@ -84,20 +54,10 @@ int main() {
                   static_cast<unsigned long long>(
                       shown.totals.total_aborts()));
       std::fflush(stdout);
-      const double s = median(serial_ms), p = median(par_ms);
-      std::fprintf(stderr,
-                   "[%s cores=%u serial=%.1fms parallel=%.1fms "
-                   "host_speedup=%.2fx]\n",
-                   name, cores, s, p, p > 0 ? s / p : 0.0);
-      // Private-line classification twins (DESIGN.md §14): every simulated
-      // result must be identical off vs on; the one intended delta is the
-      // directory-probe count (private-line hits skip the directory).
-      // dir_probes is reported here on stderr so stdout stays byte-
-      // comparable across STAGTM_THREADS *and* STAGTM_PRIVATE. One core
-      // count is enough for the record (BENCH_parallel.json) — the 128/256
-      // configurations are expensive and the reduction is size-stable.
+      // Private-line classification twins: one core count is enough — the
+      // 128/256 configurations are expensive and the reduction is
+      // size-stable.
       if (cores != 64) continue;
-      o.host_threads = 1;
       o.private_lines = false;
       const workloads::RunResult off = workloads::run_workload(name, o);
       o.private_lines = true;

@@ -51,7 +51,7 @@ void HtmSystem::on_conflict_abort(CoreId victim, Addr line, bool pc_valid,
   // Requester-wins: the victim's speculatively written *shared* lines must
   // vanish immediately so the requester observes committed data. This stamp
   // executes during the requester's step, so it must leave everything the
-  // victim's window-local steps read untouched: lines still private to the
+  // victim's local steps read untouched: lines still private to the
   // victim (no requester can name one) keep their residency and marks, and
   // the speculative log stays whole until the victim's own abort() drains
   // it at its next synchronizing step.
@@ -239,9 +239,9 @@ HtmSystem::MemOp HtmSystem::load(CoreId c, Addr a, unsigned size,
   // A pending abort is observed only at non-commuting accesses: a hit on a
   // line still private to this core touches no shared state, so letting the
   // doomed transaction run through it keeps abort delivery a deterministic
-  // function of the instruction stream for any window placement (the window
-  // classifier treats exactly these accesses as window-local). Knob- and
-  // thread-independent by construction of private_hit.
+  // function of the instruction stream however far the victim has run
+  // ahead (the run-ahead classifier treats exactly these accesses as
+  // local). Knob-independent by construction of private_hit.
   if (tx.pending_abort && !mem_.private_hit(c, a)) {
     r.ok = false;
     return r;

@@ -91,16 +91,14 @@ class HtmSystem final : public sim::ConflictSink {
   // ---- transaction lifecycle ----
   void begin(CoreId c);
   bool active(CoreId c) const { return tx_[c].active; }
-  /// Window-safety contract (sim/machine.hpp parallel engine, DESIGN.md
-  /// §13): pending_abort is set only by conflict/capacity detection inside
-  /// memory operations — synchronizing steps that the engine serializes in
-  /// (clock, id) order on the main thread — and cleared only by the victim
-  /// core's own abort(). The victim observes the stamp only at its next
-  /// boundary instruction (TxExecutor::run_step), never between
-  /// pure-register instructions, so abort timing is a deterministic
-  /// function of the victim's instruction stream: identical for any window
-  /// placement and any host-thread count, and never read concurrently with
-  /// a write.
+  /// Run-ahead contract (sim/machine.hpp, DESIGN.md §13): pending_abort is
+  /// set only by conflict/capacity detection inside memory operations —
+  /// synchronizing steps that the machine executes in (clock, id) order —
+  /// and cleared only by the victim core's own abort(). The victim observes
+  /// the stamp only at its next boundary instruction (TxExecutor::run_step),
+  /// never between pure-register instructions, so abort timing is a
+  /// deterministic function of the victim's instruction stream: identical
+  /// however far the victim ran ahead of the stamping core.
   bool pending_abort(CoreId c) const { return tx_[c].pending_abort; }
 
   /// Finalizes an abort: discards the write buffer, rolls back allocations,

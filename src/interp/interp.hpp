@@ -87,15 +87,15 @@ class Interp {
   /// True when the next step() is guaranteed not to touch any shared
   /// simulator state: the next instruction is a pure register instruction,
   /// so the whole fused run (which stops before any boundary) stays inside
-  /// this core's frame. The parallel machine uses this to classify
-  /// window-local vs synchronizing steps (sim/machine.hpp).
+  /// this core's frame. The machine's run-ahead uses this to classify
+  /// local vs synchronizing steps (sim/machine.hpp).
   bool next_is_pure() const {
     if (depth_ == 0) return false;
     const Frame& fr = frames_[depth_ - 1];
     return !fr.code[fr.ip].is_boundary();
   }
 
-  /// One-instruction lookahead for the private-line window classification
+  /// One-instruction lookahead for the private-line local classification
   /// (runtime/tx_executor.cpp step_commutes): what would the next step()
   /// touch? Pure reports a non-boundary instruction (same predicate as
   /// next_is_pure); Load/Store additionally resolve the effective address

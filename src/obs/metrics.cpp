@@ -107,33 +107,15 @@ void write_core_stats_json(std::FILE* f, const CoreStats& cs) {
   std::fprintf(f, "}");
 }
 
-void write_host_par_json(std::FILE* f, const sim::ParStats& par,
-                         const sim::PrivacyStats* priv) {
+void write_privacy_json(std::FILE* f, const sim::PrivacyStats& priv) {
   std::fprintf(f,
-               "{\"windows\": %" PRIu64 ", \"inline_windows\": %" PRIu64
-               ", \"window_steps\": %" PRIu64 ", \"drain_steps\": %" PRIu64
-               ", \"window_instrs\": %" PRIu64 ", \"drain_instrs\": %" PRIu64
-               ", \"window_cores\": ",
-               par.windows, par.inline_windows, par.window_steps,
-               par.drain_steps, par.window_instrs, par.drain_instrs);
-  write_hist_json(f, par.window_cores);
-  std::fprintf(f, ", \"barrier_wait_ns\": [");
-  for (std::size_t w = 0; w < par.barrier_wait_ns.size(); ++w)
-    std::fprintf(f, "%s%" PRIu64, w == 0 ? "" : ", ",
-                 par.barrier_wait_ns[w]);
-  std::fprintf(f, "]");
-  if (priv != nullptr) {
-    std::fprintf(f,
-                 ", \"privacy\": {\"enabled\": %s, \"escaped_lines\": %" PRIu64
-                 ", \"publish_checks\": %" PRIu64 ", \"arena_escapes\": [",
-                 priv->enabled ? "true" : "false", priv->escaped_lines,
-                 priv->publish_checks);
-    for (std::size_t a = 0; a < priv->arena_escapes.size(); ++a)
-      std::fprintf(f, "%s%" PRIu64, a == 0 ? "" : ", ",
-                   priv->arena_escapes[a]);
-    std::fprintf(f, "]}");
-  }
-  std::fprintf(f, "}");
+               "{\"enabled\": %s, \"escaped_lines\": %" PRIu64
+               ", \"publish_checks\": %" PRIu64 ", \"arena_escapes\": [",
+               priv.enabled ? "true" : "false", priv.escaped_lines,
+               priv.publish_checks);
+  for (std::size_t a = 0; a < priv.arena_escapes.size(); ++a)
+    std::fprintf(f, "%s%" PRIu64, a == 0 ? "" : ", ", priv.arena_escapes[a]);
+  std::fprintf(f, "]}");
 }
 
 }  // namespace st::obs

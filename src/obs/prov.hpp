@@ -14,9 +14,9 @@
 //
 // Like tracing, provenance is strictly an observer: no sink is allocated
 // unless STAGTM_PROF is set, every emission site is null-guarded, and every
-// hook fires inside a synchronizing step of the parallel engine (begin,
-// commit, abort finalization, lock CAS — DESIGN.md §13), so the recorded
-// stream is byte-identical for any STAGTM_THREADS and simulated results are
+// hook fires inside a synchronizing step (begin, commit, abort
+// finalization, lock CAS — DESIGN.md §13), so the recorded stream is
+// byte-identical with step fusion on and off and simulated results are
 // byte-identical with provenance on and off (both CI-enforced).
 //
 // Knobs (exit 2 on malformed values, like every STAGTM_* knob):
@@ -122,7 +122,7 @@ struct ProvConfig {
 /// Collects blame records and lock episodes into bounded per-core rings
 /// (newest records displace the oldest, trace-style). All hook methods are
 /// called from synchronizing steps only, in deterministic (clock, id)
-/// order, so ring contents are identical for any host-thread count.
+/// order, so ring contents are identical with step fusion on and off.
 class ProvSink {
  public:
   ProvSink(unsigned cores, std::size_t cap_per_core,
@@ -314,7 +314,7 @@ struct LockEffectiveness {
 std::vector<LockEffectiveness> lock_effectiveness(const ProvData& d);
 
 /// Aggregate summary for STAGTM_JSON (all host/observer-side fields: the
-/// new CI job strips them before differential comparison, like host_par).
+/// CI strips them before differential comparison, like wall_ms).
 struct ProvSummary {
   std::uint64_t blame_records = 0;
   std::uint64_t blame_dropped = 0;

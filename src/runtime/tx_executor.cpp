@@ -153,7 +153,7 @@ class TxExecutor::PlainEnv final : public ExecEnv {
 
 TxExecutor::TxExecutor(TxSystem& sys, sim::CoreId core)
     : sys_(sys), core_(core),
-      private_windows_(sys.htm().mem().private_classification()) {
+      private_local_(sys.htm().mem().private_classification()) {
   spec_env_ = std::make_unique<SpecEnv>(*this);
   plain_env_ = std::make_unique<PlainEnv>(*this);
   spec_interp_ = std::make_unique<Interp>(*spec_env_);
@@ -206,8 +206,8 @@ bool TxExecutor::step_commutes() const {
     case K::kStore:
       // A hit on a line still private to this core touches only the core's
       // own L1, write buffer, and (for irrevocable stores) heap bytes no
-      // other core can name. Privacy is stable across a whole lookahead
-      // window (escapes happen only at drain steps), so this answer cannot
+      // other core can name. Privacy is stable across a whole run-ahead
+      // (escapes happen only at synchronizing steps), so this answer cannot
       // rot between classification and execution. Line-crossing accesses
       // would need two private hits; the simulator forbids them anyway, so
       // classify them synchronizing and let the access path diagnose.
@@ -225,18 +225,18 @@ bool TxExecutor::next_step_local() const {
     case State::kStmRunning:
       // Pure-register runs only: STM loads/stores consult the orec table
       // and the redo log's versioned metadata, which are shared state even
-      // when the data line is private — never window-local.
+      // when the data line is private — never local.
       return stm_interp_->next_is_pure();
     case State::kRunning:
       // A pending abort stamp does NOT matter here: run_step observes
       // stamps only at non-commuting steps, so a doomed attempt's
       // remaining commuting steps retire identically whether the stamp is
       // visible yet or not.
-      return private_windows_ ? step_commutes() : spec_interp_->next_is_pure();
+      return private_local_ ? step_commutes() : spec_interp_->next_is_pure();
     case State::kIrrevRunning:
       // Irrevocable execution holds the global lock and cannot abort; its
       // commuting steps are as private as speculative ones.
-      return private_windows_ ? step_commutes()
+      return private_local_ ? step_commutes()
                               : plain_interp_->next_is_pure();
     default:
       return false;
@@ -383,8 +383,8 @@ sim::Cycle TxExecutor::run_step(sim::Cycle budget) {
   // points restricted to synchronizing steps, the abort's timing is a
   // function of the victim's own instruction stream — not of when between
   // two such steps the stamp landed — which is the invariant that lets the
-  // parallel engine (sim/machine.hpp, DESIGN.md §13–14) run commuting
-  // steps inside lookahead windows without consulting shared state. The
+  // machine (sim/machine.hpp, DESIGN.md §13–14) run commuting steps ahead
+  // of other cores' events without consulting shared state. The
   // predicate is deliberately knob-independent (see step_commutes).
   if (sys_.htm().pending_abort(core_) && !step_commutes())
     return handle_abort(AbortCause::None);

@@ -50,22 +50,22 @@ class TxExecutor {
   /// instructions still execute one per step.
   sim::Cycle step(sim::Cycle budget = 1);
 
-  /// True when the next step() call is guaranteed window-local: it touches
+  /// True when the next step() call is guaranteed local: it touches
   /// nothing outside this core's interpreter frames, own L1, own stats row,
   /// and lines still private to this core. Pure-register runs always
   /// qualify; with the STAGTM_PRIVATE classification on, so do calls,
   /// inner returns, and loads/stores that hit a line private to this core
   /// (see step_commutes). Everything else (begin/commit/abort handling,
   /// shared-line accesses, lock spins, backoff) is a synchronizing step.
-  /// The parallel machine (sim/machine.hpp) consults this through
+  /// The machine's run-ahead (sim/machine.hpp) consults this through
   /// CoreTask::next_step_local.
   bool next_step_local() const;
 
   /// Monotone count of interpreter instructions this executor has retired
   /// across all attempts and ops, including doomed (later-aborted) ones.
-  /// Host-side observability only (the parallel engine differences it
-  /// around step() calls to weight the window/drain split by work instead
-  /// of step-call count); never feeds back into simulated results.
+  /// Host-side observability only (profilers difference it around step()
+  /// calls to attribute retired work); never feeds back into simulated
+  /// results.
   std::uint64_t instrs_retired() const {
     switch (state_) {
       case State::kRunning: return instrs_done_ + spec_interp_->instrs_executed();
@@ -101,7 +101,7 @@ class TxExecutor {
 
   /// Whether the next step commutes with every synchronizing step another
   /// core could take: it reads and writes only this-core-local state. This
-  /// is the knob-INDEPENDENT core of the window classification, and it
+  /// is the knob-INDEPENDENT core of the local-step classification, and it
   /// also gates pending-abort observation in run_step — both the gate and
   /// the classifier must use the same predicate, or enabling the knob
   /// would change where a doomed transaction notices its abort. Valid only
@@ -151,8 +151,8 @@ class TxExecutor {
   sim::CoreId core_;
   /// Cached MemorySystem::private_classification() (config is immutable
   /// after construction): gates only whether private-line hits classify as
-  /// window-local, never what they do.
-  bool private_windows_ = false;
+  /// local, never what they do.
+  bool private_local_ = false;
   std::unique_ptr<SpecEnv> spec_env_;
   std::unique_ptr<StmEnv> stm_env_;      // null when the STM tier is off
   std::unique_ptr<PlainEnv> plain_env_;

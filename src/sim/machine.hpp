@@ -5,21 +5,18 @@
 // smallest clock (ties broken by core id), so a given configuration and seed
 // always produces a bit-identical execution, independent of the host.
 //
-// With host_threads > 1 the machine runs the same execution on a pool of
-// host worker threads (run_parallel below): cores alternate between
-// parallel lookahead windows, in which each worker advances the cores it
-// owns through provably window-local steps, and a serial drain on the main
-// thread, which pops synchronizing steps in exactly the serial heap's
-// smallest-(clock, id) order. The interleaving — and therefore every
-// simulated result — is bit-identical to host_threads == 1 by
-// construction; see DESIGN.md §13 for the safety argument.
+// With step fusion on, a popped core whose next step is local (touches only
+// its own private state) runs ahead to its next synchronizing step in one
+// scheduler event, then is requeued at its new clock. Synchronizing steps
+// still execute in exactly the smallest-(clock, id) order, so every
+// simulated result is bit-identical to single-stepping; see DESIGN.md §13
+// for the argument.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "sim/types.hpp"
 
 namespace st::obs {
@@ -55,8 +52,8 @@ class SchedPerturb {
 /// amount of work and returns the number of cycles it consumed (>= 1).
 /// A step may retire more than one instruction (a fused run), but it must
 /// consume no more than Machine::fuse_budget() cycles beyond its first
-/// instruction's start — that is the window within which no other core has
-/// a scheduler event, so fusing inside it cannot change the interleaving.
+/// instruction's start. The budget exceeds 1 only for local steps (see
+/// next_step_local), whose work no other core can observe.
 class CoreTask {
  public:
   virtual ~CoreTask() = default;
@@ -66,57 +63,16 @@ class CoreTask {
   /// True when the task's *next* step() call is guaranteed to touch only
   /// this core's private state — no shared memory system, directory,
   /// advisory locks, tracing, RNG, or any other cross-core channel — and
-  /// to consume at most fuse_budget() cycles. The parallel engine runs
-  /// such steps concurrently inside a lookahead window; everything else is
-  /// a synchronizing step executed serially in (clock, id) order. The
-  /// default (false) classifies every step as synchronizing, which is
-  /// always safe: the engine then degrades to an exact serial drain.
+  /// to consume at most fuse_budget() cycles. With step fusion on, run()
+  /// steps such a core repeatedly (run-ahead) until its next step is a
+  /// synchronizing one; synchronizing steps execute one at a time in
+  /// (clock, id) order. The default (false) classifies every step as
+  /// synchronizing, which is always safe: the task then single-steps.
   virtual bool next_step_local(const Machine& m, CoreId core) const {
     (void)m;
     (void)core;
     return false;
   }
-
-  /// Monotone count of instructions this task has retired so far. The
-  /// parallel engine differences it around step() calls to weight the
-  /// window/drain split by retired work instead of step-call count: a
-  /// drain step retires at most one instruction (fuse budget 1) while a
-  /// window step retires a whole fused run, so step-call counts alone
-  /// overstate the serial section. Host-side observability only; the
-  /// default (always 0) simply yields zero work-weighted counters.
-  virtual std::uint64_t instrs_retired() const { return 0; }
-};
-
-/// Host-side statistics of one parallel run (run_parallel). Purely
-/// observational: none of this feeds back into simulated results, and it is
-/// reported outside the byte-compared registry metrics (obs::metrics).
-struct ParStats {
-  /// Parallel lookahead windows executed (phases between serial drains).
-  std::uint64_t windows = 0;
-  /// Windows executed inline on the main thread because fewer cores were
-  /// window-local than there are workers (the barrier handoff would cost
-  /// more than the steps). Subset of `windows`.
-  std::uint64_t inline_windows = 0;
-  /// Core-steps retired inside windows (worker-sharded or inline).
-  std::uint64_t window_steps = 0;
-  /// Synchronizing steps executed serially by the drain.
-  std::uint64_t drain_steps = 0;
-  /// Instructions retired inside windows (CoreTask::instrs_retired deltas).
-  /// The instruction-weighted window fraction window_instrs /
-  /// (window_instrs + drain_instrs) is the honest Amdahl proxy: each drain
-  /// step retires at most one instruction while a window step retires a
-  /// whole fused run, so the step-call split undercounts window work.
-  std::uint64_t window_instrs = 0;
-  /// Instructions retired by serial drain steps. Drain steps that retire
-  /// zero instructions (begin/commit boundaries, lock spins, backoff,
-  /// think-time dispatch) count toward drain_steps but not here.
-  std::uint64_t drain_instrs = 0;
-  /// Window-local cores participating per window (the fan-out available to
-  /// the worker pool).
-  Log2Hist window_cores;
-  /// Per-worker nanoseconds spent blocked at the window barriers (waiting
-  /// for the drain to finish or for sibling workers to reach the edge).
-  std::vector<std::uint64_t> barrier_wait_ns;
 };
 
 class Machine {
@@ -147,42 +103,18 @@ class Machine {
   /// over all cores once everything finished.
   Cycle now() const;
 
-  /// Adds idle time to a core (e.g., modeling an OS-level sleep).
-  void advance_clock(CoreId core, Cycle cycles) { cores_[core].clock += cycles; }
-
   /// Valid during a CoreTask::step() call: the number of cycles the stepping
-  /// core may consume in this step while still being popped before every
-  /// other core's next event (ties broken by core id, exactly as run()
-  /// breaks them). Always >= 1. A task that consumes at most this many
-  /// cycles per step produces a bit-identical execution to a task that
-  /// single-steps, because no other core can observe the difference.
-  /// Inside a parallel lookahead window the budget is per host thread (the
-  /// distance from the stepping core's clock to the window edge).
-  Cycle fuse_budget() const {
-    return in_parallel_phase_ ? tls_fuse_budget() : fuse_budget_;
-  }
+  /// core may consume in this step. Always >= 1. During run-ahead it is
+  /// the distance to max_cycles (a local step is unobservable by other
+  /// cores, so only the run's horizon bounds it); every other step gets 1.
+  Cycle fuse_budget() const { return fuse_budget_; }
 
-  /// Number of host worker threads sharding run(). 1 (the default) is the
-  /// serial event loop; N > 1 runs the windowed parallel engine, which is
-  /// bit-identical by construction. Perturbed runs (set_perturb) always
-  /// take the serial path regardless of this setting.
-  void set_host_threads(unsigned n);
-  unsigned host_threads() const { return host_threads_; }
+  /// True while run() is stepping a core through local steps (run-ahead).
+  bool in_run_ahead() const { return in_run_ahead_; }
 
-  /// STAGTM_THREADS: host worker threads per machine, in [1,256]; unset
-  /// defaults to 1 (serial). Read afresh per call, never latched.
-  static unsigned default_host_threads();
-
-  /// True while worker threads are inside a parallel lookahead window
-  /// (between the window-start and window-end barriers of run_parallel).
-  bool in_parallel_phase() const { return in_parallel_phase_; }
-
-  /// Host-side parallel-engine statistics, accumulated across run() calls.
-  const ParStats& par_stats() const { return par_; }
-
-  /// Disables (or re-enables) multi-instruction fusion hints: with fusion
-  /// off, fuse_budget() is pinned to 1 and every step retires at most one
-  /// instruction. On by default.
+  /// Disables (or re-enables) run-ahead: with fusion off, fuse_budget() is
+  /// pinned to 1 and every step retires at most one instruction — the
+  /// single-stepping reference. On by default.
   void set_step_fusion(bool on) { fusion_ = on; }
   bool step_fusion() const { return fusion_; }
 
@@ -194,17 +126,12 @@ class Machine {
   /// Installs (or clears, with nullptr) the schedule-perturbation hook.
   /// The hook must outlive every subsequent run() call. While a hook is
   /// installed, step fusion is suppressed (fuse_budget() stays 1): the
-  /// fusion window proof assumes smallest-(clock, id) pop order.
+  /// run-ahead argument assumes smallest-(clock, id) pop order.
   void set_perturb(SchedPerturb* p) { perturb_ = p; }
   SchedPerturb* perturb() const { return perturb_; }
 
  private:
   Cycle run_perturbed(Cycle max_cycles);
-  Cycle run_parallel(Cycle max_cycles);
-
-  /// The calling host thread's window budget (set by the worker loop before
-  /// each step inside a parallel phase).
-  static Cycle& tls_fuse_budget();
 
   struct Core {
     Cycle clock = 0;
@@ -213,11 +140,7 @@ class Machine {
   std::vector<Core> cores_;
   Cycle fuse_budget_ = 1;
   bool fusion_ = true;
-  unsigned host_threads_ = 1;
-  // Written by the main thread strictly before the window-start barrier and
-  // after the window-end barrier, so workers read it race-free.
-  bool in_parallel_phase_ = false;
-  ParStats par_;
+  bool in_run_ahead_ = false;
   obs::TraceSink* trace_ = nullptr;
   SchedPerturb* perturb_ = nullptr;
 };

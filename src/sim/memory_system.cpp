@@ -55,7 +55,7 @@ void MemorySystem::invalidate_remote(CoreId remote, Addr line, DirEntry& d) {
     // just stamped the victim, and the victim drains its own marks and log
     // at its next synchronizing step. Compacting the victim's log here —
     // during the *requester's* step — would make the log's size transients
-    // (and hence spec_log_hwm) depend on engine interleaving.
+    // (and hence spec_log_hwm) depend on how far the victim ran ahead.
     rl->state = Coh::I;
   }
   d.sharers.clear(remote);
@@ -102,12 +102,12 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
                    (kind == AccessKind::Load || coh_can_write(l->state));
 
 #ifndef NDEBUG
-  // Cross-check of the window-local classification: inside a parallel
-  // lookahead window every access must be exactly what next_step_local
-  // promised — an L1 hit on a line private to this core.
-  if (window_probe_ && window_probe_())
+  // Cross-check of the local-step classification: during run-ahead every
+  // access must be exactly what next_step_local promised — an L1 hit on a
+  // line private to this core.
+  if (run_ahead_probe_ && run_ahead_probe_())
     ST_CHECK_MSG(is_private && hit,
-                 "window-local access was not a private-line L1 hit");
+                 "run-ahead access was not a private-line L1 hit");
 #endif
 
   if (hit) {
@@ -333,7 +333,7 @@ void MemorySystem::invalidate_speculative_writes(CoreId c) {
     // Lines still private to the victim are exempt: no requester can name
     // one (the defensive publish in access() escapes a line *before* any
     // foreign access reaches the conflict check), and the victim's
-    // window-local classification depends on their residency staying put
+    // local-step classification depends on their residency staying put
     // until its own abort step. Knob-independent predicate (priv_ presence,
     // not private_classification()) so off/on runs stay byte-identical.
     if (priv_ != nullptr && priv_->private_to(c, l.line)) return;

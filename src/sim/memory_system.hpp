@@ -45,7 +45,7 @@ struct MemConfig {
   bool lazy_conflicts = false;
   /// STAGTM_PRIVATE: enable the private-line fast paths (skip directory
   /// bookkeeping for lines still private to their arena's core) and the
-  /// parallel engine's window-local classification of private-line hits.
+  /// run-ahead classification of private-line hits as local steps.
   /// The privacy map itself is maintained either way, and all simulated
   /// results are bit-identical off/on (CI-enforced).
   bool private_lines = default_private_lines();
@@ -89,28 +89,28 @@ class MemorySystem : public LineEscapeSink {
   const PrivacyMap* privacy() const { return priv_; }
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
   void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
-  /// Debug cross-check hook: returns true while the parallel engine is
-  /// inside a lookahead window, where every access must be a private-line
-  /// L1 hit (that is what the window classification promised).
-  void set_window_probe(std::function<bool()> probe) {
-    window_probe_ = std::move(probe);
+  /// Debug cross-check hook: returns true while the machine is running a
+  /// core ahead through local steps, where every access must be a
+  /// private-line L1 hit (that is what the local classification promised).
+  void set_run_ahead_probe(std::function<bool()> probe) {
+    run_ahead_probe_ = std::move(probe);
   }
 
   /// True when `addr`'s line is still private to core `c` *and* resident in
   /// c's L1. Private resident lines are always E or M (no other core can
   /// have installed a copy), so such an access is a guaranteed hit — load
   /// or store — that reads and writes no shared simulator state. This is
-  /// the window-local classification predicate; it is knob-independent.
+  /// the local-step classification predicate; it is knob-independent.
   bool private_hit(CoreId c, Addr addr) const {
     if (priv_ == nullptr) return false;
     const Addr line = line_addr(addr);
-    // Const find: no MRU-hint update, so the probe is a pure read (it runs
-    // concurrently across cores inside parallel windows).
+    // Const find: no MRU-hint update, so the probe is a pure read and
+    // classifying a step never changes what the step then does.
     const L1Cache& l1 = *l1_[c];
     return priv_->private_to(c, line) && l1.find(line) != nullptr;
   }
 
-  /// Whether the private-line fast paths / window classification are on.
+  /// Whether the private-line fast paths / local classification are on.
   bool private_classification() const {
     return priv_ != nullptr && cfg_.private_lines;
   }
@@ -163,8 +163,8 @@ class MemorySystem : public LineEscapeSink {
   /// the stale copy, but leaves the speculative marks, the log (and hence
   /// the footprint high-water mark), and every line still private to the
   /// victim untouched. A stamp executes during the *requester's* step, so
-  /// it must not mutate anything the victim's window-local steps read —
-  /// private-line residency above all (window stability, DESIGN §14). No
+  /// it must not mutate anything the victim's local steps read —
+  /// private-line residency above all (run-ahead stability, DESIGN §14). No
   /// requester can name a private line, so exempting them is safe; the
   /// victim's own abort() does the full drain at its next synchronizing
   /// step.
@@ -217,7 +217,7 @@ class MemorySystem : public LineEscapeSink {
   PrivacyMap* priv_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   std::function<Cycle()> clock_;
-  std::function<bool()> window_probe_;
+  std::function<bool()> run_ahead_probe_;
   std::vector<std::unique_ptr<L1Cache>> l1_;
   std::vector<std::unique_ptr<TagCache>> l2_;
   TagCache l3_;

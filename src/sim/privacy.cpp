@@ -9,8 +9,8 @@
 namespace st::sim {
 
 bool default_private_lines() {
-  // Re-read per call (sampled at config construction), same contract as
-  // Machine::default_host_threads: no process-wide latch.
+  // Re-read per call (sampled at config construction): no process-wide
+  // latch, so tests and tools can flip the knob between runs.
   return env_onoff("STAGTM_PRIVATE", true);
 }
 

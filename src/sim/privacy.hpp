@@ -8,11 +8,12 @@
 // value that looks like a pointer into a still-private block is published,
 // the whole block irrevocably *escapes* to shared, and everything its
 // committed contents point to escapes transitively. Publications only
-// happen inside synchronizing (drain) steps of the parallel engine
-// (DESIGN.md §13/§14), so privacy observed at a window start is stable for
-// the whole window — the invariant that lets private-line L1 hits classify
-// window-local, and lets the serial path skip directory bookkeeping for
-// them (a private line can never conflict, by construction).
+// happen inside synchronizing steps (DESIGN.md §13/§14), so privacy
+// observed when a core starts running ahead is stable until its next
+// synchronizing step — the invariant that lets private-line L1 hits
+// classify as local steps, and lets the memory system skip directory
+// bookkeeping for them (a private line can never conflict, by
+// construction).
 //
 // The map is deliberately conservative in one direction only: an integer
 // that happens to look like a private address over-escapes a block (safe —
@@ -47,7 +48,8 @@ class LineEscapeSink {
                               std::uint32_t pc) = 0;
 };
 
-/// Snapshot of privacy counters for end-of-run reporting (host_par JSON).
+/// Snapshot of privacy counters for end-of-run reporting (the STAGTM_JSON
+/// "privacy" object).
 struct PrivacyStats {
   bool enabled = false;          // was the classification/fast path on?
   std::uint64_t escaped_lines = 0;
@@ -143,7 +145,7 @@ class PrivacyMap {
 };
 
 /// Default for the STAGTM_PRIVATE knob (off|on / 0|1; unset = on): gates
-/// the window-local classification and the directory fast paths. The map
+/// the local-step classification and the directory fast paths. The map
 /// itself is always maintained, so simulated results are bit-identical
 /// either way (CI-enforced).
 bool default_private_lines();

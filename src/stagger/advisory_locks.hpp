@@ -6,12 +6,11 @@
 // read/write set and a lock survives (and is explicitly released after) an
 // abort. At most one advisory lock is held per core at a time.
 //
-// Window-safety contract (sim/machine.hpp parallel engine, DESIGN.md §13):
-// every lock-table mutation (try_acquire, release) happens inside a
-// boundary/ALPoint step, which the engine classifies as synchronizing and
-// executes serially in (clock, id) order on the main thread. Lock state is
-// therefore never touched concurrently by parallel-window workers, which
-// only run fused pure-register instruction sequences.
+// Run-ahead contract (sim/machine.hpp, DESIGN.md §13): every lock-table
+// mutation (try_acquire, release) happens inside a boundary/ALPoint step,
+// which the machine classifies as synchronizing and executes in (clock, id)
+// order. Lock state is therefore never touched by a core running ahead,
+// which only runs local steps.
 #pragma once
 
 #include <cstdint>

@@ -12,9 +12,8 @@
 // from the heap's setup arena and accessed through the simulated memory
 // system — orec reads, lock CASes, the clock bump, and the redo-log
 // writeback are real coherent accesses with real latencies, performed only
-// at synchronizing steps so the deterministic serial and parallel engines
-// stay bit-identical at any STAGTM_THREADS (the determinism argument is in
-// DESIGN.md §16).
+// at synchronizing steps so run-ahead and single-stepping stay
+// bit-identical (the determinism argument is in DESIGN.md §16).
 //
 // Orec encoding: an unlocked orec holds `version << 1`; a locked orec holds
 // `(saved_version << 1) | 1`. The owner and saved version are tracked

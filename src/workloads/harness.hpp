@@ -37,19 +37,14 @@ struct RunOptions {
   /// without the tier.
   stm::StmConfig stm = stm::StmConfig::from_env();
   bool lazy_htm = false;  // commit-time conflict detection (paper §8)
-  /// Host-side interpreter macro-stepping (fused pure-register runs). Never
-  /// changes simulated results — exists so differential tests can compare
-  /// fused vs single-stepped executions in one process.
+  /// Host-side step fusion: run-ahead through local steps (sim/machine.hpp,
+  /// DESIGN.md §13). Never changes simulated results — exists so
+  /// differential tests can compare run-ahead vs single-stepped executions
+  /// in one process.
   bool macrostep = true;
-  /// Host worker threads sharding the event loop (sim/machine.hpp parallel
-  /// deterministic engine, DESIGN.md §13). Host-side like macrostep:
-  /// simulated results are bit-identical for any value (CI-enforced).
-  /// Defaults to the STAGTM_THREADS env knob (unset = 1 = serial loop);
-  /// the runner caps jobs x host_threads at hardware concurrency.
-  unsigned host_threads = sim::Machine::default_host_threads();
-  /// Private-line window classification (sim/privacy.hpp, DESIGN.md §14).
+  /// Private-line local classification (sim/privacy.hpp, DESIGN.md §14).
   /// Host-side like macrostep: whether private-line hits classify as
-  /// window-local (and take the directory-skipping fast paths) never
+  /// local steps (and take the directory-skipping fast paths) never
   /// changes a simulated result (CI-enforced byte-identical off vs on).
   /// Defaults to the STAGTM_PRIVATE env knob (unset = on).
   bool private_lines = sim::default_private_lines();
@@ -102,25 +97,18 @@ struct RunResult {
   unsigned static_loads_stores = 0;   // Table 3 statics
   unsigned static_anchors = 0;
   unsigned atomic_blocks = 0;
-  /// Host wall-clock time this run took (not simulated time; like the
-  /// par/host_threads fields below it is host-side only — everything above
-  /// is bit-reproducible).
+  /// Host wall-clock time this run took (not simulated time; host-side
+  /// only — everything above is bit-reproducible).
   double wall_ms = 0;
-  /// Effective host worker-thread count the machine ran with (after any
-  /// runner oversubscription cap) and the parallel engine's host-side
-  /// counters (windows, window/drain step split, barrier waits). All
-  /// host-side: excluded from differential comparisons.
-  unsigned host_threads = 1;
-  sim::ParStats par;
   /// Privacy-map snapshot at end of run (escaped lines, publish checks,
-  /// per-arena escapes). The map itself is knob- and thread-independent;
-  /// only `enabled` records whether classification was on.
+  /// per-arena escapes). The map itself is knob-independent; only
+  /// `enabled` records whether classification was on.
   sim::PrivacyStats privacy;
   /// Schedule-perturbation provenance ("off" when no perturbation ran).
   std::string sched_mode = "off";
   std::uint64_t sched_seed = 0;
   /// Conflict-provenance summary (host-side observer output, excluded from
-  /// differential comparisons like host_threads/par). Meaningful only when
+  /// differential comparisons like wall_ms). Meaningful only when
   /// prov_enabled; prof_path names the binary file for stagtm-prof.
   bool prov_enabled = false;
   std::string prof_path;

@@ -86,15 +86,6 @@ TEST(Machine, LateInstalledTaskStartsAtCurrentTime) {
   EXPECT_GE(trace.back().second, 20u);
 }
 
-TEST(Machine, AdvanceClockAddsIdleTime) {
-  Machine m(1);
-  std::vector<std::pair<unsigned, Cycle>> trace;
-  m.advance_clock(0, 100);
-  m.set_task(0, std::make_unique<TraceTask>(&trace, 0, 1, 1));
-  m.run();
-  EXPECT_GE(trace[0].second, 100u);
-}
-
 TEST(Machine, CoreCountValidated) {
   EXPECT_DEATH(Machine m(0), "");
   EXPECT_DEATH(Machine m(kMaxCores + 1), "");

@@ -1,19 +1,27 @@
-// Macro-stepping (fused pure-register interpreter runs) tests.
+// Macro-stepping tests: fused pure-register interpreter runs and the
+// machine's run-ahead through local steps.
 //
 // The load-bearing invariant: a fused execution is bit-identical to a
-// single-stepped one, because cores interact only at boundary instructions
-// and the scheduler only grants a fusion budget covering cycles where no
-// other core has an event. Verified three ways: unit tests of the fused
-// interpreter step, unit tests of the scheduler's budget computation, and
+// single-stepped one, because cores interact only at synchronizing steps
+// and the scheduler grants a budget above 1 only to local steps, which no
+// other core can observe. Verified three ways: unit tests of the fused
+// interpreter step, unit tests of the scheduler's run-ahead, and
 // differential full-system runs of real workloads with fusion on vs off.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <random>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
+#include "obs/metrics.hpp"
 #include "sim/machine.hpp"
 #include "workloads/harness.hpp"
+#include "workloads/workload.hpp"
 
 namespace st {
 namespace {
@@ -244,57 +252,69 @@ TEST(MacrostepDeath, CallWithTooManyArgsIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler fusion budget.
+// Scheduler run-ahead.
 // ---------------------------------------------------------------------------
 
-/// Records the budget the machine granted at each step.
+/// Records the budget the machine granted at each step and the (core,
+/// clock) at which each step ran. The first `local_steps` steps report
+/// themselves local; the rest are synchronizing.
 struct BudgetTask final : sim::CoreTask {
-  BudgetTask(std::vector<sim::Cycle>* budgets, sim::Cycle cost, unsigned steps)
-      : budgets_(budgets), cost_(cost), remaining_(steps) {}
+  using Log = std::vector<std::pair<sim::CoreId, sim::Cycle>>;
+  BudgetTask(std::vector<sim::Cycle>* budgets, sim::Cycle cost, unsigned steps,
+             unsigned local_steps = 0, Log* log = nullptr)
+      : budgets_(budgets),
+        log_(log),
+        cost_(cost),
+        remaining_(steps),
+        local_left_(local_steps) {}
 
-  sim::Cycle step(sim::Machine& m, sim::CoreId) override {
+  sim::Cycle step(sim::Machine& m, sim::CoreId core) override {
     budgets_->push_back(m.fuse_budget());
+    if (log_ != nullptr) log_->emplace_back(core, m.core_clock(core));
     --remaining_;
+    if (local_left_ > 0) --local_left_;
     return cost_;
   }
   bool done() const override { return remaining_ == 0; }
+  bool next_step_local(const sim::Machine&, sim::CoreId) const override {
+    return remaining_ > 0 && local_left_ > 0;
+  }
 
   std::vector<sim::Cycle>* budgets_;
+  Log* log_;
   sim::Cycle cost_;
   unsigned remaining_;
+  unsigned local_left_;
 };
 
-TEST(Macrostep, FuseBudgetCoversGapToNextCoreEvent) {
+TEST(Macrostep, RunAheadPassesEarlierCompetitor) {
   sim::Machine m(2);
   m.set_step_fusion(true);
   std::vector<sim::Cycle> b0, b1;
-  m.set_task(0, std::make_unique<BudgetTask>(&b0, 10, 2));
-  m.set_task(1, std::make_unique<BudgetTask>(&b1, 3, 4));
-  m.run();
-  // t=0: core0 pops first (id tie-break); core1's entry is also at t=0, and
-  // core0 wins ties, so it may fuse through t=0 only -> budget 1.
-  // t=0: core1 runs; core0's next event is t=10; core1 loses the id
-  // tie-break at equal clocks, so it may cover [0,10) -> budget 10.
-  // t=3, t=6: core1 again; gap to core0's t=10 event -> 7, then 4.
-  // t=9 -> core0 at 10: budget 1 (core1 loses ties... core0 wins) etc.
-  ASSERT_EQ(b0.size(), 2u);
-  ASSERT_EQ(b1.size(), 4u);
-  EXPECT_EQ(b0[0], 1u);
-  EXPECT_EQ(b1[0], 10u);
-  EXPECT_EQ(b1[1], 7u);
-  EXPECT_EQ(b1[2], 4u);
-  EXPECT_EQ(b1[3], 1u);
-  // Core0's second step at t=10: core1 finished at t=9, so no competitor
-  // remains and the budget is bounded only by max_cycles (default ~0).
-  EXPECT_EQ(b0[1], ~sim::Cycle{0} - 10);
+  BudgetTask::Log log;
+  // Core 0 only synchronizes (cost 3). Core 1's first two steps are local
+  // (cost 5), then it synchronizes.
+  m.set_task(0, std::make_unique<BudgetTask>(&b0, 3, 4, 0, &log));
+  m.set_task(1, std::make_unique<BudgetTask>(&b1, 5, 4, 2, &log));
+  m.run(1000);
+  // t=0: core 0 wins the id tie and steps once. Core 1 then pops at t=0
+  // and runs ahead through both local steps (t=0, t=5) in one event —
+  // past core 0, whose next event is at t=3 — and is requeued at t=10,
+  // where its synchronizing steps interleave with core 0 by clock again.
+  const BudgetTask::Log want = {{0, 0}, {1, 0}, {1, 5}, {0, 3},
+                                {0, 6}, {0, 9}, {1, 10}, {1, 15}};
+  EXPECT_EQ(log, want);
+  // Local steps get the distance to max_cycles; synchronizing steps get 1.
+  EXPECT_EQ(b0, (std::vector<sim::Cycle>{1, 1, 1, 1}));
+  EXPECT_EQ(b1, (std::vector<sim::Cycle>{1000, 995, 1, 1}));
 }
 
 TEST(Macrostep, FusionDisabledPinsBudgetToOne) {
   sim::Machine m(2);
   m.set_step_fusion(false);
   std::vector<sim::Cycle> b0, b1;
-  m.set_task(0, std::make_unique<BudgetTask>(&b0, 10, 3));
-  m.set_task(1, std::make_unique<BudgetTask>(&b1, 3, 5));
+  m.set_task(0, std::make_unique<BudgetTask>(&b0, 10, 3, 3));
+  m.set_task(1, std::make_unique<BudgetTask>(&b1, 3, 5, 5));
   m.run();
   for (sim::Cycle c : b0) EXPECT_EQ(c, 1u);
   for (sim::Cycle c : b1) EXPECT_EQ(c, 1u);
@@ -304,10 +324,10 @@ TEST(Macrostep, SoloCoreGetsUnboundedBudget) {
   sim::Machine m(1);
   m.set_step_fusion(true);
   std::vector<sim::Cycle> b;
-  m.set_task(0, std::make_unique<BudgetTask>(&b, 5, 2));
+  m.set_task(0, std::make_unique<BudgetTask>(&b, 5, 2, 2));
   m.run(1000);
   ASSERT_EQ(b.size(), 2u);
-  // No competing core: the budget is bounded only by max_cycles.
+  // A local step is bounded only by max_cycles.
   EXPECT_EQ(b[0], 1000u);
   EXPECT_EQ(b[1], 995u);
 }
@@ -315,37 +335,103 @@ TEST(Macrostep, SoloCoreGetsUnboundedBudget) {
 // ---------------------------------------------------------------------------
 // Differential full-system runs: fusion must not change any simulated
 // number, on every workload, with real contention, aborts, and advisory
-// locks. Each row compares a fused run against the single-stepped
+// locks. Each row compares a run-ahead run against the single-stepped
 // reference (macrostep off: every instruction its own scheduler event).
 // ---------------------------------------------------------------------------
 
-void expect_identical_runs(const char* workload, runtime::Scheme scheme) {
-  workloads::RunOptions on;
-  on.scheme = scheme;
-  on.threads = 4;
-  on.ops_scale = 0.05;
+/// Serializes everything simulated about a run into one comparable string:
+/// every CoreStats counter and histogram (through the metrics JSON writer,
+/// so nothing is forgotten), the state digest and the commit log.
+/// Host-side fields (wall_ms, privacy, prov) are deliberately excluded.
+std::string sim_fingerprint(const workloads::RunResult& r) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  std::fprintf(f, "workload=%s scheme=%s threads=%u cycles=%llu ops=%llu\n",
+               r.workload.c_str(), r.scheme.c_str(), r.threads,
+               static_cast<unsigned long long>(r.cycles),
+               static_cast<unsigned long long>(r.total_ops));
+  std::fprintf(f, "la=%.17g lp=%.17g dropped=%llu\n", r.conflict_addr_locality,
+               r.conflict_pc_locality,
+               static_cast<unsigned long long>(r.abort_trace_dropped));
+  std::fprintf(f, "digest=%016llx invariant=[%s]\n",
+               static_cast<unsigned long long>(r.state_digest),
+               r.invariant_failure.c_str());
+  obs::write_core_stats_json(f, r.totals);
+  for (const auto& cs : r.per_core) obs::write_core_stats_json(f, cs);
+  if (r.commit_log) {
+    for (const auto& rec : *r.commit_log) {
+      std::fprintf(f, "\nc=%llu core=%u ab=%u att=%u irr=%d res=%llx args=",
+                   static_cast<unsigned long long>(rec.cycle), rec.core,
+                   rec.ab_id, rec.attempts, rec.irrevocable,
+                   static_cast<unsigned long long>(rec.result));
+      for (std::uint64_t a : rec.args)
+        std::fprintf(f, "%llx,", static_cast<unsigned long long>(a));
+    }
+  }
+  std::fclose(f);
+  std::string s(buf, len);
+  std::free(buf);
+  return s;
+}
+
+workloads::RunOptions differential_options(runtime::Scheme scheme) {
+  workloads::RunOptions opt;
+  opt.scheme = scheme;
+  opt.threads = 16;
+  opt.ops_scale = 0.05;
+  opt.checked = true;                // record commit log + digest
+  opt.trace_path = "";               // tracing off regardless of environment
+  opt.sched = check::SchedConfig{};  // deterministic schedule
+  return opt;
+}
+
+/// Runs `workload` with fusion on and off and compares the fingerprints.
+void expect_identical_runs(const std::string& workload,
+                           workloads::RunOptions on, const std::string& what) {
   on.macrostep = true;
   workloads::RunOptions off = on;
   off.macrostep = false;
-
   const auto a = workloads::run_workload(workload, on);
   const auto b = workloads::run_workload(workload, off);
+  EXPECT_NE(a.commit_log, nullptr) << what;
+  EXPECT_TRUE(a.invariant_failure.empty()) << what << ": "
+                                           << a.invariant_failure;
+  EXPECT_EQ(sim_fingerprint(a), sim_fingerprint(b)) << what;
+}
 
-  EXPECT_EQ(a.cycles, b.cycles) << workload;
-  EXPECT_EQ(a.total_ops, b.total_ops) << workload;
-  EXPECT_EQ(a.totals.commits, b.totals.commits) << workload;
-  EXPECT_EQ(a.totals.total_aborts(), b.totals.total_aborts()) << workload;
-  EXPECT_EQ(a.totals.aborts_conflict, b.totals.aborts_conflict) << workload;
-  EXPECT_EQ(a.totals.tx_instrs, b.totals.tx_instrs) << workload;
-  EXPECT_EQ(a.totals.interp_instrs, b.totals.interp_instrs) << workload;
-  EXPECT_EQ(a.totals.cycles_useful_tx, b.totals.cycles_useful_tx) << workload;
-  EXPECT_EQ(a.totals.cycles_wasted_tx, b.totals.cycles_wasted_tx) << workload;
-  EXPECT_EQ(a.totals.cycles_lock_wait, b.totals.cycles_lock_wait) << workload;
-  EXPECT_EQ(a.totals.alp_acquires, b.totals.alp_acquires) << workload;
-  EXPECT_EQ(a.totals.irrevocable_entries, b.totals.irrevocable_entries)
-      << workload;
-  EXPECT_EQ(a.totals.l1_hits, b.totals.l1_hits) << workload;
-  EXPECT_EQ(a.totals.l1_misses, b.totals.l1_misses) << workload;
+/// Randomized differential fuzz: scheme x eager/lazy conflict detection x
+/// seed, each sample checked against its own single-stepped twin. Fixed
+/// fuzz seed so failures reproduce.
+TEST(Macrostep, FuzzFusionAcrossHtmModes) {
+  const char* names[] = {"list-hi", "kmeans", "ssca2", "intruder", "vacation"};
+  const runtime::Scheme schemes[] = {runtime::Scheme::kBaseline,
+                                     runtime::Scheme::kStaggered,
+                                     runtime::Scheme::kStaggeredSW};
+  std::mt19937 rng(20260808);
+  for (int i = 0; i < 10; ++i) {
+    workloads::RunOptions opt = differential_options(schemes[rng() % 3]);
+    opt.lazy_htm = (rng() % 2) != 0;
+    opt.seed = 1 + rng() % 5;
+    const std::string name = names[rng() % 5];
+    expect_identical_runs(name, opt,
+                          name + " scheme=" + runtime::scheme_name(opt.scheme) +
+                              " lazy=" + std::to_string(opt.lazy_htm) +
+                              " seed=" + std::to_string(opt.seed));
+  }
+}
+
+/// Schedule perturbation forces single-stepping: the hook reorders steps in
+/// ways the run-ahead argument cannot see, so the machine ignores fusion
+/// and the two runs are the same execution.
+TEST(Macrostep, PerturbedScheduleForcesSingleStep) {
+  workloads::RunOptions opt =
+      differential_options(runtime::Scheme::kStaggered);
+  check::SchedConfig sched;
+  sched.mode = check::SchedMode::kJitter;
+  sched.seed = 11;
+  opt.sched = sched;
+  expect_identical_runs("list-hi", opt, "list-hi jitter seed=11");
 }
 
 struct DifferentialCase {
@@ -372,7 +458,10 @@ constexpr DifferentialCase kDifferentialCases[] = {
 class MacrostepDifferential : public ::testing::Test {
  public:
   explicit MacrostepDifferential(const DifferentialCase& c) : c_(c) {}
-  void TestBody() override { expect_identical_runs(c_.workload, c_.scheme); }
+  void TestBody() override {
+    expect_identical_runs(c_.workload, differential_options(c_.scheme),
+                          c_.workload);
+  }
 
  private:
   DifferentialCase c_;

@@ -1,5 +1,5 @@
 // Tests for the per-line privacy (ownership) tracker (sim/privacy.hpp) and
-// its window classification: the privacy lattice (private -> shared, never
+// its local-step classification: the privacy lattice (private -> shared, never
 // back), arena seeding, publication-driven escapes with transitive
 // reachability, the host-dispatch channel, and the end-to-end differential
 // guarantee that STAGTM_PRIVATE never changes a simulated result.
@@ -184,7 +184,7 @@ TEST(PrivacyMap, SnapshotCounters) {
 // ---- end-to-end differential: the knob never changes simulated results ----
 
 workloads::RunResult run_cell(const std::string& wl, bool priv, bool lazy,
-                              unsigned host_threads, std::uint64_t seed) {
+                              bool fused, std::uint64_t seed) {
   workloads::RunOptions o;
   o.scheme = runtime::Scheme::kStaggeredSW;
   o.threads = 4;
@@ -192,7 +192,7 @@ workloads::RunResult run_cell(const std::string& wl, bool priv, bool lazy,
   o.ops_scale = 0.05;
   o.lazy_htm = lazy;
   o.private_lines = priv;
-  o.host_threads = host_threads;
+  o.macrostep = fused;
   o.checked = true;  // record the commit log for exact comparison
   o.trace_path = std::string();
   return workloads::run_workload(wl, o);
@@ -206,7 +206,7 @@ void expect_identical(const workloads::RunResult& a,
   // dir_probes is deliberately absent: it is the one counter the knob is
   // *meant* to shrink (private lines skip directory bookkeeping). The knob
   // test below checks it separately — lower with the knob on, and
-  // engine-independent at a fixed knob.
+  // fusion-independent at a fixed knob.
   EXPECT_EQ(a.totals.l1_hits, b.totals.l1_hits) << what;
   EXPECT_EQ(a.totals.l1_misses, b.totals.l1_misses) << what;
   EXPECT_EQ(a.state_digest, b.state_digest) << what;
@@ -225,24 +225,25 @@ void expect_identical(const workloads::RunResult& a,
   }
 }
 
-TEST(PrivacyDifferential, KnobOffOnIdenticalAcrossWorkersAndModes) {
-  // STAGTM_PRIVATE on/off x eager/lazy x host worker counts: the commit
-  // logs (and every simulated counter) must match pairwise. list-hi has
-  // heavy shared traffic, labyrinth heavy private traffic — opposite
-  // corners of the classification.
+TEST(PrivacyDifferential, KnobOffOnIdenticalAcrossFusionAndModes) {
+  // STAGTM_PRIVATE on/off x eager/lazy x step fusion on/off: the commit
+  // logs (and every simulated counter) must match the knob-off,
+  // single-stepped reference. list-hi has heavy shared traffic, labyrinth
+  // heavy private traffic — opposite corners of the classification, which
+  // with the knob on lets private-line hits run ahead.
   for (const char* wl : {"list-hi", "labyrinth"}) {
     for (bool lazy : {false, true}) {
-      const workloads::RunResult base = run_cell(wl, false, lazy, 1, 7);
+      const workloads::RunResult base = run_cell(wl, false, lazy, false, 7);
       std::uint64_t on_probes = 0;
       bool first = true;
-      for (unsigned ht : {1u, 2u, 4u, 8u}) {
-        const workloads::RunResult on = run_cell(wl, true, lazy, ht, 7);
+      for (bool fused : {false, true}) {
+        const workloads::RunResult on = run_cell(wl, true, lazy, fused, 7);
         const std::string what = std::string(wl) +
-                                 (lazy ? " lazy" : " eager") + " ht=" +
-                                 std::to_string(ht);
+                                 (lazy ? " lazy" : " eager") +
+                                 (fused ? " fused" : " single-step");
         expect_identical(base, on, what.c_str());
         // The fast paths may only ever *remove* directory traffic, and how
-        // much they remove must not depend on the host engine.
+        // much they remove must not depend on step fusion.
         EXPECT_LE(on.totals.dir_probes, base.totals.dir_probes) << what;
         if (first) {
           on_probes = on.totals.dir_probes;
@@ -259,9 +260,9 @@ TEST(PrivacyDifferential, RandomizedSeeds) {
   // Seed fuzz on the most allocation-heavy workload: each seed shifts the
   // op mix and the pointer graph the cascade walks.
   for (std::uint64_t seed : {11ull, 23ull, 41ull}) {
-    const workloads::RunResult off = run_cell("vacation", false, false, 2,
+    const workloads::RunResult off = run_cell("vacation", false, false, true,
                                               seed);
-    const workloads::RunResult on = run_cell("vacation", true, false, 2,
+    const workloads::RunResult on = run_cell("vacation", true, false, true,
                                              seed);
     expect_identical(off, on,
                      ("vacation seed=" + std::to_string(seed)).c_str());
@@ -272,10 +273,11 @@ TEST(PrivacyEndToEnd, LabyrinthKeepsPrivateGridsPrivate) {
   // labyrinth's per-thread grid copies are the flagship private workload:
   // classification on must report private hits and an escaped-line count
   // far below the allocated-line count.
-  const workloads::RunResult r = run_cell("labyrinth", true, false, 2, 3);
+  const workloads::RunResult r = run_cell("labyrinth", true, false, true, 3);
   EXPECT_TRUE(r.privacy.enabled);
   EXPECT_GT(r.totals.priv_hits, 0u);
-  const workloads::RunResult off = run_cell("labyrinth", false, false, 2, 3);
+  const workloads::RunResult off =
+      run_cell("labyrinth", false, false, true, 3);
   EXPECT_FALSE(off.privacy.enabled);
   // The map is knob-independent: identical escape totals either way.
   EXPECT_EQ(r.privacy.escaped_lines, off.privacy.escaped_lines);

@@ -615,27 +615,27 @@ TEST(ProvDifferential, ProvenanceDoesNotPerturbSimulatedResults) {
   EXPECT_EQ(on.prov.blame_records, blames);
 }
 
-TEST(ProvDifferential, HostThreadCountDoesNotChangeProfFile) {
+TEST(ProvDifferential, StepFusionDoesNotChangeProfFile) {
   workloads::RunOptions o;
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 4;
   o.ops_scale = 0.05;
-  const std::string p1 = tmp_path("prov_host1.prf");
-  const std::string p2 = tmp_path("prov_host2.prf");
-  o.host_threads = 1;
+  const std::string p1 = tmp_path("prov_single.prf");
+  const std::string p2 = tmp_path("prov_fused.prf");
+  o.macrostep = false;
   o.prof_path = p1;
-  const auto serial = workloads::run_workload("list-hi", o);
-  o.host_threads = 2;
+  const auto single = workloads::run_workload("list-hi", o);
+  o.macrostep = true;
   o.prof_path = p2;
-  const auto parallel = workloads::run_workload("list-hi", o);
-  expect_same_simulation(serial, parallel);
+  const auto fused = workloads::run_workload("list-hi", o);
+  expect_same_simulation(single, fused);
   // Every hook fires in a synchronizing step, so the files are
   // byte-identical — not merely equivalent.
   const std::string b1 = slurp(p1), b2 = slurp(p2);
   std::remove(p1.c_str());
   std::remove(p2.c_str());
   ASSERT_FALSE(b1.empty());
-  EXPECT_TRUE(b1 == b2) << "prof files differ across STAGTM_THREADS";
+  EXPECT_TRUE(b1 == b2) << "prof files differ with step fusion on/off";
 }
 
 TEST(ProvDifferential, TinyRingStillDoesNotPerturbResults) {

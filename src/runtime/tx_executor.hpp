@@ -12,7 +12,9 @@
 //
 // With the STM tier off (the default) the middle stage vanishes: retries
 // fall straight to the global lock, byte-identical to builds without
-// src/stm.
+// src/stm. next_tier() is that ladder, and every spin (ALPoint advisory
+// lock, kTxSched lock, glock, STM orecs) is one Wait polled by poll_wait()
+// (DESIGN.md §6, "Executor tiers and waits").
 //
 // The executor is a resumable state machine: each step() performs one
 // boundary instruction, one spin/backoff interval, or one fused run of
@@ -21,6 +23,7 @@
 // cores faithfully.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "interp/interp.hpp"
@@ -38,7 +41,6 @@ class TxExecutor {
   /// Begins executing atomic block `ab_id` with the given arguments.
   void start(unsigned ab_id, std::vector<std::uint64_t> args);
 
-  bool idle() const { return state_ == State::kIdle; }
   bool finished() const { return state_ == State::kFinished; }
   /// Return value of the committed atomic block; resets to idle.
   std::uint64_t take_result();
@@ -54,91 +56,123 @@ class TxExecutor {
   /// nothing outside this core's interpreter frames, own L1, own stats row,
   /// and lines still private to this core. Pure-register runs always
   /// qualify; with the STAGTM_PRIVATE classification on, so do calls,
-  /// inner returns, and loads/stores that hit a line private to this core
-  /// (see step_commutes). Everything else (begin/commit/abort handling,
-  /// shared-line accesses, lock spins, backoff) is a synchronizing step.
-  /// The machine's run-ahead (sim/machine.hpp) consults this through
-  /// CoreTask::next_step_local.
+  /// inner returns, and private-line loads/stores (see step_commutes).
+  /// Everything else (begin/commit/abort handling, shared-line accesses,
+  /// waits, backoff) synchronizes. The machine's run-ahead
+  /// (sim/machine.hpp) consults this through CoreTask::next_step_local.
   bool next_step_local() const;
 
-  /// Monotone count of interpreter instructions this executor has retired
-  /// across all attempts and ops, including doomed (later-aborted) ones.
-  /// Host-side observability only (profilers difference it around step()
-  /// calls to attribute retired work); never feeds back into simulated
-  /// results.
+  /// Interpreter instructions retired across all attempts and ops,
+  /// doomed ones included (an STM attempt's count drops out between its
+  /// last instruction and its commit or abort). Host-side observability
+  /// only: profilers difference it around step() calls.
   std::uint64_t instrs_retired() const {
-    switch (state_) {
-      case State::kRunning: return instrs_done_ + spec_interp_->instrs_executed();
-      case State::kStmRunning:
-        return instrs_done_ + stm_interp_->instrs_executed();
-      case State::kIrrevRunning:
-        return instrs_done_ + plain_interp_->instrs_executed();
-      default:
-        return instrs_done_;
-    }
+    return instrs_done_ + (live_ != nullptr ? live_->instrs_executed() : 0);
   }
-
-  sim::CoreId core() const { return core_; }
-  TxSystem& system() { return sys_; }
 
  private:
   enum class State {
     kIdle,
-    kBeginAttempt,
-    kRunning,
-    kStmBeginAttempt,  // STM tier (src/stm): waiting to begin an attempt
+    kBeginAttempt,     // HTM tier: (kTxSched lock wait, then) xbegin
+    kRunning,          // speculative execution; ALPoints may wait here
+    kStmBeginAttempt,  // STM tier: wait for a free glock, then begin
     kStmRunning,       // executing under the TL2 read/write-set protocol
-    kStmLockAcquire,   // locking write-set orecs, one per step
+    kStmLockAcquire,   // locking write-set orecs, one per step (orec wait)
     kStmCommit,        // validate + write back (single atomic step)
-    kGlockAcquire,
+    kGlockAcquire,     // glock CAS wait before irrevocable execution
     kIrrevRunning,
     kFinished,
+  };
+
+  /// Commit tiers as the trace, provenance and commit log number them.
+  enum Tier : std::uint8_t { kTierHtm = 0, kTierIrrev = 1, kTierStm = 2 };
+
+  /// The lock wait in progress, if any; poll_wait() ends it on
+  /// acquisition or timeout.
+  struct Wait {
+    enum class On : std::uint8_t {
+      kNone,
+      kAlp,        // an ALPoint's advisory lock (key = data address)
+      kSched,      // kTxSched whole-transaction lock (key = lock address)
+      kGlock,      // CAS the global lock before irrevocable execution
+      kGlockFree,  // global lock free before an STM attempt begins
+      kOrec,       // every STM write-set orec, one acquisition per poll
+    } on = On::kNone;
+    sim::Addr key = 0;
+    sim::Cycle accum = 0;  // kSpinPad-padded poll latencies so far
+    sim::Cycle timeout = std::numeric_limits<sim::Cycle>::max();
+  };
+  /// One poll_wait() outcome. kSpun: `cycles` is the whole step, already
+  /// charged as lock wait. kGot/kTimedOut: the poll's latency, uncharged.
+  enum class Poll : std::uint8_t { kSpun, kGot, kTimedOut };
+  struct Polled {
+    Poll status;
+    sim::Cycle cycles;
   };
 
   class SpecEnv;
   class StmEnv;
   class PlainEnv;
 
-  /// Whether the next step commutes with every synchronizing step another
-  /// core could take: it reads and writes only this-core-local state. This
-  /// is the knob-INDEPENDENT core of the local-step classification, and it
-  /// also gates pending-abort observation in run_step — both the gate and
-  /// the classifier must use the same predicate, or enabling the knob
-  /// would change where a doomed transaction notices its abort. Valid only
-  /// in kRunning / kIrrevRunning.
+  /// Whether the next step touches only this-core-local state, so it
+  /// commutes with every synchronizing step of another core. The
+  /// knob-INDEPENDENT core of the local-step classification; it also gates
+  /// pending-abort observation in run_step, so enabling the knob cannot
+  /// move where a doomed transaction notices its abort. Valid only in
+  /// kRunning / kIrrevRunning.
   bool step_commutes() const;
 
+  /// The fallback ladder: HTM attempts while attempts_ < max_retries, then
+  /// (tier on) STM attempts while stm_attempts_ < max(1, stm.retries), then
+  /// the global lock. Returns the state that begins the next attempt.
+  State next_tier() const;
+  /// Moves to `next` and arms the wait guarding its begin, backing off
+  /// first when `next` retries the tier that just aborted (`retry`).
+  sim::Cycle enter(State next, State retry = State::kIdle);
+  sim::Cycle backoff();
+  /// Polls the armed wait once; a spin charges and returns `pre` (what the
+  /// step spent before the poll) with it.
+  Polled poll_wait(sim::Cycle pre = 0);
+  bool waiting() const { return wait_.on != Wait::On::kNone; }
+
+  /// Begin bookkeeping shared by the speculative tiers (trace, provenance,
+  /// anchor arming, CPC reset), then starts `in` and enters `running`.
+  void open_attempt(Tier tier, interp::Interp& in, State running);
   sim::Cycle begin_attempt();
-  /// kTxSched: whole-transaction serialization lock (§7 comparison). The
-  /// lock key is synthesized from the atomic-block id.
-  sim::Addr sched_lock_key() const;
+  /// One step of the running tier's interpreter, then that tier's abort
+  /// or end-of-block handling.
   sim::Cycle run_step(sim::Cycle budget);
   sim::Cycle commit_sequence();
   sim::Cycle handle_abort(htm::AbortCause self_cause);
+  /// Abort bookkeeping shared by both speculative tiers (provenance,
+  /// wasted cycles, policy training on `conflict`), then the ladder.
+  sim::Cycle abort_tail(const interp::Interp& in,
+                        const htm::AbortInfo* conflict, State retry);
   sim::Cycle glock_step();
-  sim::Cycle irrev_step(sim::Cycle budget);
   void resolve_and_train(const htm::AbortInfo& info);
+  /// Folds `in`'s instruction count into the stats before a restart can
+  /// reset it; returns it.
+  std::uint64_t retire(const interp::Interp& in);
+  /// Commit-time advisory-lock release and the policy's verdict on it.
+  sim::Cycle release_on_commit();
+  /// Commit epilogue shared by every tier: stats, histograms, trace,
+  /// provenance, result publication and the commit log.
+  void finish(const interp::Interp& in, Tier tier, unsigned attempts);
 
   // ---- STM tier (valid only when sys_.stm() != nullptr) ----
   sim::Cycle stm_begin_attempt();
-  sim::Cycle stm_run_step(sim::Cycle budget);
   sim::Cycle stm_lock_step();
   sim::Cycle stm_commit_step();
-  /// Abort epilogue for the STM tier: guarded orec release, allocation
-  /// rollback, stats/trace/prov/policy bookkeeping, then retry (with
-  /// backoff) or fall to the glock.
+  /// STM abort: orec release and allocation rollback, then abort_tail.
   sim::Cycle stm_abort(htm::AbortCause cause);
   /// HTM + STM attempts so far for this block (what h_tx_retries, the
   /// commit log, and backoff scaling count).
   unsigned total_attempts() const { return attempts_ + stm_attempts_; }
 
   /// ALPoint protocol shared by the HTM and STM execution environments
-  /// (Fig. 5 firing rule + advisory-lock spin). `check_pending` gates the
-  /// HTM pending-abort observation; STM attempts have no asynchronous
-  /// aborts, so they pass false.
+  /// (Fig. 5 firing rule + advisory-lock wait).
   interp::ExecEnv::AlpResult do_alpoint(std::uint32_t alp_id,
-                                        sim::Addr data_addr,
-                                        bool check_pending);
+                                        sim::Addr data_addr);
 
   static constexpr sim::Cycle kBeginCost = 5;
   static constexpr sim::Cycle kCommitCost = 10;
@@ -154,10 +188,10 @@ class TxExecutor {
   /// local, never what they do.
   bool private_local_ = false;
   std::unique_ptr<SpecEnv> spec_env_;
-  std::unique_ptr<StmEnv> stm_env_;      // null when the STM tier is off
+  std::unique_ptr<StmEnv> stm_env_;
   std::unique_ptr<PlainEnv> plain_env_;
   std::unique_ptr<interp::Interp> spec_interp_;
-  std::unique_ptr<interp::Interp> stm_interp_;  // null when the tier is off
+  std::unique_ptr<interp::Interp> stm_interp_;
   std::unique_ptr<interp::Interp> plain_interp_;
 
   State state_ = State::kIdle;
@@ -174,21 +208,11 @@ class TxExecutor {
   std::vector<sim::Addr> stm_allocs_;
   std::vector<sim::Addr> stm_frees_;
   sim::Cycle attempt_cycles_ = 0;
-  sim::Cycle lock_wait_accum_ = 0;  // current ALP acquire sequence
-  sim::Addr alp_target_ = 0;        // address being advisory-locked
-  bool spinning_on_alp_ = false;
-  bool last_step_lock_wait_ = false;
+  Wait wait_;
+  interp::Interp* live_ = nullptr;  // the running attempt's interpreter
   std::uint64_t result_ = 0;
-  /// Instructions retired by completed attempts (committed, aborted, or
-  /// irrevocable); the live interpreter's count is added on top in
-  /// instrs_retired(). Bumped at exactly the points where the per-attempt
-  /// interpreter counters are folded into MachineStats, i.e. before any
-  /// interpreter restart can reset them.
+  /// Instructions of finished attempts, folded in by retire().
   std::uint64_t instrs_done_ = 0;
-
-  friend class SpecEnv;
-  friend class StmEnv;
-  friend class PlainEnv;
 };
 
 }  // namespace st::runtime

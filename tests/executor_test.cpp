@@ -18,7 +18,8 @@ struct CounterIr {
   const ir::StructType* cnt_t;
   sim::Addr counter = 0;
 
-  explicit CounterIr(Scheme scheme = Scheme::kBaseline, unsigned threads = 2) {
+  explicit CounterIr(Scheme scheme = Scheme::kBaseline, unsigned threads = 2,
+                     unsigned max_retries = 10, bool traced = false) {
     cnt_t = ms.module.add_type(
         ir::make_struct("counter", {{"v", 0, 8, nullptr}}));
     {
@@ -40,6 +41,8 @@ struct CounterIr {
       b.ret(v);
       ms.module.add_atomic_block(b.function());
     }
+    ms.max_retries = max_retries;
+    if (traced) ms.trace.path = "in-memory";
     ms.boot(scheme, threads);
     counter = ms.sys->heap().alloc_line_aligned(
         ms.sys->heap().setup_arena(), 8);
@@ -152,6 +155,73 @@ TEST(Executor, ResultOfCommittedBlockIsReturned) {
   CounterIr c;
   EXPECT_EQ(c.ms.run_ab(1, {c.counter}), 0u);  // slow inc returns old value
   EXPECT_EQ(c.ms.run_ab(1, {c.counter}), 1u);
+}
+
+// ---- waits ------------------------------------------------------------------
+
+TEST(ExecutorWait, TxSchedLockTimeoutProceedsUnprotected) {
+  // kTxSched with block 0's predictor fired and its whole-transaction lock
+  // held by core 1: core 0's first attempt waits for the lock, times out
+  // and runs unprotected.
+  CounterIr c(Scheme::kTxSched, 2, /*max_retries=*/10, /*traced=*/true);
+  const sim::Addr key = c.ms.sys->glock_addr() + sim::kLineBytes * 1;
+  ASSERT_TRUE(c.ms.sys->locks().try_acquire(1, key).acquired);
+  c.ms.sys->abctx(0, 0).configured_anchor = 1;
+  TxExecutor exec(*c.ms.sys, 0);
+  exec.start(0, {c.counter});
+  const auto& st = c.ms.sys->stats().core(0);
+  sim::Cycle last_spin = 0;
+  for (int i = 0; i < 10000 && st.alp_timeouts == 0; ++i) {
+    const sim::Cycle waited = st.cycles_lock_wait;
+    exec.step();
+    if (st.cycles_lock_wait != waited) last_spin = st.cycles_lock_wait - waited;
+  }
+  ASSERT_EQ(st.alp_timeouts, 1u);
+  const sim::Cycle waited = st.cycles_lock_wait;
+  while (!exec.finished()) exec.step();
+  exec.take_result();
+  EXPECT_EQ(st.alp_acquires, 0u);
+  EXPECT_EQ(st.commits, 1u);
+  EXPECT_EQ(c.ms.sys->heap().load(c.counter, 8), 1u);
+
+  // The timeout event carries every polled cycle: the charged spins plus
+  // the timed-out poll, which costs what the spin before it did (both hit
+  // the lock line in L1) but is not charged as lock wait.
+  unsigned timeouts = 0;
+  for (const obs::TraceEvent& e : c.ms.sys->trace()->chronological(0)) {
+    if (e.kind != obs::EventKind::kLockTimeout) continue;
+    ++timeouts;
+    EXPECT_EQ(e.a32, c.ms.sys->locks().lock_index(key));
+    EXPECT_EQ(e.a64, waited + last_spin);
+    EXPECT_GT(e.a64, c.ms.sys->config().lock_timeout);
+  }
+  EXPECT_EQ(timeouts, 1u);
+  EXPECT_LE(waited, c.ms.sys->config().lock_timeout);
+}
+
+TEST(ExecutorWait, GlockCasWaitNeverTimesOut) {
+  // max_retries 0 goes straight to the global lock, which core 1 holds for
+  // ten lock timeouts' worth of polling: core 0 keeps waiting.
+  CounterIr c(Scheme::kBaseline, 2, /*max_retries=*/0);
+  auto& htm = c.ms.sys->htm();
+  const sim::Addr glock = c.ms.sys->glock_addr();
+  ASSERT_TRUE(htm.nontx_cas(1, glock, 0, 2).success);
+  TxExecutor exec(*c.ms.sys, 0);
+  exec.start(0, {c.counter});
+  const auto& st = c.ms.sys->stats().core(0);
+  const sim::Cycle limit = 10 * c.ms.sys->config().lock_timeout;
+  sim::Cycle spent = 0;
+  while (spent <= limit) spent += exec.step();
+  EXPECT_FALSE(exec.finished());
+  EXPECT_EQ(st.cycles_lock_wait, spent);  // every step was a charged poll
+  EXPECT_EQ(st.irrevocable_entries, 0u);
+  EXPECT_EQ(st.alp_timeouts, 0u);
+  htm.nontx_store(1, glock, 0, 8);
+  while (!exec.finished()) exec.step();
+  exec.take_result();
+  EXPECT_EQ(st.irrevocable_entries, 1u);
+  EXPECT_EQ(st.cycles_lock_wait, spent);  // the acquiring CAS is not a wait
+  EXPECT_EQ(c.ms.sys->heap().load(c.counter, 8), 1u);
 }
 
 TEST(ExecutorDeath, StartWhileBusyDies) {

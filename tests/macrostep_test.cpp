@@ -9,8 +9,6 @@
 // differential full-system runs of real workloads with fusion on vs off.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -18,13 +16,15 @@
 
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
-#include "obs/metrics.hpp"
 #include "sim/machine.hpp"
+#include "test_util.hpp"
 #include "workloads/harness.hpp"
 #include "workloads/workload.hpp"
 
 namespace st {
 namespace {
+
+using testutil::sim_fingerprint;
 
 // ---------------------------------------------------------------------------
 // Fused interpreter semantics.
@@ -338,42 +338,6 @@ TEST(Macrostep, SoloCoreGetsUnboundedBudget) {
 // locks. Each row compares a run-ahead run against the single-stepped
 // reference (macrostep off: every instruction its own scheduler event).
 // ---------------------------------------------------------------------------
-
-/// Serializes everything simulated about a run into one comparable string:
-/// every CoreStats counter and histogram (through the metrics JSON writer,
-/// so nothing is forgotten), the state digest and the commit log.
-/// Host-side fields (wall_ms, privacy, prov) are deliberately excluded.
-std::string sim_fingerprint(const workloads::RunResult& r) {
-  char* buf = nullptr;
-  std::size_t len = 0;
-  std::FILE* f = open_memstream(&buf, &len);
-  std::fprintf(f, "workload=%s scheme=%s threads=%u cycles=%llu ops=%llu\n",
-               r.workload.c_str(), r.scheme.c_str(), r.threads,
-               static_cast<unsigned long long>(r.cycles),
-               static_cast<unsigned long long>(r.total_ops));
-  std::fprintf(f, "la=%.17g lp=%.17g dropped=%llu\n", r.conflict_addr_locality,
-               r.conflict_pc_locality,
-               static_cast<unsigned long long>(r.abort_trace_dropped));
-  std::fprintf(f, "digest=%016llx invariant=[%s]\n",
-               static_cast<unsigned long long>(r.state_digest),
-               r.invariant_failure.c_str());
-  obs::write_core_stats_json(f, r.totals);
-  for (const auto& cs : r.per_core) obs::write_core_stats_json(f, cs);
-  if (r.commit_log) {
-    for (const auto& rec : *r.commit_log) {
-      std::fprintf(f, "\nc=%llu core=%u ab=%u att=%u irr=%d res=%llx args=",
-                   static_cast<unsigned long long>(rec.cycle), rec.core,
-                   rec.ab_id, rec.attempts, rec.irrevocable,
-                   static_cast<unsigned long long>(rec.result));
-      for (std::uint64_t a : rec.args)
-        std::fprintf(f, "%llx,", static_cast<unsigned long long>(a));
-    }
-  }
-  std::fclose(f);
-  std::string s(buf, len);
-  std::free(buf);
-  return s;
-}
 
 workloads::RunOptions differential_options(runtime::Scheme scheme) {
   workloads::RunOptions opt;

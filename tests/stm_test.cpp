@@ -278,6 +278,77 @@ TEST(StmExecutor, ExhaustedStmRetriesFallToGlock) {
   EXPECT_EQ(t.commits, t.stm_commits + t.irrevocable_entries);  // no HTM
 }
 
+TEST(StmExecutor, BeginWaitsForFreeGlockWithoutStartingAnAttempt) {
+  StmMini m(/*orecs=*/64, /*threads=*/2, /*max_retries=*/0);
+  auto& htm = m.ms.sys->htm();
+  const sim::Addr glock = m.ms.sys->glock_addr();
+  ASSERT_TRUE(htm.nontx_cas(1, glock, 0, 2).success);  // irrevocable holder
+  runtime::TxExecutor exec(*m.ms.sys, 0);
+  exec.start(0, {m.counter});
+  const auto& st = m.ms.sys->stats().core(0);
+  sim::Cycle spent = 0;
+  for (int i = 0; i < 100; ++i) spent += exec.step();
+  EXPECT_EQ(st.cycles_lock_wait, spent);  // every step was a charged poll
+  EXPECT_FALSE(m.stm().active(0));
+  EXPECT_EQ(exec.instrs_retired(), 0u);
+  EXPECT_EQ(st.stm_commits + st.stm_aborts_validation + st.stm_aborts_lock +
+                st.stm_aborts_glock,
+            0u);
+  htm.nontx_store(1, glock, 0, 8);
+  while (!exec.finished()) exec.step();
+  exec.take_result();
+  EXPECT_EQ(st.stm_commits, 1u);
+  // The poll that finds the glock free is part of the begin, not a wait.
+  EXPECT_EQ(st.cycles_lock_wait, spent);
+}
+
+TEST(StmExecutor, OrecWaitTimeoutAbortsWithStmLock) {
+  testutil::MiniSystem ms;
+  const ir::StructType* cnt_t = ms.module.add_type(
+      ir::make_struct("counter", {{"v", 0, 8, nullptr}}));
+  {
+    // Blind store: the counter's orec is in the write set only, so a held
+    // orec is first met by the commit-time lock acquisition.
+    ir::FunctionBuilder b(ms.module, "ab_set", {cnt_t});
+    b.store_field(b.param(0), cnt_t, "v", b.const_i(7));
+    b.ret(b.const_i(0));
+    ms.module.add_atomic_block(b.function());
+  }
+  ms.stm.enabled = true;
+  ms.stm.orecs = 64;
+  ms.stm.retries = 1;
+  ms.max_retries = 0;
+  ms.boot(runtime::Scheme::kBaseline, 2);
+  const sim::Addr counter =
+      ms.sys->heap().alloc_line_aligned(ms.sys->heap().setup_arena(), 8);
+  // Another writer holds the counter's orec and never lets go.
+  StmSystem& stm = *ms.sys->stm();
+  ms.sys->htm().nontx_store(1, stm.orec_addr(stm.orec_index(counter)),
+                            orec_word(0, true), 8);
+  runtime::TxExecutor exec(*ms.sys, 0);
+  exec.start(0, {counter});
+  const auto& st = ms.sys->stats().core(0);
+  sim::Cycle timeout_step_wait = 0;
+  for (int i = 0; i < 10000 && st.stm_aborts_lock == 0; ++i) {
+    const sim::Cycle waited = st.cycles_lock_wait;
+    exec.step();
+    timeout_step_wait = st.cycles_lock_wait - waited;
+  }
+  ASSERT_EQ(st.stm_aborts_lock, 1u);
+  EXPECT_EQ(st.stm_aborts_validation + st.stm_aborts_glock, 0u);
+  EXPECT_GT(st.stm_orec_waits, 0u);
+  EXPECT_GT(st.cycles_lock_wait, ms.sys->config().lock_timeout);
+  // Unlike an advisory-lock timeout, an orec timeout charges its timed-out
+  // poll as lock wait too.
+  EXPECT_GT(timeout_step_wait, 0u);
+  // The one STM attempt is spent: the block commits irrevocably.
+  while (!exec.finished()) exec.step();
+  exec.take_result();
+  EXPECT_EQ(st.stm_aborts_lock, 1u);
+  EXPECT_EQ(st.irrevocable_entries, 1u);
+  EXPECT_EQ(ms.sys->heap().load(counter, 8), 7u);
+}
+
 // ---- workload-level hybrid matrix ------------------------------------------
 
 workloads::RunOptions hybrid_opts(bool stm_on, unsigned threads = 4,

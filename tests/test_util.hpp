@@ -2,9 +2,13 @@
 // stand up a TxSystem, and run atomic blocks to completion.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "runtime/tx_executor.hpp"
 #include "workloads/harness.hpp"
 
@@ -19,6 +23,9 @@ struct MiniSystem {
   /// (off by default, as in production) and the HTM retry budget.
   stm::StmConfig stm;
   unsigned max_retries = 10;
+  /// Event tracing into TxSystem::trace() (in memory only: a TxSystem
+  /// never writes its sink to `trace.path`).
+  obs::TraceConfig trace;
 
   /// Compile (after the caller built IR into `module`) and boot a machine.
   void boot(runtime::Scheme scheme = runtime::Scheme::kBaseline,
@@ -31,6 +38,7 @@ struct MiniSystem {
     rt.policy.addr_only = scheme == runtime::Scheme::kAddrOnly;
     rt.stm = stm;
     rt.max_retries = max_retries;
+    rt.trace = trace;
     sys = std::make_unique<runtime::TxSystem>(rt, prog);
   }
 
@@ -83,5 +91,41 @@ class ScriptTask final : public sim::CoreTask {
   bool active_ = false;
   bool done_ = false;
 };
+
+/// Serializes everything simulated about a run into one comparable string:
+/// every CoreStats counter and histogram (through the metrics JSON writer,
+/// so nothing is forgotten), the state digest and the commit log.
+/// Host-side fields (wall_ms, privacy, prov) are deliberately excluded.
+inline std::string sim_fingerprint(const workloads::RunResult& r) {
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  std::fprintf(f, "workload=%s scheme=%s threads=%u cycles=%llu ops=%llu\n",
+               r.workload.c_str(), r.scheme.c_str(), r.threads,
+               static_cast<unsigned long long>(r.cycles),
+               static_cast<unsigned long long>(r.total_ops));
+  std::fprintf(f, "la=%.17g lp=%.17g dropped=%llu\n", r.conflict_addr_locality,
+               r.conflict_pc_locality,
+               static_cast<unsigned long long>(r.abort_trace_dropped));
+  std::fprintf(f, "digest=%016llx invariant=[%s]\n",
+               static_cast<unsigned long long>(r.state_digest),
+               r.invariant_failure.c_str());
+  obs::write_core_stats_json(f, r.totals);
+  for (const auto& cs : r.per_core) obs::write_core_stats_json(f, cs);
+  if (r.commit_log) {
+    for (const auto& rec : *r.commit_log) {
+      std::fprintf(f, "\nc=%llu core=%u ab=%u att=%u irr=%d res=%llx args=",
+                   static_cast<unsigned long long>(rec.cycle), rec.core,
+                   rec.ab_id, rec.attempts, rec.irrevocable,
+                   static_cast<unsigned long long>(rec.result));
+      for (std::uint64_t a : rec.args)
+        std::fprintf(f, "%llx,", static_cast<unsigned long long>(a));
+    }
+  }
+  std::fclose(f);
+  std::string s(buf, len);
+  std::free(buf);
+  return s;
+}
 
 }  // namespace st::testutil

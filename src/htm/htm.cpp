@@ -56,6 +56,9 @@ void HtmSystem::on_conflict_abort(CoreId victim, Addr line, bool pc_valid,
   // the speculative log stays whole until the victim's own abort() drains
   // it at its next synchronizing step.
   mem_.invalidate_speculative_writes(victim);
+  // A victim parked on an advisory-lock wait observes the stamp at its next
+  // poll slot (DESIGN.md §13, "Parked waits").
+  mem_.wake(victim);
 }
 
 AbortInfo HtmSystem::abort(CoreId c, AbortCause self_cause) {

@@ -187,6 +187,7 @@ bool TxExecutor::next_step_local() const {
 }
 
 sim::Cycle TxExecutor::step(sim::Cycle budget) {
+  if (wait_.parked_at != 0) settle();
   switch (state_) {
     case State::kBeginAttempt: return begin_attempt();
     case State::kRunning:
@@ -297,6 +298,7 @@ TxExecutor::Polled TxExecutor::poll_wait(sim::Cycle pre) {
   wait_.accum += r.lat + kSpinPad;
   if (wait_.accum <= wait_.timeout) {
     st.cycles_lock_wait += spin;
+    if (pre == 0 && wait_.on != On::kOrec) park(spin);
     return {Poll::kSpun, spin};
   }
   if (advisory) {
@@ -314,6 +316,49 @@ TxExecutor::Polled TxExecutor::poll_wait(sim::Cycle pre) {
   }
   wait_.on = On::kNone;
   return {Poll::kTimedOut, r.lat};
+}
+
+sim::Addr TxExecutor::polled_word() const {
+  if (wait_.on == Wait::On::kAlp || wait_.on == Wait::On::kSched)
+    return sys_.locks().lock_addr(sys_.locks().lock_index(wait_.key));
+  return sys_.glock_addr();
+}
+
+void TxExecutor::park(sim::Cycle spin) {
+  // The next poll is an L1 hit on the lock word (the poll just made the line
+  // resident) that fails the same way and changes only counters, and so is
+  // every poll after it until the line leaves the L1 or, for an ALP wait
+  // inside a hardware transaction, an abort stamp lands. Sleep through them:
+  // the memory system wakes the core on either event.
+  const sim::Addr word = polled_word();
+  sim::MemorySystem& mem = sys_.htm().mem();
+  if (sys_.htm().pending_abort(core_) || !mem.watch(core_, word)) return;
+  const sim::Cycle period = mem.config().l1_lat + kSpinPad;
+  const sim::Cycle first = sys_.machine().core_clock(core_) + spin;
+  if (!sys_.machine().park(core_, first, period,
+                           (wait_.timeout - wait_.accum) / period))
+    return;
+  wait_.parked_at = first;
+  wait_.seen = sys_.heap().load(word, 8);
+}
+
+void TxExecutor::settle() {
+  // The skipped polls are those before this step's slot: each hit the lock
+  // word in L1 and spun, so add them up; this step then polls for real.
+  const sim::Addr word = polled_word();
+  sim::MemorySystem& mem = sys_.htm().mem();
+  const sim::Cycle period = mem.config().l1_lat + kSpinPad;
+  const sim::Cycle n =
+      (sys_.machine().core_clock(core_) - wait_.parked_at) / period;
+#ifndef NDEBUG
+  ST_CHECK_MSG(mem.peek_l1(core_, word) == nullptr ||
+                   sys_.heap().load(word, 8) == wait_.seen,
+               "a parked lock word changed without leaving the L1");
+#endif
+  wait_.parked_at = 0;
+  wait_.accum += n * period;
+  sys_.stats().core(core_).cycles_lock_wait += n * period;
+  mem.settle_hits(core_, word, n);
 }
 
 interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,

@@ -101,6 +101,8 @@ class TxExecutor {
     sim::Addr key = 0;
     sim::Cycle accum = 0;  // kSpinPad-padded poll latencies so far
     sim::Cycle timeout = std::numeric_limits<sim::Cycle>::max();
+    sim::Cycle parked_at = 0;  // first skipped poll's slot; 0: not parked
+    std::uint64_t seen = 0;    // the lock word the parking poll saw
   };
   /// One poll_wait() outcome. kSpun: `cycles` is the whole step, already
   /// charged as lock wait. kGot/kTimedOut: the poll's latency, uncharged.
@@ -134,6 +136,13 @@ class TxExecutor {
   /// step spent before the poll) with it.
   Polled poll_wait(sim::Cycle pre = 0);
   bool waiting() const { return wait_.on != Wait::On::kNone; }
+  /// The lock word a kAlp/kSched/kGlock/kGlockFree wait polls.
+  sim::Addr polled_word() const;
+  /// After a failed poll that took `spin` cycles, parks the core through
+  /// the polls that would fail identically (DESIGN.md §13, "Parked
+  /// waits"); settle() accounts for the ones it slept through.
+  void park(sim::Cycle spin);
+  void settle();
 
   /// Begin bookkeeping shared by the speculative tiers (trace, provenance,
   /// anchor arming, CPC reset), then starts `in` and enters `running`.

@@ -65,6 +65,7 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   mem_->set_trace(trace_.get());
   mem_->set_clock([this] { return machine_.now(); });
   mem_->set_run_ahead_probe([this] { return machine_.in_run_ahead(); });
+  mem_->set_machine(&machine_);
   htm_->set_privacy(&priv_);
   locks_ = std::make_unique<stagger::AdvisoryLockTable>(
       *htm_, cfg_.num_advisory_locks);

@@ -94,13 +94,15 @@ void L1Cache::check_log_invariants() const {
 TagCache::TagCache(const CacheGeometry& g) : sets_(g.sets()), ways_(g.ways) {
   ST_CHECK(std::has_single_bit(sets_));
   ST_CHECK(ways_ >= 1);
-  slots_.resize(static_cast<std::size_t>(sets_) * ways_);
+  slots_.reset(static_cast<Slot*>(
+      std::calloc(static_cast<std::size_t>(sets_) * ways_, sizeof(Slot))));
+  ST_CHECK_MSG(slots_ != nullptr, "tag array allocation failed");
   mru_.resize(sets_, 0);
 }
 
 bool TagCache::access(Addr line) {
   const std::uint32_t set = set_of(line);
-  Slot* base = slots_.data() + static_cast<std::size_t>(set) * ways_;
+  Slot* base = slots_.get() + static_cast<std::size_t>(set) * ways_;
   // Fast path: the way that hit last time in this set.
   Slot* m = base + mru_[set];
   if (m->valid && m->line == line) {
@@ -131,7 +133,7 @@ bool TagCache::access(Addr line) {
 }
 
 bool TagCache::contains(Addr line) const {
-  const Slot* base = slots_.data() + static_cast<std::size_t>(set_of(line)) * ways_;
+  const Slot* base = slots_.get() + static_cast<std::size_t>(set_of(line)) * ways_;
   for (std::uint32_t w = 0; w < ways_; ++w)
     if (base[w].valid && base[w].line == line) return true;
   return false;

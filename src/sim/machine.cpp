@@ -1,6 +1,5 @@
 #include "sim/machine.hpp"
 
-#include <queue>
 #include <utility>
 
 #include "common/check.hpp"
@@ -38,19 +37,30 @@ Cycle Machine::run(Cycle max_cycles) {
   // arbitrary order, and the run-ahead argument only holds for
   // smallest-(clock, id) pops.
   if (perturb_ != nullptr) return run_perturbed(max_cycles);
-  // Event queue keyed by (clock, core id): pops the smallest clock, ties
-  // broken by id. Only this loop writes core clocks, so every runnable
-  // core has exactly one entry and it carries the core's clock.
-  using Entry = std::pair<Cycle, CoreId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> ready;
-  for (unsigned i = 0; i < cores_.size(); ++i)
-    if (cores_[i].task && !cores_[i].task->done())
-      ready.emplace(cores_[i].clock, static_cast<CoreId>(i));
-  while (!ready.empty()) {
-    const auto [clk, id] = ready.top();
-    ready.pop();
-    if (clk >= max_cycles) break;
+  // The queue is one (clock, id) key per core: each event steps the core
+  // with the smallest key, ties broken by id, and re-keys it in place. Only
+  // this loop and wake() write core clocks, and both keep a runnable core's
+  // key equal to its clock.
+  leaves_ = 1;
+  while (leaves_ < cores()) leaves_ *= 2;
+  key_.assign(leaves_, kIdle);
+  win_.assign(2 * leaves_, 0);
+  for (unsigned i = 0; i < leaves_; ++i)
+    win_[leaves_ + i] = static_cast<CoreId>(i);
+  // In leaf order, so each node is last replayed after both its subtrees.
+  for (unsigned i = 0; i < leaves_; ++i) {
+    const bool runnable =
+        i < cores() && cores_[i].task && !cores_[i].task->done();
+    rekey(static_cast<CoreId>(i), runnable ? cores_[i].clock : kIdle);
+  }
+  horizon_ = max_cycles;
+  for (;;) {
+    const CoreId id = win_[1];
+    // Past the horizon, or every task done (kIdle).
+    if (key_[id] >= max_cycles) break;
     Core& c = cores_[id];
+    c.park_period = 0;  // a parked core pops at its wake slot: the park ends
+    stepping_ = id;
     // Run-ahead (DESIGN.md §13): a local step touches only this core's
     // private state, so no other core can observe when it executes. A core
     // whose next step is local runs through all of its local steps to its
@@ -67,18 +77,72 @@ Cycle Machine::run(Cycle max_cycles) {
              c.task->next_step_local(*this, id));
     in_run_ahead_ = false;
     fuse_budget_ = 1;
+    stepping_ = kNoCore;
+    if (park_until_ != 0) {
+      // Parked waits (DESIGN.md §13): the step was a poll that ends where
+      // the first skipped poll starts.
+      ST_CHECK_MSG(c.clock == c.park_first, "park slot is not the step's end");
+      c.clock = park_until_;
+      park_until_ = 0;
+    }
     if (!c.task->done()) {
-      ready.emplace(c.clock, id);
-    } else if (trace_ != nullptr) {
-      // A finished task is never re-enqueued, so this fires exactly once
-      // per core per run.
-      trace_->emit(id, {c.clock, obs::EventKind::kCoreDone, 0, 0, 0, 0});
+      rekey(id, c.clock);
+    } else {
+      rekey(id, kIdle);
+      // A finished task is never re-keyed, so this fires exactly once per
+      // core per run.
+      if (trace_ != nullptr)
+        trace_->emit(id, {c.clock, obs::EventKind::kCoreDone, 0, 0, 0, 0});
     }
   }
   Cycle end = 0;
   for (const auto& c : cores_)
     if (c.clock > end) end = c.clock;
   return end;
+}
+
+bool Machine::park(CoreId core, Cycle first, Cycle period, Cycle polls) {
+  if (!fusion_ || perturb_ != nullptr || stepping_ == kNoCore) return false;
+  ST_CHECK_MSG(core == stepping_, "only the stepping core may park");
+  ST_CHECK(period >= 1);
+  // Never park past the horizon: the wake slot stays below max_cycles, so
+  // the core steps there and settles every skipped poll before run()
+  // returns, exactly as a bounded single-stepped run would have polled.
+  if (first >= horizon_) return false;
+  const Cycle room = (horizon_ - 1 - first) / period;
+  if (polls > room) polls = room;
+  if (polls == 0) return false;
+  cores_[core].park_first = first;
+  cores_[core].park_period = period;
+  park_until_ = first + polls * period;
+  return true;
+}
+
+void Machine::wake(CoreId core) {
+  Core& c = cores_[core];
+  // Parked cores exist only inside run(), and a park takes effect only when
+  // the parking step returns, so the stepping core is never parked.
+  if (c.park_period == 0 || core == stepping_) return;
+  // The first poll slot after the current event in (clock, id) order.
+  const Cycle t = cores_[stepping_].clock;
+  Cycle s = c.park_first;
+  if (s < t || (s == t && core < stepping_)) {
+    s += (t - s) / c.park_period * c.park_period;
+    if (s < t || (s == t && core < stepping_)) s += c.park_period;
+  }
+  ST_CHECK(s <= c.clock);
+  c.clock = s;
+  rekey(core, s);
+  c.park_period = 0;
+}
+
+void Machine::rekey(CoreId core, Cycle key) {
+  key_[core] = key;
+  // Left subtrees hold the lower ids, so a tie keeps the left child.
+  for (unsigned j = (leaves_ + core) / 2; j >= 1; j /= 2) {
+    const CoreId a = win_[2 * j], b = win_[2 * j + 1];
+    win_[j] = key_[b] < key_[a] ? b : a;
+  }
 }
 
 Cycle Machine::run_perturbed(Cycle max_cycles) {

@@ -7,10 +7,12 @@
 //
 // With step fusion on, a popped core whose next step is local (touches only
 // its own private state) runs ahead to its next synchronizing step in one
-// scheduler event, then is requeued at its new clock. Synchronizing steps
-// still execute in exactly the smallest-(clock, id) order, so every
-// simulated result is bit-identical to single-stepping; see DESIGN.md §13
-// for the argument.
+// scheduler event, then is requeued at its new clock. A core polling a lock
+// may instead park through its identical polls and be woken exactly when a
+// poll could first see something different. Synchronizing steps still
+// execute in exactly the smallest-(clock, id) order, so every simulated
+// result is bit-identical to single-stepping; see DESIGN.md §13 for the
+// argument.
 #pragma once
 
 #include <cstdint>
@@ -112,9 +114,24 @@ class Machine {
   /// True while run() is stepping a core through local steps (run-ahead).
   bool in_run_ahead() const { return in_run_ahead_; }
 
-  /// Disables (or re-enables) run-ahead: with fusion off, fuse_budget() is
-  /// pinned to 1 and every step retires at most one instruction — the
-  /// single-stepping reference. On by default.
+  /// Parks the stepping core `core` through `polls` identical polls, the
+  /// first at clock `first` (where the current step ends) and the rest
+  /// `period` apart: the core next steps at first + polls * period, or
+  /// earlier if wake() is called. Call only from `core`'s own step. Returns
+  /// false, and nothing changes, when parking is off (fusion off, a
+  /// perturbation hook, or outside run()) or when the clamp to run()'s
+  /// max_cycles leaves no poll to skip.
+  bool park(CoreId core, Cycle first, Cycle period, Cycle polls);
+
+  /// Ends `core`'s park (no-op unless parked): it next steps at the first
+  /// of its poll slots that comes after the current event in (clock, id)
+  /// order, so a poll at that slot sees what the current step changed.
+  void wake(CoreId core);
+
+  /// Disables (or re-enables) run-ahead and parking: with fusion off,
+  /// fuse_budget() is pinned to 1, every step retires at most one
+  /// instruction and every poll is its own step — the single-stepping
+  /// reference. On by default.
   void set_step_fusion(bool on) { fusion_ = on; }
   bool step_fusion() const { return fusion_; }
 
@@ -133,11 +150,30 @@ class Machine {
  private:
   Cycle run_perturbed(Cycle max_cycles);
 
+  static constexpr CoreId kNoCore = ~CoreId{0};
+
   struct Core {
-    Cycle clock = 0;
+    Cycle clock = 0;  // while parked: the slot the core steps at next
     std::unique_ptr<CoreTask> task;
+    Cycle park_first = 0;   // first skipped poll slot
+    Cycle park_period = 0;  // 0: not parked
   };
   std::vector<Core> cores_;
+  // run()'s queue: a tournament tree with one (clock, id) key per core.
+  // Leaf i holds core i's key (kIdle once its task is done, and on the
+  // padding leaves); node j < leaves_ holds the core with the smaller key
+  // of its two children, ties to the lower id, so node 1 names the next
+  // core to step. rekey() replays one leaf-to-root path.
+  static constexpr Cycle kIdle = ~Cycle{0};
+  std::vector<Cycle> key_;   // per leaf
+  std::vector<CoreId> win_;  // per node; leaf i is node leaves_ + i
+  unsigned leaves_ = 1;
+  void rekey(CoreId core, Cycle key);
+  CoreId stepping_ = kNoCore;  // the core run() is stepping, if any
+  Cycle horizon_ = 0;          // run()'s max_cycles
+  // The wake slot of a park the stepping core requested (0: none); it takes
+  // effect when the step returns.
+  Cycle park_until_ = 0;
   Cycle fuse_budget_ = 1;
   bool fusion_ = true;
   bool in_run_ahead_ = false;

@@ -3,11 +3,12 @@
 #include <bit>
 
 #include "common/check.hpp"
+#include "sim/machine.hpp"
 
 namespace st::sim {
 
 MemorySystem::MemorySystem(const MemConfig& cfg, MachineStats& stats)
-    : cfg_(cfg), stats_(stats), l3_(cfg.l3) {
+    : cfg_(cfg), stats_(stats), watch_(cfg.cores, 0), l3_(cfg.l3) {
   ST_CHECK(cfg.cores >= 1 && cfg.cores <= kMaxCores);
   ST_CHECK(cfg.pc_tag_bits >= 1 && cfg.pc_tag_bits <= 16);
   l1_.reserve(cfg.cores);
@@ -57,9 +58,28 @@ void MemorySystem::invalidate_remote(CoreId remote, Addr line, DirEntry& d) {
     // during the *requester's* step — would make the log's size transients
     // (and hence spec_log_hwm) depend on how far the victim ran ahead.
     rl->state = Coh::I;
+    if (watch_[remote] == line) wake(remote);
   }
   d.sharers.clear(remote);
   if (d.owner == static_cast<int>(remote)) d.owner = -1;
+}
+
+bool MemorySystem::watch(CoreId c, Addr line) {
+  if (machine_ == nullptr || l1_[c]->find(line) == nullptr ||
+      (priv_ != nullptr && priv_->private_owner(line) >= 0))
+    return false;
+  watch_[c] = line;
+  return true;
+}
+
+void MemorySystem::wake(CoreId c) {
+  watch_[c] = 0;
+  if (machine_ != nullptr) machine_->wake(c);
+}
+
+void MemorySystem::settle_hits(CoreId c, Addr line, std::uint64_t n) {
+  stats_.core(c).l1_hits += n;
+  l1_[c]->touch_n(l1_[c]->find(line), n);
 }
 
 Cycle MemorySystem::fill_latency(CoreId c, Addr line) {

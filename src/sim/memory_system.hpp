@@ -26,6 +26,8 @@
 
 namespace st::sim {
 
+class Machine;
+
 struct MemConfig {
   unsigned cores = 16;
   CacheGeometry l1{64 * 1024, 8};
@@ -121,6 +123,24 @@ class MemorySystem : public LineEscapeSink {
   /// kLineEscape trace event.
   void on_line_escape(CoreId publisher, Addr line, CoreId owner,
                       std::uint32_t pc) override;
+
+  /// Parked waits (DESIGN.md §13): the machine to wake watchers through.
+  /// Null (the default) means no core ever parks.
+  void set_machine(Machine* machine) { machine_ = machine; }
+
+  /// Watches `line` for core c, which is about to park on polls of it. True
+  /// when the line is resident in c's L1 and shared, so every further poll
+  /// is an identical L1 hit until an invalidation of that line, which wakes
+  /// c (Machine::wake). False, and no watch, otherwise.
+  bool watch(CoreId c, Addr line);
+
+  /// Wakes core c if it is parked (Machine::wake), ending its watch.
+  void wake(CoreId c);
+
+  /// Accounts `n` skipped load hits of core c on `line`: l1_hits and the
+  /// L1's LRU clock advance by n, and the line, if still resident, carries
+  /// the last of them.
+  void settle_hits(CoreId c, Addr line, std::uint64_t n);
 
   /// Cached access by core `c`. When `transactional` is set, the touched
   /// line joins the core's read/write set and (on its first speculative
@@ -218,6 +238,8 @@ class MemorySystem : public LineEscapeSink {
   obs::TraceSink* trace_ = nullptr;
   std::function<Cycle()> clock_;
   std::function<bool()> run_ahead_probe_;
+  Machine* machine_ = nullptr;
+  std::vector<Addr> watch_;  // per core; 0 = none (never a heap line)
   std::vector<std::unique_ptr<L1Cache>> l1_;
   std::vector<std::unique_ptr<TagCache>> l2_;
   TagCache l3_;

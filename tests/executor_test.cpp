@@ -224,6 +224,132 @@ TEST(ExecutorWait, GlockCasWaitNeverTimesOut) {
   EXPECT_EQ(c.ms.sys->heap().load(c.counter, 8), 1u);
 }
 
+/// Runs one atomic block to completion as a machine task, counting the
+/// scheduler events it took.
+struct BlockTask final : sim::CoreTask {
+  BlockTask(TxSystem& sys, sim::CoreId core, unsigned ab,
+            std::vector<std::uint64_t> args)
+      : exec(sys, core) {
+    exec.start(ab, std::move(args));
+  }
+  sim::Cycle step(sim::Machine& m, sim::CoreId) override {
+    ++steps;
+    return exec.step(m.fuse_budget());
+  }
+  bool done() const override { return exec.finished(); }
+  TxExecutor exec;
+  unsigned steps = 0;
+};
+
+/// Idles until clock `at`, then stores to `addr` nontransactionally.
+struct StoreAtTask final : sim::CoreTask {
+  StoreAtTask(TxSystem& sys, sim::Addr addr, sim::Cycle at)
+      : sys_(sys), addr_(addr), at_(at) {}
+  sim::Cycle step(sim::Machine&, sim::CoreId core) override {
+    if (!idled_) {
+      idled_ = true;
+      return at_;
+    }
+    done_ = true;
+    return sys_.htm().nontx_store(core, addr_, 7, 8).latency;
+  }
+  bool done() const override { return done_; }
+  TxSystem& sys_;
+  sim::Addr addr_;
+  sim::Cycle at_;
+  bool idled_ = false;
+  bool done_ = false;
+};
+
+struct StampedWait {
+  std::vector<std::pair<obs::EventKind, sim::Cycle>> events;  // core 0's
+  sim::CoreStats stats;                                        // core 0's
+  std::string stats_json;  // every counter and histogram of `stats`
+  sim::Cycle end = 0;
+  unsigned steps = 0;
+};
+
+/// Core 0 reads line A in a hardware transaction, then waits at an ALPoint
+/// for the advisory lock of line B, which core 1 holds throughout. At
+/// clock 1000 core 2 stores to A, stamping core 0 mid-wait.
+StampedWait run_stamped_wait(bool fusion) {
+  MiniSystem ms;
+  const ir::StructType* a_t =
+      ms.module.add_type(ir::make_struct("a", {{"v", 0, 8, nullptr}}));
+  const ir::StructType* b_t =
+      ms.module.add_type(ir::make_struct("b", {{"v", 0, 8, nullptr}}));
+  ir::FunctionBuilder fb(ms.module, "ab_a_then_b", {a_t, b_t});
+  const ir::Reg v = fb.load_field(fb.param(0), a_t, "v");
+  const ir::Reg w = fb.load_field(fb.param(1), b_t, "v");
+  fb.store_field(fb.param(1), b_t, "v", fb.add(v, w));
+  fb.ret(v);
+  ms.module.add_atomic_block(fb.function());
+  ms.trace.path = "in-memory";
+  ms.boot(Scheme::kStaggered, 3);
+  TxSystem& sys = *ms.sys;
+  sys.machine().set_step_fusion(fusion);
+  sim::Heap& heap = sys.heap();
+  const sim::Addr a = heap.alloc_line_aligned(heap.setup_arena(), 8);
+  const sim::Addr b = heap.alloc_line_aligned(heap.setup_arena(), 8);
+
+  // Activate the ALPoint in front of B's load (the block's last one).
+  std::uint32_t alp_b = 0;
+  for (const auto& bb : fb.function()->blocks())
+    for (const auto& ins : bb->instrs())
+      if (ins.op == ir::Op::AlPoint) alp_b = ins.alp_id;
+  EXPECT_GE(ms.prog.alp_count, 2u);
+  stagger::ABContext& ctx = sys.abctx(0, 0);
+  ctx.configured_anchor = alp_b;
+  ctx.block_address = b;
+  EXPECT_TRUE(sys.locks().try_acquire(1, b).acquired);
+
+  auto task = std::make_unique<BlockTask>(sys, 0, 0,
+                                          std::vector<std::uint64_t>{a, b});
+  BlockTask* waiter = task.get();
+  sys.machine().set_task(0, std::move(task));
+  sys.machine().set_task(2, std::make_unique<StoreAtTask>(sys, a, 1000));
+  StampedWait out;
+  out.end = sys.run();
+  waiter->exec.take_result();
+  for (const obs::TraceEvent& e : sys.trace()->chronological(0))
+    out.events.emplace_back(e.kind, e.at);
+  out.stats = sys.stats().core(0);
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  obs::write_core_stats_json(f, out.stats);
+  std::fclose(f);
+  out.stats_json.assign(buf, len);
+  std::free(buf);
+  out.steps = waiter->steps;
+  return out;
+}
+
+TEST(ExecutorWait, StampedParkedAlpWaiterAbortsLikeSingleStepping) {
+  const StampedWait on = run_stamped_wait(true);
+  const StampedWait off = run_stamped_wait(false);
+  // The stamp aborts the waiting attempt at its first poll slot after it;
+  // the policy then drops the ALP, and the retry commits.
+  EXPECT_EQ(on.stats.aborts_conflict, 1u);
+  EXPECT_EQ(on.stats.commits, 1u);
+  sim::Cycle aborted_at = 0;
+  unsigned fired = 0;
+  for (const auto& [kind, at] : on.events) {
+    if (kind == obs::EventKind::kTxAbort) aborted_at = at;
+    if (kind == obs::EventKind::kAlpFired) ++fired;
+  }
+  EXPECT_EQ(fired, 1u);
+  EXPECT_GT(aborted_at, 1000u);
+  EXPECT_LE(aborted_at, 1000u + 10);  // polls are 10 cycles apart
+  EXPECT_GT(on.stats.cycles_lock_wait, 500u);
+  // Parked, the wait took a handful of events instead of one per poll.
+  EXPECT_LT(4 * on.steps, off.steps);
+  // Everything simulated matches the single-stepped run.
+  EXPECT_EQ(on.events, off.events);
+  EXPECT_EQ(on.end, off.end);
+  EXPECT_EQ(on.stats_json, off.stats_json);
+}
+
 TEST(ExecutorDeath, StartWhileBusyDies) {
   CounterIr c;
   TxExecutor exec(*c.ms.sys, 0);

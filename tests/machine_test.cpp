@@ -86,6 +86,185 @@ TEST(Machine, LateInstalledTaskStartsAtCurrentTime) {
   EXPECT_GE(trace.back().second, 20u);
 }
 
+// ---- parked waits -----------------------------------------------------------
+
+/// Polls a host flag every `period` cycles until it is set or `limit` polls
+/// have failed, parking through the polls in between whenever the machine
+/// allows it: a poll changes nothing, so the skipped ones are only counted.
+struct PollTask final : CoreTask {
+  PollTask(const bool* flag, Cycle period, unsigned limit)
+      : flag_(flag), period_(period), limit_(limit) {}
+
+  Cycle step(Machine& m, CoreId core) override {
+    const Cycle now = m.core_clock(core);
+    if (parked_at_ != 0) {
+      polls += static_cast<unsigned>((now - parked_at_) / period_);
+      parked_at_ = 0;
+    }
+    ++polls;
+    ++steps;
+    if (*flag_ || polls == limit_) {
+      (*flag_ ? seen_at : gave_up_at) = now;
+      done_ = true;
+      return 1;
+    }
+    // Polls up to the limit's would fail the same way; the limit's own poll
+    // runs for real.
+    const Cycle first = now + period_;
+    if (m.park(core, first, period_, limit_ - 1 - polls)) {
+      parked_at_ = first;
+      ++parks;
+    }
+    return period_;
+  }
+  bool done() const override { return done_; }
+
+  const bool* flag_;
+  Cycle period_;
+  unsigned limit_;
+  Cycle parked_at_ = 0;
+  bool done_ = false;
+  unsigned polls = 0;
+  unsigned steps = 0;
+  unsigned parks = 0;
+  Cycle seen_at = 0;
+  Cycle gave_up_at = 0;
+};
+
+/// Idles until clock `at`, then sets the flag and wakes `waiter`, as the
+/// memory system wakes a core whose watched line changed.
+struct SetTask final : CoreTask {
+  SetTask(bool* flag, Cycle at, CoreId waiter)
+      : flag_(flag), at_(at), waiter_(waiter) {}
+
+  Cycle step(Machine& m, CoreId) override {
+    if (!idled_) {
+      idled_ = true;
+      return at_;
+    }
+    *flag_ = true;
+    m.wake(waiter_);
+    done_ = true;
+    return 1;
+  }
+  bool done() const override { return done_; }
+
+  bool* flag_;
+  Cycle at_;
+  CoreId waiter_;
+  bool idled_ = false;
+  bool done_ = false;
+};
+
+struct PollOutcome {
+  unsigned polls, steps, parks;
+  Cycle seen_at, gave_up_at, end;
+};
+
+/// One poller (period 10, `limit` polls) and, when `set_at` is nonzero, one
+/// setter on the other core of a two-core machine.
+PollOutcome run_poll(bool fusion, CoreId poller, Cycle set_at,
+                     unsigned limit = 1000, Cycle max_cycles = ~Cycle{0}) {
+  Machine m(2);
+  m.set_step_fusion(fusion);
+  bool flag = false;
+  auto task = std::make_unique<PollTask>(&flag, 10, limit);
+  PollTask* p = task.get();
+  m.set_task(poller, std::move(task));
+  if (set_at != 0)
+    m.set_task(1 - poller, std::make_unique<SetTask>(&flag, set_at, poller));
+  const Cycle end = m.run(max_cycles);
+  return {p->polls, p->steps, p->parks, p->seen_at, p->gave_up_at, end};
+}
+
+void expect_same_as_single_stepping(const PollOutcome& on,
+                                    const PollOutcome& off) {
+  EXPECT_EQ(off.parks, 0u);
+  EXPECT_EQ(off.steps, off.polls);
+  EXPECT_EQ(on.polls, off.polls);
+  EXPECT_EQ(on.seen_at, off.seen_at);
+  EXPECT_EQ(on.gave_up_at, off.gave_up_at);
+  EXPECT_EQ(on.end, off.end);
+}
+
+TEST(Machine, WakeAtTheSameClockKeepsCoreIdOrder) {
+  // Polls land at 0, 10, 20, ...; the flag is set at clock 40. A setter
+  // with the lower id steps first at 40, so the poll at 40 sees it.
+  const PollOutcome below = run_poll(true, 1, 40);
+  EXPECT_EQ(below.seen_at, 40u);
+  EXPECT_EQ(below.steps, 2u);  // the parking poll and the woken one
+  expect_same_as_single_stepping(below, run_poll(false, 1, 40));
+  // A setter with the higher id steps after the poll at 40: seen at 50.
+  const PollOutcome above = run_poll(true, 0, 40);
+  EXPECT_EQ(above.seen_at, 50u);
+  EXPECT_EQ(above.steps, 2u);
+  expect_same_as_single_stepping(above, run_poll(false, 0, 40));
+}
+
+TEST(Machine, WakeAtTheExactTimeoutSlot) {
+  // Five polls: the fifth, at clock 40, is the last. A lower-id setter at
+  // 40 re-keys the poller onto the slot it was parked until, and the poll
+  // there sees the flag; a higher-id one comes too late.
+  const PollOutcome below = run_poll(true, 1, 40, 5);
+  EXPECT_EQ(below.seen_at, 40u);
+  EXPECT_EQ(below.polls, 5u);
+  expect_same_as_single_stepping(below, run_poll(false, 1, 40, 5));
+  const PollOutcome above = run_poll(true, 0, 40, 5);
+  EXPECT_EQ(above.gave_up_at, 40u);
+  EXPECT_EQ(above.steps, 2u);
+  expect_same_as_single_stepping(above, run_poll(false, 0, 40, 5));
+}
+
+TEST(Machine, ParkStopsAtTheHorizon) {
+  // A bounded run polls at 0..50 and stops with the poller's clock at 60,
+  // parked or not; the poller never sleeps past max_cycles, so every poll
+  // before it is accounted when run() returns.
+  for (Cycle horizon : {Cycle{55}, Cycle{60}, Cycle{61}}) {
+    const PollOutcome on = run_poll(true, 0, 0, 20, horizon);
+    const PollOutcome off = run_poll(false, 0, 0, 20, horizon);
+    expect_same_as_single_stepping(on, off);
+    EXPECT_EQ(on.polls, horizon <= 60 ? 6u : 7u) << horizon;
+    EXPECT_EQ(on.gave_up_at, 0u);
+    EXPECT_EQ(on.parks, 1u) << horizon;
+  }
+  // Resuming a bounded run is the same as running straight through.
+  Machine m(1);
+  bool flag = false;
+  auto task = std::make_unique<PollTask>(&flag, 10, 20);
+  PollTask* p = task.get();
+  m.set_task(0, std::move(task));
+  m.run(55);
+  EXPECT_EQ(m.run(), 191u);
+  EXPECT_EQ(p->polls, 20u);
+  EXPECT_EQ(p->gave_up_at, 190u);
+  EXPECT_EQ(p->steps, 4u);
+}
+
+/// Always steps the highest-numbered runnable core.
+struct LastCoreFirst final : SchedPerturb {
+  CoreId pick(const Machine&, const std::vector<CoreId>& runnable) override {
+    return runnable.back();
+  }
+  Cycle delay(CoreId, Cycle) override { return 0; }
+};
+
+TEST(Machine, NoParkingWithFusionOffOrPerturbation) {
+  EXPECT_EQ(run_poll(false, 1, 0, 30).parks, 0u);
+  EXPECT_EQ(run_poll(true, 1, 0, 30).parks, 1u);
+  Machine m(2);
+  LastCoreFirst perturb;
+  m.set_perturb(&perturb);
+  bool flag = false;
+  auto task = std::make_unique<PollTask>(&flag, 10, 30);
+  PollTask* p = task.get();
+  m.set_task(1, std::move(task));
+  m.set_task(0, std::make_unique<SetTask>(&flag, 40, 1));
+  m.run();
+  EXPECT_EQ(p->parks, 0u);
+  EXPECT_EQ(p->steps, 30u);
+  EXPECT_EQ(p->gave_up_at, 290u);
+}
+
 TEST(Machine, CoreCountValidated) {
   EXPECT_DEATH(Machine m(0), "");
   EXPECT_DEATH(Machine m(kMaxCores + 1), "");

@@ -402,6 +402,9 @@ struct DifferentialCase {
   const char* test_name;
   const char* workload;
   runtime::Scheme scheme;
+  unsigned threads = 16;
+  double ops_scale = 0.05;
+  bool stm = false;  // STM tier on, with max_retries 2 so blocks reach it
 };
 
 constexpr DifferentialCase kDifferentialCases[] = {
@@ -417,14 +420,26 @@ constexpr DifferentialCase kDifferentialCases[] = {
     {"Vacation", "vacation", runtime::Scheme::kStaggeredSW},
     {"Tsp", "tsp", runtime::Scheme::kStaggered},
     {"Memcached", "memcached", runtime::Scheme::kStaggered},
+    // The parked waits (DESIGN.md §13): the kTxSched lock, the glock CAS
+    // and the glock-free wait of the STM tier, and the ALP wait at 64 cores.
+    {"ListHiTxSched", "list-hi", runtime::Scheme::kTxSched},
+    {"IntruderHybrid", "intruder", runtime::Scheme::kBaseline, 16, 0.05, true},
+    {"ListHi64Cores", "list-hi", runtime::Scheme::kStaggered, 64, 0.01},
 };
 
 class MacrostepDifferential : public ::testing::Test {
  public:
   explicit MacrostepDifferential(const DifferentialCase& c) : c_(c) {}
   void TestBody() override {
-    expect_identical_runs(c_.workload, differential_options(c_.scheme),
-                          c_.workload);
+    workloads::RunOptions opt = differential_options(c_.scheme);
+    opt.threads = c_.threads;
+    opt.ops_scale = c_.ops_scale;
+    if (c_.stm) {
+      opt.stm = stm::StmConfig{};
+      opt.stm.enabled = true;
+      opt.max_retries = 2;
+    }
+    expect_identical_runs(c_.workload, opt, c_.test_name);
   }
 
  private:

@@ -14,11 +14,9 @@
 //   STAGTM_JOBS    — host worker threads, one per simulation (default:
 //     hardware concurrency)
 //   STAGTM_JSON    — if set, write machine-readable results to this path
-//   STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP — event tracing
-//     (obs/trace.hpp); never changes stdout or simulated results
-//   STAGTM_PROF / STAGTM_PROF_CAP / STAGTM_PROF_FOOTPRINT — conflict
-//     provenance (obs/prov.hpp): per-abort blame records + advisory-lock
-//     counterfactual episodes, written per job for tools/stagtm-prof;
+//   STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP — the observer
+//     (obs/observer.hpp): event trace plus per-abort blame records and
+//     advisory-lock episodes, written per job for tools/stagtm-trace;
 //     never changes stdout or simulated results
 #pragma once
 
@@ -30,7 +28,7 @@
 
 #include "common/env.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prov.hpp"
+#include "obs/export.hpp"
 #include "workloads/runner.hpp"
 
 namespace st::bench {
@@ -199,12 +197,12 @@ class Sweep {
           static_cast<unsigned long long>(r->sched_seed));
       std::fprintf(f, "\n     \"privacy\": ");
       obs::write_privacy_json(f, r->privacy);
-      // Conflict-provenance summary + the per-job binary file path (only
-      // when STAGTM_PROF was set: keys absent in a plain run so the
-      // off-vs-on differential strips them like the host-side fields).
-      if (r->prov_enabled) {
-        std::fprintf(f, ",\n     \"prof_path\": \"");
-        json_escape(f, r->prof_path);
+      // Provenance summary + the per-job observer file path (only when
+      // STAGTM_TRACE was set: keys absent in a plain run so the off-vs-on
+      // differential strips them like the host-side fields).
+      if (!r->trace_path.empty()) {
+        std::fprintf(f, ",\n     \"trace_path\": \"");
+        json_escape(f, r->trace_path);
         std::fprintf(f, "\",\n     \"prov\": ");
         obs::write_prov_summary_json(f, r->prov);
       }

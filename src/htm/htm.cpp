@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
 
@@ -45,8 +43,7 @@ void HtmSystem::on_conflict_abort(CoreId victim, Addr line, bool pc_valid,
     // Aggressor context must be sampled now (the stamp), not at the
     // victim's abort finalization: by then the aggressor may have committed
     // and begun a different atomic block.
-    if (prov_ != nullptr)
-      prov_->on_conflict_stamp(victim, line, requester, requester_pc);
+    if (obs_ != nullptr) obs_->conflict_stamp(victim, requester, requester_pc);
   }
   // Requester-wins: the victim's speculatively written *shared* lines must
   // vanish immediately so the requester observes committed data. This stamp
@@ -69,16 +66,23 @@ AbortInfo HtmSystem::abort(CoreId c, AbortCause self_cause) {
     tx.info.cause = self_cause == AbortCause::None ? AbortCause::Explicit
                                                    : self_cause;
   }
-  if (prov_ != nullptr) {
+  if (obs_ != nullptr) {
     // Footprint and attribution must be read before the drain below wipes
     // the speculative log (capacity aborts already captured at stamp time).
-    prov_capture_footprint(c);
-    prov_->on_abort_finalize(
-        c, static_cast<std::uint8_t>(tx.info.cause), tx.info.conflict_line,
-        tx.info.pc_tag_valid, tx.info.pc_tag, tx.info.true_first_pc,
-        heap_.alloc_site_for(tx.info.conflict_line),
-        priv_ != nullptr ? priv_->private_owner(tx.info.conflict_line) : -1,
-        clock_now());
+    const AbortInfo& i = tx.info;
+    obs_->tx_abort(
+        c, clock_now(),
+        {.cause = static_cast<std::uint8_t>(i.cause),
+         .line = i.conflict_line,
+         .pc_tag_valid = i.pc_tag_valid,
+         .pc_tag = i.pc_tag,
+         .first_pc = i.true_first_pc,
+         .aborter = i.cause == AbortCause::Conflict ? int(i.aborter) : -1,
+         .alloc_site = heap_.alloc_site_for(i.conflict_line),
+         .priv_owner = priv_ != nullptr
+                           ? priv_->private_owner(i.conflict_line)
+                           : -1},
+        footprint(c));
   }
   // This runs at the victim's own synchronizing step, so the full drain is
   // window-safe here: it clears the marks and log the cross-core stamp left
@@ -90,16 +94,6 @@ AbortInfo HtmSystem::abort(CoreId c, AbortCause self_cause) {
     case AbortCause::Capacity: ++stats_.core(c).aborts_capacity; break;
     case AbortCause::Glock: ++stats_.core(c).aborts_glock; break;
     default: ++stats_.core(c).aborts_explicit; break;
-  }
-  if (trace_ != nullptr) {
-    // a32 carries the aborting core +1 so 0 can mean "self-inflicted".
-    const std::uint32_t aborter =
-        tx.info.cause == AbortCause::Conflict ? tx.info.aborter + 1 : 0;
-    trace_->emit(c, {clock_now(), obs::EventKind::kTxAbort,
-                     static_cast<std::uint8_t>(tx.info.cause),
-                     tx.info.pc_tag_valid ? tx.info.pc_tag
-                                          : std::uint16_t{0},
-                     aborter, tx.info.conflict_line});
   }
   // Roll back: drop speculative stores, undo allocations, cancel frees.
   // try_dealloc (not dealloc): program-issued frees may be invalid under a
@@ -134,7 +128,7 @@ bool HtmSystem::commit(CoreId c, Cycle* publish_latency) {
   // Committed footprint, read before the drain: advisory-lock waiters that
   // observed this core holding their lock classify their serialization
   // against exactly the lines this attempt touched.
-  if (prov_ != nullptr) prov_capture_footprint(c);
+  if (obs_ != nullptr) obs_->capture_footprint(c, footprint(c));
   drain_wb(c, tx);
   mem_.clear_speculative(c, /*invalidate_written=*/false);
   for (Addr a : tx.deferred_frees) heap_.try_dealloc(a);
@@ -146,44 +140,17 @@ bool HtmSystem::commit(CoreId c, Cycle* publish_latency) {
   return true;
 }
 
-namespace {
-// Latched once: a getenv per capacity abort was measurable on overflow-heavy
-// workloads, and getenv is not guaranteed thread-safe once experiment runs
-// execute concurrently.
-bool debug_cap_enabled() {
-  static const bool enabled = std::getenv("ST_DEBUG_CAP") != nullptr;
-  return enabled;
-}
-}  // namespace
-
 void HtmSystem::mark_capacity_abort(CoreId c, Addr a) {
-  // The trace operands (including the speculative-line count, which is an
-  // O(1) log-size read but was a full O(L1) sweep before the
-  // speculative-line log) are only evaluated when ST_DEBUG_CAP is set.
-  if (debug_cap_enabled()) [[unlikely]] {
-    std::fprintf(stderr, "CAPACITY core=%u addr=%llx line=%llx set=%llu spec_lines=%u\n",
-                 c, (unsigned long long)a, (unsigned long long)sim::line_addr(a),
-                 (unsigned long long)(sim::line_index(a) & 127), mem_.speculative_lines(c));
-  }
   TxState& tx = tx_[c];
   ST_CHECK_MSG(tx.active, "capacity abort outside a transaction");
   tx.pending_abort = true;
   tx.info = AbortInfo{};
   tx.info.cause = AbortCause::Capacity;
   tx.info.conflict_line = sim::line_addr(a);
-  if (prov_ != nullptr) {
-    // Unlike conflict stamps, capacity clears speculative state right here,
-    // so the footprint must be captured now (abort() keeps this first one).
-    prov_capture_footprint(c);
-    prov_->on_capacity_stamp(c, sim::line_addr(a));
-  }
+  // Unlike conflict stamps, capacity clears speculative state right here,
+  // so the footprint must be captured now (abort() keeps this first one).
+  if (obs_ != nullptr) obs_->capacity_stamp(c, footprint(c));
   mem_.clear_speculative(c, /*invalidate_written=*/true);
-}
-
-void HtmSystem::prov_capture_footprint(CoreId c) {
-  if (prov_->footprint_captured(c)) return;
-  mem_.speculative_line_addrs(c, prov_scratch_);
-  prov_->capture_footprint(c, prov_scratch_);
 }
 
 std::uint64_t HtmSystem::read_through_wb(const TxState& tx, Addr a,

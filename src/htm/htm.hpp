@@ -16,8 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/prov.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "sim/heap.hpp"
 #include "sim/machine.hpp"
 #include "sim/memory_system.hpp"
@@ -60,18 +59,12 @@ class HtmSystem final : public sim::ConflictSink {
   void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
   Cycle clock_now() const { return clock_ ? clock_() : 0; }
 
-  /// Optional event sink; the HTM emits tx_abort events (cause, conflicting
-  /// line, PC tag, aborter) when an abort is finalized. Null disables.
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
-  obs::TraceSink* trace() { return trace_; }
-
-  /// Optional conflict-provenance sink (obs/prov.hpp). The HTM owns the
-  /// blame pipeline's hardware half: conflict/capacity stamps, footprint
-  /// capture (just before speculative state is cleared), and abort
-  /// finalization with heap/privacy attribution. Null disables; every
-  /// emission site is guarded so simulated results are unchanged either way.
-  void set_prov(obs::ProvSink* prov) { prov_ = prov; }
-  obs::ProvSink* prov() { return prov_; }
+  /// Optional observer (obs/observer.hpp). The HTM owns the blame
+  /// pipeline's hardware half: conflict/capacity stamps, footprint capture
+  /// (just before speculative state is cleared), and abort finalization
+  /// with heap/privacy attribution. Null disables; every site is guarded so
+  /// simulated results are unchanged either way.
+  void set_observer(obs::Observer* o) { obs_ = o; }
 
   /// Wire the privacy map (sim/privacy.hpp). The HTM owns every publication
   /// point through which an address can leave a core's private domain:
@@ -189,10 +182,12 @@ class HtmSystem final : public sim::ConflictSink {
   };
 
   void mark_capacity_abort(CoreId c, Addr a);
-  /// Stores the attempt's speculative footprint into the provenance sink if
-  /// it has not been captured yet (keep-first: capacity aborts capture at
-  /// stamp time because their speculative state is cleared immediately).
-  void prov_capture_footprint(CoreId c);
+  /// The attempt's speculative line addresses, for the observer's
+  /// footprint capture (reuses one scratch vector).
+  const std::vector<Addr>& footprint(CoreId c) {
+    mem_.speculative_line_addrs(c, fp_scratch_);
+    return fp_scratch_;
+  }
   std::uint64_t read_through_wb(const TxState& tx, Addr a, unsigned size) const;
   void write_to_wb(TxState& tx, Addr a, std::uint64_t v, unsigned size);
   void drain_wb(CoreId c, TxState& tx);
@@ -210,12 +205,11 @@ class HtmSystem final : public sim::ConflictSink {
   sim::MemorySystem& mem_;
   sim::MachineStats& stats_;
   std::function<Cycle()> clock_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::ProvSink* prov_ = nullptr;
+  obs::Observer* obs_ = nullptr;
   sim::PrivacyMap* priv_ = nullptr;
   std::vector<TxState> tx_;
   std::vector<Addr> publish_scratch_;  // reused across lazy commits
-  std::vector<Addr> prov_scratch_;     // reused across footprint captures
+  std::vector<Addr> fp_scratch_;       // reused across footprint captures
   std::vector<Addr> written_scratch_;  // reused across written_lines calls
 };
 

@@ -1,11 +1,11 @@
-// Metrics registry (observability layer 3).
+// Metrics registry.
 //
 // One table naming every CoreStats counter and histogram, so consumers
-// (the STAGTM_JSON writer, the stagtm-trace CLI, tests) iterate the full
+// (MachineStats::total(), the STAGTM_JSON writer, tests) iterate the full
 // metric set generically instead of hand-listing fields — adding a counter
 // to CoreStats plus one registry row makes it appear everywhere. A test
-// cross-checks the registry-driven merge against MachineStats::total() so
-// the two cannot drift apart silently.
+// checks that the registry covers every byte of CoreStats, so a field
+// without a row cannot go unnoticed.
 #pragma once
 
 #include <cstdio>
@@ -39,7 +39,7 @@ const std::vector<CounterDef>& counter_registry();
 const std::vector<HistDef>& hist_registry();
 
 /// Merges `c` into `into` following each counter's merge rule and summing
-/// histograms — the registry-driven equivalent of MachineStats::total().
+/// histograms; MachineStats::total() folds every core through it.
 void merge_core_stats(sim::CoreStats& into, const sim::CoreStats& c);
 
 /// Serializes one CoreStats as a JSON object body (no surrounding braces):

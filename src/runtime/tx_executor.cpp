@@ -245,9 +245,8 @@ sim::Cycle TxExecutor::backoff() {
   auto& st = sys_.stats().core(core_);
   st.cycles_backoff += delay;
   st.h_tx_backoff.add(delay);
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kBackoff, 0, 0, n,
-                    delay});
+  if (auto* o = sys_.observer())
+    o->backoff(core_, sys_.machine().now(), n, delay);
   return delay;
 }
 
@@ -307,10 +306,9 @@ TxExecutor::Polled TxExecutor::poll_wait(sim::Cycle pre) {
     // not charged as lock wait.
     ++st.alp_timeouts;
     sys_.policy().on_lock_timeout(*ctx_);
-    if (auto* p = sys_.prov()) p->on_lock_timeout(core_, sys_.machine().now());
-    if (auto* t = sys_.trace())
-      t->emit(core_, {sys_.machine().now(), obs::EventKind::kLockTimeout, 0,
-                      0, sys_.locks().lock_index(wait_.key), wait_.accum});
+    if (auto* o = sys_.observer())
+      o->lock_timeout(core_, sys_.machine().now(),
+                      sys_.locks().lock_index(wait_.key), wait_.accum);
   } else {
     st.cycles_lock_wait += spin;  // an orec timeout aborts the attempt
   }
@@ -382,15 +380,15 @@ interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,
       return {cost, false, true};
     }
     wait_ = {Wait::On::kAlp, target, 0, sys_.config().lock_timeout};
-    if (auto* t = sys_.trace())
-      t->emit(core_, {sys_.machine().now(), obs::EventKind::kAlpFired, 0, 0,
-                      alp_id, sim::line_addr(target)});
+    if (auto* o = sys_.observer())
+      o->alp_fired(core_, sys_.machine().now(), alp_id,
+                   sim::line_addr(target));
   }
 
   // Only hardware attempts abort asynchronously.
   if (state_ == State::kRunning && sys_.htm().pending_abort(core_)) {
-    if (auto* p = sys_.prov())
-      p->on_lock_wait_aborted(core_, sys_.machine().now());
+    if (auto* o = sys_.observer())
+      o->lock_wait_aborted(core_, sys_.machine().now());
     wait_ = Wait{};
     return {cost, false, false};
   }
@@ -404,11 +402,8 @@ interp::ExecEnv::AlpResult TxExecutor::do_alpoint(std::uint32_t alp_id,
 
 void TxExecutor::open_attempt(Tier tier, Interp& in, State running) {
   attempt_cycles_ = 0;
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxBegin, tier, 0,
-                    ab_id_, total_attempts()});
-  if (auto* p = sys_.prov())
-    p->on_attempt_begin(core_, ab_id_, total_attempts());
+  if (auto* o = sys_.observer())
+    o->tx_begin(core_, sys_.machine().now(), tier, ab_id_, total_attempts());
   ctx_->arm();
   if (sys_.config().scheme == Scheme::kStaggeredSW) sys_.cpc().begin_tx(core_);
   in.start(func_, args_);
@@ -572,10 +567,8 @@ void TxExecutor::finish(const Interp& in, Tier tier, unsigned attempts) {
   st.tx_instrs += retire(in);
   st.h_tx_cycles.add(attempt_cycles_);
   st.h_tx_retries.add(attempts);
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxCommit, tier, 0,
-                    ab_id_, attempts});
-  if (auto* p = sys_.prov()) p->on_attempt_commit(core_, sys_.machine().now());
+  if (auto* o = sys_.observer())
+    o->tx_commit(core_, sys_.machine().now(), tier, ab_id_, attempts);
   result_ = in.result();
   // The result crosses into the host (workload next_op logic), which can
   // hand it to any other core: publication point.
@@ -651,9 +644,9 @@ sim::Cycle TxExecutor::abort_tail(const Interp& in,
   // With the STM tier on, exhausting HTM retries falls to STM, not the
   // glock — will_glock stays accurate for the blame pipeline.
   const State next = next_tier();
-  if (auto* p = sys_.prov())
-    p->on_attempt_abort(core_, total_attempts(), attempt_cycles_,
-                        next == State::kGlockAcquire, sys_.machine().now());
+  if (auto* o = sys_.observer())
+    o->attempt_abort(core_, sys_.machine().now(), total_attempts(),
+                     attempt_cycles_, next == State::kGlockAcquire);
   sys_.stats().core(core_).cycles_wasted_tx += attempt_cycles_;
   // Host-throughput accounting: the doomed attempt's instructions were
   // interpreted even though they never commit.
@@ -666,10 +659,8 @@ sim::Cycle TxExecutor::glock_step() {
   const Polled p = poll_wait();
   if (p.status == Poll::kSpun) return p.cycles;
   ++sys_.stats().core(core_).irrevocable_entries;
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kIrrevocable, 0,
-                    0, ab_id_, total_attempts()});
-  if (auto* pv = sys_.prov()) pv->on_irrev_begin(core_, ab_id_);
+  if (auto* o = sys_.observer())
+    o->irrevocable(core_, sys_.machine().now(), ab_id_, total_attempts());
   attempt_cycles_ = 0;
   sim::Cycle cost = p.cycles;
   if (auto* stm = sys_.stm()) {
@@ -774,15 +765,14 @@ sim::Cycle TxExecutor::stm_abort(AbortCause cause) {
     case AbortCause::StmGlock: ++st.stm_aborts_glock; break;
     default: ++st.stm_aborts_validation; break;
   }
-  if (auto* t = sys_.trace())
-    t->emit(core_, {sys_.machine().now(), obs::EventKind::kTxAbort,
-                    static_cast<std::uint8_t>(cause), 0, /*aborter=*/0, line});
-  if (auto* p = sys_.prov())
-    p->on_abort_finalize(core_, static_cast<std::uint8_t>(cause), line,
-                         /*pc_tag_valid=*/false, /*pc_tag=*/0,
-                         /*first_pc=*/0, sys_.heap().alloc_site_for(line),
-                         sys_.privacy().private_owner(line),
-                         sys_.machine().now(), /*stm_tier=*/true);
+  if (auto* o = sys_.observer())
+    o->tx_abort(core_, sys_.machine().now(),
+                {.cause = static_cast<std::uint8_t>(cause),
+                 .line = line,
+                 .alloc_site = sys_.heap().alloc_site_for(line),
+                 .priv_owner = sys_.privacy().private_owner(line),
+                 .stm_tier = true},
+                {});
   // Orec conflicts are real data conflicts: train the advisory-lock policy
   // across tiers (the CPC map recorded this attempt's ALP visits, so
   // StaggeredSW resolution works the same as for HTM aborts).

@@ -84,7 +84,7 @@ class TxExecutor {
     kFinished,
   };
 
-  /// Commit tiers as the trace, provenance and commit log number them.
+  /// Commit tiers as the observer and commit log number them.
   enum Tier : std::uint8_t { kTierHtm = 0, kTierIrrev = 1, kTierStm = 2 };
 
   /// The lock wait in progress, if any; poll_wait() ends it on
@@ -144,8 +144,8 @@ class TxExecutor {
   void park(sim::Cycle spin);
   void settle();
 
-  /// Begin bookkeeping shared by the speculative tiers (trace, provenance,
-  /// anchor arming, CPC reset), then starts `in` and enters `running`.
+  /// Begin bookkeeping shared by the speculative tiers (observer, anchor
+  /// arming, CPC reset), then starts `in` and enters `running`.
   void open_attempt(Tier tier, interp::Interp& in, State running);
   sim::Cycle begin_attempt();
   /// One step of the running tier's interpreter, then that tier's abort
@@ -153,7 +153,7 @@ class TxExecutor {
   sim::Cycle run_step(sim::Cycle budget);
   sim::Cycle commit_sequence();
   sim::Cycle handle_abort(htm::AbortCause self_cause);
-  /// Abort bookkeeping shared by both speculative tiers (provenance,
+  /// Abort bookkeeping shared by both speculative tiers (observer,
   /// wasted cycles, policy training on `conflict`), then the ladder.
   sim::Cycle abort_tail(const interp::Interp& in,
                         const htm::AbortInfo* conflict, State retry);
@@ -164,8 +164,8 @@ class TxExecutor {
   std::uint64_t retire(const interp::Interp& in);
   /// Commit-time advisory-lock release and the policy's verdict on it.
   sim::Cycle release_on_commit();
-  /// Commit epilogue shared by every tier: stats, histograms, trace,
-  /// provenance, result publication and the commit log.
+  /// Commit epilogue shared by every tier: stats, histograms, observer,
+  /// result publication and the commit log.
   void finish(const interp::Interp& in, Tier tier, unsigned attempts);
 
   // ---- STM tier (valid only when sys_.stm() != nullptr) ----

@@ -39,22 +39,18 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   cfg_.mem.cores = cfg_.cores;
   machine_.set_step_fusion(cfg_.macrostep);
   if (cfg_.trace.enabled())
-    trace_ = std::make_unique<obs::TraceSink>(
+    obs_ = std::make_unique<obs::Observer>(
         cfg_.cores, cfg_.trace.cap_per_core, cfg_.trace.mask);
-  if (cfg_.prov.enabled())
-    prov_ = std::make_unique<obs::ProvSink>(cfg_.cores, cfg_.prov.cap_per_core,
-                                            cfg_.prov.footprint_lines);
   if (cfg_.record_commits) commit_log_ = std::make_unique<CommitLog>();
-  machine_.set_trace(trace_.get());
+  machine_.set_observer(obs_.get());
   mem_ = std::make_unique<sim::MemorySystem>(cfg_.mem, stats_);
   htm_ = std::make_unique<htm::HtmSystem>(heap_, *mem_, stats_);
   htm_->set_clock([this] { return machine_.now(); });
-  htm_->set_trace(trace_.get());
-  htm_->set_prov(prov_.get());
+  htm_->set_observer(obs_.get());
   // Allocation-site tracking feeds abort attribution; pure observer (the
   // site map is never read by anything simulated), so it is gated with the
-  // sink rather than always on.
-  if (prov_ != nullptr) heap_.set_site_tracking(true);
+  // observer rather than always on.
+  if (obs_ != nullptr) heap_.set_site_tracking(true);
   // Privacy wiring, before any allocation (the glock below must be seeded
   // through on_alloc like everything else): the heap reports block extents,
   // the HTM reports publications, and the memory system consumes both —
@@ -62,16 +58,15 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   heap_.set_privacy(&priv_);
   priv_.set_sink(mem_.get());
   mem_->set_privacy(&priv_);
-  mem_->set_trace(trace_.get());
+  mem_->set_observer(obs_.get());
   mem_->set_clock([this] { return machine_.now(); });
   mem_->set_run_ahead_probe([this] { return machine_.in_run_ahead(); });
   mem_->set_machine(&machine_);
   htm_->set_privacy(&priv_);
   locks_ = std::make_unique<stagger::AdvisoryLockTable>(
       *htm_, cfg_.num_advisory_locks);
-  locks_->set_trace(trace_.get());
-  locks_->set_prov(prov_.get());
-  policy_.set_trace(trace_.get(), [this] { return machine_.now(); });
+  locks_->set_observer(obs_.get());
+  policy_.set_observer(obs_.get(), [this] { return machine_.now(); });
   cpc_ = std::make_unique<stagger::CpcMap>(*htm_);
   glock_ = heap_.alloc_line_aligned(heap_.setup_arena(), 8);
   if (cfg_.stm.enabled) {

@@ -7,8 +7,7 @@
 
 #include "common/rng.hpp"
 #include "htm/htm.hpp"
-#include "obs/prov.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "sim/machine.hpp"
 #include "stagger/advisory_locks.hpp"
 #include "stagger/cpc_map.hpp"
@@ -77,16 +76,11 @@ struct RuntimeConfig {
   /// either way (see sim::Machine::fuse_budget). Off single-steps every
   /// instruction: the reference the differential tests compare against.
   bool macrostep = true;
-  /// Event tracing (obs/trace.hpp). Tracing is a pure observer: no sink is
-  /// even allocated unless trace.enabled(), and simulated results are
-  /// CI-enforced identical with tracing on and off. Defaults OFF here;
-  /// the workload harness fills it from STAGTM_TRACE.
+  /// The observer: event trace plus conflict provenance
+  /// (obs/observer.hpp). Nothing is allocated unless trace.enabled(), and
+  /// simulated results are CI-enforced identical with it on and off.
+  /// Defaults OFF here; the workload harness fills it from STAGTM_TRACE.
   obs::TraceConfig trace;
-  /// Conflict provenance (obs/prov.hpp). A pure observer like trace: no
-  /// sink is allocated unless prov.enabled(), and simulated results are
-  /// CI-enforced byte-identical with provenance on and off. Defaults OFF
-  /// here; the workload harness fills it from STAGTM_PROF*.
-  obs::ProvConfig prov;
   /// Record every committed atomic block (identity, args, result, commit
   /// cycle) into TxSystem's CommitLog for the serializability oracle. Off
   /// by default: no log is allocated and the commit path is unchanged.
@@ -125,12 +119,9 @@ class TxSystem {
   /// allocated and no STM code runs (pure-off invariance, CI-enforced).
   stm::StmSystem* stm() { return stm_.get(); }
 
-  /// Null unless cfg.trace.enabled(); every subsystem emits through this.
-  obs::TraceSink* trace() { return trace_.get(); }
-
-  /// Null unless cfg.prov.enabled(); the HTM, lock table, and executors
-  /// feed it, the harness exports it.
-  obs::ProvSink* prov() { return prov_.get(); }
+  /// Null unless cfg.trace.enabled(); every subsystem records through
+  /// this, the harness exports it.
+  obs::Observer* observer() { return obs_.get(); }
 
   /// Null unless cfg.record_commits; the TxExecutor appends on commit.
   CommitLog* commit_log() { return commit_log_.get(); }
@@ -142,8 +133,7 @@ class TxSystem {
  private:
   RuntimeConfig cfg_;
   stagger::CompiledProgram& prog_;
-  std::unique_ptr<obs::TraceSink> trace_;
-  std::unique_ptr<obs::ProvSink> prov_;
+  std::unique_ptr<obs::Observer> obs_;
   std::unique_ptr<CommitLog> commit_log_;
   sim::MachineStats stats_;
   sim::Machine machine_;

@@ -93,7 +93,7 @@ class Heap {
   /// configuration with no tracking.
   void set_privacy(PrivacyMap* priv) { priv_ = priv; }
 
-  // --- Allocation-site tracking (conflict provenance, obs/prov.hpp) ---
+  // --- Allocation-site tracking (conflict provenance, obs/observer.hpp) ---
   /// When on, alloc() records its `site` PC for every line of the block
   /// (capped at kMaxSiteLines per block) so abort attribution can name the
   /// allocation site of a conflicting line. Off by default: the map costs

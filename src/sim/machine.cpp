@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 
 namespace st::sim {
 
@@ -91,8 +91,7 @@ Cycle Machine::run(Cycle max_cycles) {
       rekey(id, kIdle);
       // A finished task is never re-keyed, so this fires exactly once per
       // core per run.
-      if (trace_ != nullptr)
-        trace_->emit(id, {c.clock, obs::EventKind::kCoreDone, 0, 0, 0, 0});
+      if (obs_ != nullptr) obs_->core_done(id, c.clock);
     }
   }
   Cycle end = 0;
@@ -169,8 +168,7 @@ Cycle Machine::run_perturbed(Cycle max_cycles) {
     c.clock += perturb_->delay(id, c.clock);
     const Cycle used = c.task->step(*this, id);
     c.clock += used < 1 ? 1 : used;
-    if (c.task->done() && trace_ != nullptr)
-      trace_->emit(id, {c.clock, obs::EventKind::kCoreDone, 0, 0, 0, 0});
+    if (c.task->done() && obs_ != nullptr) obs_->core_done(id, c.clock);
   }
   Cycle end = 0;
   for (const auto& c : cores_)

@@ -22,7 +22,7 @@
 #include "sim/types.hpp"
 
 namespace st::obs {
-class TraceSink;
+class Observer;
 }
 
 namespace st::sim {
@@ -135,10 +135,10 @@ class Machine {
   void set_step_fusion(bool on) { fusion_ = on; }
   bool step_fusion() const { return fusion_; }
 
-  /// Optional event sink (see obs/trace.hpp): the scheduler stamps a
-  /// core_done event when a task finishes, giving exported timelines an
-  /// end marker per core. Null (the default) means no tracing.
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
+  /// Optional observer (obs/observer.hpp): the scheduler records core_done
+  /// when a task finishes, giving exported timelines an end marker per
+  /// core. Null (the default) means no observer.
+  void set_observer(obs::Observer* o) { obs_ = o; }
 
   /// Installs (or clears, with nullptr) the schedule-perturbation hook.
   /// The hook must outlive every subsequent run() call. While a hook is
@@ -177,7 +177,7 @@ class Machine {
   Cycle fuse_budget_ = 1;
   bool fusion_ = true;
   bool in_run_ahead_ = false;
-  obs::TraceSink* trace_ = nullptr;
+  obs::Observer* obs_ = nullptr;
   SchedPerturb* perturb_ = nullptr;
 };
 

@@ -379,15 +379,8 @@ void MemorySystem::on_line_escape(CoreId publisher, Addr line, CoreId owner,
       d.owner = static_cast<int>(owner);
     }
   }
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.at = clock_ ? clock_() : 0;
-    e.kind = obs::EventKind::kLineEscape;
-    e.arg8 = static_cast<std::uint8_t>(owner);
-    e.a32 = pc;
-    e.a64 = line;
-    trace_->emit(publisher, e);
-  }
+  if (obs_ != nullptr)
+    obs_->line_escape(publisher, clock_ ? clock_() : 0, owner, pc, line);
 }
 
 unsigned MemorySystem::speculative_lines(CoreId c) const {

@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "sim/cache.hpp"
 #include "sim/dir_map.hpp"
 #include "sim/privacy.hpp"
@@ -89,7 +89,7 @@ class MemorySystem : public LineEscapeSink {
   /// registered as this object's escape sink by the owner.
   void set_privacy(PrivacyMap* priv) { priv_ = priv; }
   const PrivacyMap* privacy() const { return priv_; }
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
+  void set_observer(obs::Observer* o) { obs_ = o; }
   void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
   /// Debug cross-check hook: returns true while the machine is running a
   /// core ahead through local steps, where every access must be a
@@ -119,8 +119,8 @@ class MemorySystem : public LineEscapeSink {
 
   /// LineEscapeSink: a line just went private->shared. Counts the escape,
   /// materializes the directory entry the conservative path would have had
-  /// (when the fast paths were skipping its bookkeeping), and emits the
-  /// kLineEscape trace event.
+  /// (when the fast paths were skipping its bookkeeping), and records the
+  /// line_escape event.
   void on_line_escape(CoreId publisher, Addr line, CoreId owner,
                       std::uint32_t pc) override;
 
@@ -235,7 +235,7 @@ class MemorySystem : public LineEscapeSink {
   MachineStats& stats_;
   ConflictSink* sink_ = nullptr;
   PrivacyMap* priv_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
+  obs::Observer* obs_ = nullptr;
   std::function<Cycle()> clock_;
   std::function<bool()> run_ahead_probe_;
   Machine* machine_ = nullptr;

@@ -5,50 +5,13 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "obs/metrics.hpp"
+
 namespace st::sim {
 
 CoreStats MachineStats::total() const {
   CoreStats t;
-  for (const auto& c : per_core_) {
-    t.commits += c.commits;
-    t.aborts_conflict += c.aborts_conflict;
-    t.aborts_capacity += c.aborts_capacity;
-    t.aborts_explicit += c.aborts_explicit;
-    t.aborts_glock += c.aborts_glock;
-    t.irrevocable_entries += c.irrevocable_entries;
-    t.stm_commits += c.stm_commits;
-    t.stm_aborts_validation += c.stm_aborts_validation;
-    t.stm_aborts_lock += c.stm_aborts_lock;
-    t.stm_aborts_glock += c.stm_aborts_glock;
-    t.stm_orec_waits += c.stm_orec_waits;
-    t.stm_lock_acquires += c.stm_lock_acquires;
-    t.cycles_useful_tx += c.cycles_useful_tx;
-    t.cycles_wasted_tx += c.cycles_wasted_tx;
-    t.cycles_lock_wait += c.cycles_lock_wait;
-    t.cycles_backoff += c.cycles_backoff;
-    t.cycles_irrevocable += c.cycles_irrevocable;
-    t.cycles_nontx += c.cycles_nontx;
-    t.tx_instrs += c.tx_instrs;
-    t.tx_mem_ops += c.tx_mem_ops;
-    t.interp_instrs += c.interp_instrs;
-    t.alp_executed += c.alp_executed;
-    t.alp_acquires += c.alp_acquires;
-    t.alp_timeouts += c.alp_timeouts;
-    t.anchor_id_correct += c.anchor_id_correct;
-    t.anchor_id_wrong += c.anchor_id_wrong;
-    t.l1_hits += c.l1_hits;
-    t.l1_misses += c.l1_misses;
-    t.dir_probes += c.dir_probes;
-    t.spec_log_hwm = std::max(t.spec_log_hwm, c.spec_log_hwm);  // a peak, not a volume
-    t.priv_hits += c.priv_hits;
-    t.priv_misses += c.priv_misses;
-    t.priv_escapes += c.priv_escapes;
-    t.h_tx_cycles.merge(c.h_tx_cycles);
-    t.h_tx_retries.merge(c.h_tx_retries);
-    t.h_lock_hold.merge(c.h_lock_hold);
-    t.h_spec_footprint.merge(c.h_spec_footprint);
-    t.h_tx_backoff.merge(c.h_tx_backoff);
-  }
+  for (const auto& c : per_core_) obs::merge_core_stats(t, c);
   return t;
 }
 

@@ -108,7 +108,8 @@ class MachineStats {
   const CoreStats& core(CoreId c) const { return per_core_[c]; }
   unsigned cores() const { return static_cast<unsigned>(per_core_.size()); }
 
-  /// Sum of all per-core counters.
+  /// All per-core stats merged by each metric's registry rule
+  /// (obs::merge_core_stats).
   CoreStats total() const;
 
   void record_abort(const AbortRecord& r);

@@ -31,20 +31,18 @@ AdvisoryLockTable::TryResult AdvisoryLockTable::try_acquire(
     held_[c].contended = false;
     held_[c].acquired_at = htm_.clock_now();
     r.acquired = true;
-    if (trace_ != nullptr)
-      trace_->emit(c, {held_[c].acquired_at, obs::EventKind::kLockAcquire,
-                       0, 0, idx, sim::line_addr(data_addr)});
-    if (prov_ != nullptr) prov_->on_lock_acquired(c, held_[c].acquired_at);
+    if (obs_ != nullptr)
+      obs_->lock_acquire(c, held_[c].acquired_at, idx,
+                         sim::line_addr(data_addr));
   } else if (cas.observed != 0) {
     // Tell the holder someone wanted its lock (drives history decay).
     const sim::CoreId holder = static_cast<sim::CoreId>(cas.observed - 1);
     const bool holder_valid = holder < held_.size() &&
                               held_[holder].lock == static_cast<int>(idx);
     if (holder_valid) held_[holder].contended = true;
-    if (prov_ != nullptr)
-      prov_->on_lock_wait(c, idx, sim::line_addr(data_addr),
-                          holder_valid ? static_cast<int>(holder) : -1,
-                          htm_.clock_now());
+    if (obs_ != nullptr)
+      obs_->lock_wait(c, htm_.clock_now(), idx, sim::line_addr(data_addr),
+                      holder_valid ? static_cast<int>(holder) : -1);
   }
   return r;
 }
@@ -57,8 +55,7 @@ sim::Cycle AdvisoryLockTable::release(sim::CoreId c) {
   const sim::Cycle held_for =
       now > held_[c].acquired_at ? now - held_[c].acquired_at : 0;
   htm_.stats().core(c).h_lock_hold.add(held_for);
-  if (trace_ != nullptr)
-    trace_->emit(c, {now, obs::EventKind::kLockRelease, 0, 0, idx, held_for});
+  if (obs_ != nullptr) obs_->lock_release(c, now, idx, held_for);
   held_[c].lock = -1;
   held_[c].contended = false;
   return op.latency;

@@ -47,20 +47,15 @@ class AdvisoryLockTable {
   unsigned size() const { return static_cast<unsigned>(locks_.size()); }
   sim::Addr lock_addr(unsigned idx) const { return locks_[idx]; }
 
-  /// Optional event sink: emits lock_acquire / lock_release (with hold
-  /// duration) events. The hold-time histogram in CoreStats is recorded
-  /// regardless. Null disables event emission.
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
-
-  /// Optional provenance sink: a failed CAS against a held lock opens a
-  /// wait episode against the observed holder; a successful one resolves
-  /// it. Null disables (and changes nothing simulated).
-  void set_prov(obs::ProvSink* prov) { prov_ = prov; }
+  /// Optional observer: records lock_acquire / lock_release (with hold
+  /// duration), and a failed CAS against a held lock opens a wait episode
+  /// against the observed holder. The hold-time histogram in CoreStats is
+  /// recorded regardless. Null disables (and changes nothing simulated).
+  void set_observer(obs::Observer* o) { obs_ = o; }
 
  private:
   htm::HtmSystem& htm_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::ProvSink* prov_ = nullptr;
+  obs::Observer* obs_ = nullptr;
   std::vector<sim::Addr> locks_;  // line-aligned lock words
   struct Held {
     int lock = -1;

@@ -3,15 +3,13 @@
 namespace st::stagger {
 
 namespace {
-void emit_decision(obs::TraceSink* trace,
+void emit_decision(obs::Observer* o,
                    const std::function<sim::Cycle()>& clock,
                    const ABContext& ctx, PolicyDecision d,
                    std::uint32_t anchor_alp, sim::Addr conf_line) {
-  if (trace == nullptr) return;
-  trace->emit(ctx.core, {clock ? clock() : 0,
-                         obs::EventKind::kPolicyDecision,
-                         static_cast<std::uint8_t>(d), 0, anchor_alp,
-                         conf_line});
+  if (o == nullptr) return;
+  o->policy_decision(ctx.core, clock ? clock() : 0,
+                     static_cast<std::uint8_t>(d), anchor_alp, conf_line);
 }
 }  // namespace
 
@@ -56,7 +54,7 @@ PolicyDecision LockingPolicy::on_abort(ABContext& ctx,
       decision = PolicyDecision::kTraining;
     }
     ctx.append_history(anchor_alp, conf_line);
-    emit_decision(trace_, clock_, ctx, decision, anchor_alp, conf_line);
+    emit_decision(obs_, clock_, ctx, decision, anchor_alp, conf_line);
     return decision;
   }
 
@@ -94,7 +92,7 @@ PolicyDecision LockingPolicy::on_abort(ABContext& ctx,
   }
 
   ctx.append_history(anchor_alp, conf_line);
-  emit_decision(trace_, clock_, ctx, decision, anchor_alp, conf_line);
+  emit_decision(obs_, clock_, ctx, decision, anchor_alp, conf_line);
   return decision;
 }
 

@@ -15,7 +15,7 @@
 
 #include <functional>
 
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "stagger/abcontext.hpp"
 
 namespace st::stagger {
@@ -62,11 +62,10 @@ class LockingPolicy {
 
   const PolicyConfig& config() const { return cfg_; }
 
-  /// Optional event sink + time source: every on_abort classification is
-  /// emitted as a policy_decision event on the context's core.
-  void set_trace(obs::TraceSink* trace,
-                 std::function<sim::Cycle()> clock) {
-    trace_ = trace;
+  /// Optional observer + time source: every on_abort classification is
+  /// recorded as a policy_decision event on the context's core.
+  void set_observer(obs::Observer* o, std::function<sim::Cycle()> clock) {
+    obs_ = o;
     clock_ = std::move(clock);
   }
 
@@ -78,7 +77,7 @@ class LockingPolicy {
                         unsigned level) const;
 
   PolicyConfig cfg_;
-  obs::TraceSink* trace_ = nullptr;
+  obs::Observer* obs_ = nullptr;
   std::function<sim::Cycle()> clock_;
 };
 

@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/env.hpp"
-#include "obs/trace_export.hpp"
+#include "obs/export.hpp"
 #include "runtime/tx_executor.hpp"
 
 namespace st::workloads {
@@ -157,8 +157,6 @@ runtime::RuntimeConfig make_runtime_config(const RunOptions& opt) {
   rt.unsafe_skip_subscription = opt.unsafe_skip_subscription;
   rt.trace = obs::TraceConfig::from_env();
   if (opt.trace_path.has_value()) rt.trace.path = *opt.trace_path;
-  rt.prov = obs::ProvConfig::from_env();
-  if (opt.prof_path.has_value()) rt.prov.path = *opt.prof_path;
   return rt;
 }
 
@@ -231,39 +229,20 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   r.sched_mode = check::sched_mode_name(sched.mode);
   r.sched_seed = sched.enabled() ? sched.seed : 0;
 
-  if (obs::TraceSink* sink = sys.trace()) {
-    // Trace output is strictly a side channel: the notice goes to stderr
-    // so bench stdout stays byte-identical with tracing on and off.
+  if (const obs::Observer* o = sys.observer()) {
+    // Observer output is strictly a side channel: the notice goes to
+    // stderr so bench stdout stays byte-identical with it on and off.
+    const obs::TraceData t = obs::snapshot(*o);
     std::string err;
-    if (!obs::export_trace(*sink, rt.trace.path, &err))
+    if (!obs::export_trace(t, rt.trace.path, &err))
       std::fprintf(stderr, "STAGTM_TRACE: %s\n", err.c_str());
     else
-      std::fprintf(stderr,
-                   "[trace: %s, %llu events, %llu dropped]\n",
+      std::fprintf(stderr, "[trace: %s, %llu records, %llu dropped]\n",
                    rt.trace.path.c_str(),
-                   static_cast<unsigned long long>([&] {
-                     std::uint64_t n = 0;
-                     for (unsigned c = 0; c < sink->cores(); ++c)
-                       n += sink->emitted(c);
-                     return n;
-                   }()),
-                   static_cast<unsigned long long>(sink->total_dropped()));
-  }
-
-  if (obs::ProvSink* prov = sys.prov()) {
-    // Same side-channel discipline as the trace export: stderr only, so
-    // bench stdout stays byte-identical with provenance on and off.
-    std::string err;
-    if (!obs::export_prov(*prov, rt.prov.path, &err))
-      std::fprintf(stderr, "STAGTM_PROF: %s\n", err.c_str());
-    else
-      std::fprintf(stderr, "[prof: %s, %llu blames, %llu dropped]\n",
-                   rt.prov.path.c_str(),
-                   static_cast<unsigned long long>(prov->total_blame()),
-                   static_cast<unsigned long long>(prov->total_dropped()));
-    r.prov_enabled = true;
-    r.prof_path = rt.prov.path;
-    r.prov = obs::summarize_prov(obs::snapshot(*prov));
+                   static_cast<unsigned long long>(t.total_emitted()),
+                   static_cast<unsigned long long>(t.dropped()));
+    r.trace_path = rt.trace.path;
+    r.prov = obs::summarize_prov(t);
   }
 
   r.workload = wl.name();

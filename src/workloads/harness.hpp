@@ -7,7 +7,7 @@
 #include <string>
 
 #include "check/scheduler.hpp"
-#include "obs/prov.hpp"
+#include "obs/export.hpp"
 #include "stm/stm.hpp"
 #include "workloads/workload.hpp"
 
@@ -53,18 +53,12 @@ struct RunOptions {
   /// kAll + kStaggered reproduces Table 3's naive instrument-everything
   /// comparison.
   std::optional<stagger::InstrumentMode> instrument_override;
-  /// Event-trace destination. nullopt (the default): follow the
-  /// STAGTM_TRACE env knob. An explicit value overrides the environment —
-  /// an empty string forces tracing off (differential tests), a path
-  /// forces it on (the runner points concurrent jobs at distinct files).
-  /// Tracing never changes simulated results.
+  /// Observer file (event trace + provenance). nullopt (the default):
+  /// follow the STAGTM_TRACE env knob. An explicit value overrides the
+  /// environment — an empty string forces the observer off (differential
+  /// tests), a path forces it on (the runner points concurrent jobs at
+  /// distinct files). The observer never changes simulated results.
   std::optional<std::string> trace_path;
-  /// Conflict-provenance destination (obs/prov.hpp). nullopt (the default):
-  /// follow the STAGTM_PROF env knob. An explicit value overrides the
-  /// environment — empty forces provenance off (differential tests), a path
-  /// forces it on (the runner points concurrent jobs at distinct files).
-  /// Provenance never changes simulated results.
-  std::optional<std::string> prof_path;
   /// Schedule perturbation (src/check). nullopt (the default): follow the
   /// STAGTM_SCHED_* env knobs. An explicit value overrides the environment;
   /// a config with mode kNone forces the default deterministic schedule.
@@ -107,11 +101,10 @@ struct RunResult {
   /// Schedule-perturbation provenance ("off" when no perturbation ran).
   std::string sched_mode = "off";
   std::uint64_t sched_seed = 0;
-  /// Conflict-provenance summary (host-side observer output, excluded from
-  /// differential comparisons like wall_ms). Meaningful only when
-  /// prov_enabled; prof_path names the binary file for stagtm-prof.
-  bool prov_enabled = false;
-  std::string prof_path;
+  /// The observer file this run wrote (empty: observer off) and its
+  /// provenance summary (host-side observer output, excluded from
+  /// differential comparisons like wall_ms).
+  std::string trace_path;
   obs::ProvSummary prov;
   /// Commit log (append order = serialization order); set in checked mode.
   std::shared_ptr<const runtime::CommitLog> commit_log;

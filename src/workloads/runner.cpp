@@ -4,8 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/env.hpp"
-#include "obs/prov.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 
 namespace st::workloads {
 
@@ -16,7 +15,8 @@ unsigned ExperimentRunner::default_jobs() {
               "an integer in [1,256]"));
 }
 
-ExperimentRunner::ExperimentRunner(unsigned jobs) {
+ExperimentRunner::ExperimentRunner(unsigned jobs)
+    : env_trace_path_(obs::TraceConfig::from_env().path) {
   const unsigned n = jobs == 0 ? default_jobs() : jobs;
   ST_CHECK_MSG(n >= 1 && n <= 256, "worker count out of range");
   workers_.reserve(n);
@@ -47,19 +47,9 @@ std::size_t ExperimentRunner::submit(ExperimentJob job) {
     // job that would follow the env knob gets the path uniquified by its
     // id. Ids are submission order, making output names stable regardless
     // of which worker picks the job up.
-    if (!job.options.trace_path.has_value()) {
-      static const obs::TraceConfig env_trace = obs::TraceConfig::from_env();
-      if (env_trace.enabled())
-        job.options.trace_path =
-            obs::uniquify_trace_path(env_trace.path, slots_.size());
-    }
-    // Same fix for STAGTM_PROF: one provenance file per job.
-    if (!job.options.prof_path.has_value()) {
-      static const obs::ProvConfig env_prov = obs::ProvConfig::from_env();
-      if (env_prov.enabled())
-        job.options.prof_path =
-            obs::uniquify_trace_path(env_prov.path, slots_.size());
-    }
+    if (!job.options.trace_path.has_value() && !env_trace_path_.empty())
+      job.options.trace_path =
+          obs::uniquify_trace_path(env_trace_path_, slots_.size());
     auto slot = std::make_unique<Slot>();
     slot->job = std::move(job);
     slots_.push_back(std::move(slot));

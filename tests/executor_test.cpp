@@ -188,8 +188,9 @@ TEST(ExecutorWait, TxSchedLockTimeoutProceedsUnprotected) {
   // the timed-out poll, which costs what the spin before it did (both hit
   // the lock line in L1) but is not charged as lock wait.
   unsigned timeouts = 0;
-  for (const obs::TraceEvent& e : c.ms.sys->trace()->chronological(0)) {
-    if (e.kind != obs::EventKind::kLockTimeout) continue;
+  for (const obs::Record& r : c.ms.sys->observer()->chronological(0)) {
+    if (r.kind() != obs::EventKind::kLockTimeout) continue;
+    const obs::Event& e = r.event;
     ++timeouts;
     EXPECT_EQ(e.a32, c.ms.sys->locks().lock_index(key));
     EXPECT_EQ(e.a64, waited + last_spin);
@@ -311,8 +312,8 @@ StampedWait run_stamped_wait(bool fusion) {
   StampedWait out;
   out.end = sys.run();
   waiter->exec.take_result();
-  for (const obs::TraceEvent& e : sys.trace()->chronological(0))
-    out.events.emplace_back(e.kind, e.at);
+  for (const obs::Record& r : sys.observer()->chronological(0))
+    out.events.emplace_back(r.kind(), r.at());
   out.stats = sys.stats().core(0);
   char* buf = nullptr;
   std::size_t len = 0;

@@ -72,7 +72,6 @@ workloads::RunOptions golden_options(const GoldenCase& c) {
   opt.stm.enabled = c.stm;
   opt.checked = true;  // commit log + state digest
   opt.trace_path = "";
-  opt.prof_path = "";
   opt.sched = check::SchedConfig{};
   return opt;
 }

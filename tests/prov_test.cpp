@@ -1,7 +1,8 @@
-// Conflict provenance (obs/prov.hpp): blame-ring semantics, counterfactual
-// lock classification, allocation-site tracking, the binary format, the
-// conflict-graph builder, strict env-knob validation, and — the
-// load-bearing invariant — provenance never changing a simulated result.
+// Conflict provenance inside the observer (obs/observer.hpp): blame-ring
+// semantics, counterfactual lock classification, allocation-site tracking,
+// the binary container, the conflict-graph builder, and — the load-bearing
+// invariants — the observer never changing a simulated result, and its file
+// never changing with step fusion.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,112 +10,111 @@
 #include <string>
 #include <vector>
 
+#include "htm/htm.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prov.hpp"
 #include "sim/heap.hpp"
+#include "test_util.hpp"
 #include "workloads/harness.hpp"
 #include "workloads/runner.hpp"
 
 namespace st::obs {
 namespace {
 
-std::string tmp_path(const char* name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") + "/" +
-         name;
+using testutil::slurp;
+using testutil::tmp_path;
+
+constexpr EventMask only(EventKind k) {
+  return EventMask{1} << static_cast<unsigned>(k);
 }
 
-// ------------------------------------------------------------- knobs ----
-
-TEST(ProvEnvKnobs, DefaultsWhenUnset) {
-  unsetenv("STAGTM_PROF");
-  unsetenv("STAGTM_PROF_CAP");
-  unsetenv("STAGTM_PROF_FOOTPRINT");
-  const ProvConfig cfg = ProvConfig::from_env();
-  EXPECT_FALSE(cfg.enabled());
-  EXPECT_EQ(cfg.cap_per_core, 1u << 16);
-  EXPECT_EQ(cfg.footprint_lines, 64u);
+std::vector<Blame> blames(const Observer& o, sim::CoreId c) {
+  std::vector<Blame> out;
+  for (const Record& r : o.chronological(c))
+    if (r.kind() == EventKind::kBlame) out.push_back(r.blame);
+  return out;
 }
 
-TEST(ProvEnvKnobs, ParsesValidValues) {
-  ASSERT_EQ(setenv("STAGTM_PROF", "/tmp/x.prf", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_PROF_CAP", "128", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_PROF_FOOTPRINT", "16", 1), 0);
-  const ProvConfig cfg = ProvConfig::from_env();
-  EXPECT_TRUE(cfg.enabled());
-  EXPECT_EQ(cfg.path, "/tmp/x.prf");
-  EXPECT_EQ(cfg.cap_per_core, 128u);
-  EXPECT_EQ(cfg.footprint_lines, 16u);
-  unsetenv("STAGTM_PROF");
-  unsetenv("STAGTM_PROF_CAP");
-  unsetenv("STAGTM_PROF_FOOTPRINT");
+std::vector<Episode> episodes(const Observer& o, sim::CoreId c) {
+  std::vector<Episode> out;
+  for (const Record& r : o.chronological(c))
+    if (r.kind() == EventKind::kEpisode) out.push_back(r.episode);
+  return out;
 }
 
-TEST(ProvEnvKnobs, MalformedCapExitsWithCode2) {
-  ASSERT_EQ(setenv("STAGTM_PROF_CAP", "banana", 1), 0);
-  EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_PROF_CAP");
-  ASSERT_EQ(setenv("STAGTM_PROF_CAP", "0", 1), 0);  // below minimum
-  EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_PROF_CAP");
-  unsetenv("STAGTM_PROF_CAP");
+AbortReport report(std::uint8_t cause, sim::Addr line,
+                   std::uint32_t first_pc) {
+  AbortReport a;
+  a.cause = cause;
+  a.line = line;
+  a.first_pc = first_pc;
+  return a;
 }
 
-TEST(ProvEnvKnobs, MalformedFootprintExitsWithCode2) {
-  ASSERT_EQ(setenv("STAGTM_PROF_FOOTPRINT", "-3", 1), 0);
-  EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_PROF_FOOTPRINT");
-  ASSERT_EQ(setenv("STAGTM_PROF_FOOTPRINT", "5000", 1), 0);  // above maximum
-  EXPECT_EXIT(ProvConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_PROF_FOOTPRINT");
-  unsetenv("STAGTM_PROF_FOOTPRINT");
+/// `n` consecutive lines from `base`: more than kFootprintLines truncates.
+std::vector<sim::Addr> lines_from(sim::Addr base, std::size_t n) {
+  std::vector<sim::Addr> v;
+  for (std::size_t i = 0; i < n; ++i) v.push_back(base + 64 * i);
+  return v;
 }
 
 // -------------------------------------------------------- blame rings ----
 
+/// Core 1 (block 7) and core 0 (block 3) both in their first attempt.
+Observer two_attempts() {
+  Observer s(2, 64);
+  s.tx_begin(1, 0, 0, 7, 1);
+  s.tx_begin(0, 0, 0, 3, 1);
+  return s;
+}
+
 /// Drives one full conflict-abort on core `victim`, blamed on `aggressor`.
-void run_conflict_abort(ProvSink& s, sim::CoreId victim, sim::CoreId aggressor,
+void run_conflict_abort(Observer& s, sim::CoreId victim, sim::CoreId aggressor,
                         sim::Addr line, std::uint32_t agg_pc,
                         sim::Cycle at = 100) {
-  s.on_conflict_stamp(victim, line, aggressor, agg_pc);
-  s.capture_footprint(victim, {line});
-  s.on_abort_finalize(victim, /*cause=*/1, line, true, 0xBEE, 0x10, 0, -1, at);
-  s.on_attempt_abort(victim, /*attempts=*/1, /*wasted=*/50, false, at);
+  s.conflict_stamp(victim, aggressor, agg_pc);
+  AbortReport a = report(/*cause=*/1, line, 0x10);
+  a.pc_tag_valid = true;
+  a.pc_tag = 0xBEE;
+  a.aborter = static_cast<int>(aggressor);
+  s.tx_abort(victim, at, a, {line});
+  s.attempt_abort(victim, at, /*attempts=*/1, /*wasted=*/50, false);
 }
 
 TEST(ProvSinkRing, WrapKeepsNewestAndCountsDrops) {
-  ProvSink s(2, /*cap=*/4, /*fp=*/8);
-  s.on_attempt_begin(1, 7, 1);
-  for (int i = 0; i < 11; ++i) {
-    s.on_attempt_begin(0, 3, 1);
-    run_conflict_abort(s, 0, 1, 0x1000 + 64u * i, 0x42,
-                       static_cast<sim::Cycle>(100 + i));
+  Observer s(2, /*cap=*/4, only(EventKind::kBlame));
+  s.tx_begin(1, 0, 0, 7, 1);
+  for (unsigned i = 0; i < 11; ++i) {
+    s.tx_begin(0, 90 + i, 0, 3, 1);
+    run_conflict_abort(s, 0, 1, 0x1000 + 64u * i, 0x42, 100 + i);
   }
-  EXPECT_EQ(s.blame_emitted(0), 11u);
-  EXPECT_EQ(s.blame_dropped(0), 7u);
-  EXPECT_EQ(s.total_blame(), 11u);
-  EXPECT_EQ(s.total_dropped(), 7u);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 4u);  // newest four survive, oldest first
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(blames[i].at, static_cast<sim::Cycle>(107 + i));
-    EXPECT_EQ(blames[i].line, 0x1000u + 64u * (7 + i));
+  EXPECT_EQ(s.emitted(0, EventKind::kBlame), 11u);
+  EXPECT_EQ(snapshot(s).dropped(), 7u);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 4u);  // newest four survive, oldest first
+  for (unsigned i = 0; i < 4; ++i) {
+    EXPECT_EQ(b[i].at, 107u + i);
+    EXPECT_EQ(b[i].line, 0x1000u + 64u * (7 + i));
   }
-  EXPECT_EQ(s.blame_emitted(1), 0u);  // the aggressor never aborted
+  EXPECT_EQ(s.emitted(1, EventKind::kBlame), 0u);  // the aggressor never aborted
 }
 
 TEST(ProvSinkBlame, ConflictAbortFullyAttributed) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, /*ab=*/7, 1);   // aggressor context
-  s.on_attempt_begin(0, /*ab=*/3, 2);   // victim, second attempt
-  s.on_conflict_stamp(0, 0x2000, 1, 0x42);
-  s.capture_footprint(0, {0x2000, 0x2040});
-  s.on_abort_finalize(0, /*cause=*/1, 0x2000, true, 0xABC, 0x10,
-                      /*alloc_site=*/0x777, /*priv_owner=*/2, 200);
-  s.on_attempt_abort(0, /*attempts=*/2, /*wasted=*/150, false, 200);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 1u);
-  const BlameRecord& r = blames[0];
+  Observer s(2, 64);
+  s.tx_begin(1, 0, 0, /*ab=*/7, 1);   // aggressor context
+  s.tx_begin(0, 0, 0, /*ab=*/3, 2);   // victim, second attempt
+  s.conflict_stamp(0, 1, 0x42);
+  AbortReport a = report(/*cause=*/1, 0x2000, 0x10);
+  a.pc_tag_valid = true;
+  a.pc_tag = 0xABC;
+  a.aborter = 1;
+  a.alloc_site = 0x777;
+  a.priv_owner = 2;
+  s.tx_abort(0, 200, a, {0x2000, 0x2040});
+  s.attempt_abort(0, 200, /*attempts=*/2, /*wasted=*/150, false);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 1u);
+  const Blame& r = b[0];
   EXPECT_EQ(r.at, 200u);
   EXPECT_EQ(r.line, 0x2000u);
   EXPECT_EQ(r.wasted_cycles, 150u);
@@ -125,7 +125,6 @@ TEST(ProvSinkBlame, ConflictAbortFullyAttributed) {
   EXPECT_EQ(r.aggressor_ab, 7u);
   EXPECT_EQ(r.pc_tag, 0xABCu);
   EXPECT_EQ(r.cause, 1u);
-  EXPECT_EQ(r.victim_core, 0u);
   EXPECT_EQ(r.aggressor_core, 1u);
   EXPECT_EQ(r.retry, 2u);
   EXPECT_EQ(r.priv_owner, 2u);
@@ -134,125 +133,123 @@ TEST(ProvSinkBlame, ConflictAbortFullyAttributed) {
   EXPECT_TRUE(r.flags & kBlameLinePrivate);
   EXPECT_FALSE(r.flags & kBlameWillGlock);
   EXPECT_FALSE(r.flags & kBlameAggressorIrrev);
+  // The abort event precedes its blame record on the victim's ring.
+  const auto recs = s.chronological(0);
+  ASSERT_GE(recs.size(), 3u);
+  EXPECT_EQ(recs[recs.size() - 2].kind(), EventKind::kTxAbort);
+  EXPECT_EQ(recs[recs.size() - 2].event.a32, 2u);  // aborter core 1, + 1
+  EXPECT_EQ(recs.back().kind(), EventKind::kBlame);
 }
 
 TEST(ProvSinkBlame, AggressorContextSampledAtStampTime) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, 7, 1);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_conflict_stamp(0, 0x2000, 1, 0x42);
+  Observer s = two_attempts();
+  s.conflict_stamp(0, 1, 0x42);
   // The aggressor commits and moves on to a different block before the
   // victim's abort finalizes; the blame must keep the stamp-time identity.
-  s.on_attempt_commit(1, 150);
-  s.on_attempt_begin(1, 9, 1);
-  s.capture_footprint(0, {0x2000});
-  s.on_abort_finalize(0, 1, 0x2000, false, 0, 0x10, 0, -1, 200);
-  s.on_attempt_abort(0, 1, 80, false, 200);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 1u);
-  EXPECT_EQ(blames[0].aggressor_ab, 7u);  // not 9
+  s.tx_commit(1, 150, 0, 7, 1);
+  s.tx_begin(1, 160, 0, 9, 1);
+  s.tx_abort(0, 200, report(1, 0x2000, 0x10), {0x2000});
+  s.attempt_abort(0, 200, 1, 80, false);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].aggressor_ab, 7u);  // not 9
 }
 
 TEST(ProvSinkBlame, CapacityAbortIsSelfConflict) {
-  ProvSink s(1, 16, 8);
-  s.on_attempt_begin(0, 5, 1);
-  s.on_capacity_stamp(0, 0x3000);
-  s.capture_footprint(0, {0x3000, 0x3040});
-  s.on_abort_finalize(0, /*cause=capacity*/ 2, 0x3000, false, 0, 0x20, 0, -1,
-                      300);
-  s.on_attempt_abort(0, 1, 60, false, 300);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 1u);
-  EXPECT_EQ(blames[0].cause, 2u);
-  EXPECT_EQ(blames[0].victim_core, blames[0].aggressor_core);
-  EXPECT_EQ(blames[0].aggressor_pc, 0u);
-  EXPECT_EQ(blames[0].aggressor_ab, 5u);
-  EXPECT_TRUE(blames[0].flags & kBlameHasAggressor);
+  Observer s(1, 64);
+  s.tx_begin(0, 0, 0, 5, 1);
+  s.capacity_stamp(0, {0x3000, 0x3040});
+  s.tx_abort(0, 300, report(/*cause=capacity*/ 2, 0x3000, 0x20), {});
+  s.attempt_abort(0, 300, 1, 60, false);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].cause, 2u);
+  EXPECT_EQ(b[0].aggressor_core, 0u);  // the victim itself
+  EXPECT_EQ(b[0].aggressor_pc, 0u);
+  EXPECT_EQ(b[0].aggressor_ab, 5u);
+  EXPECT_TRUE(b[0].flags & kBlameHasAggressor);
 }
 
 TEST(ProvSinkBlame, CapacityStampOverridesEarlierConflictStamp) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, 7, 1);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_conflict_stamp(0, 0x2000, 1, 0x42);
-  s.on_capacity_stamp(0, 0x3000);  // the overflow is what the attempt dies of
-  s.capture_footprint(0, {0x3000});
-  s.on_abort_finalize(0, 2, 0x3000, false, 0, 0x20, 0, -1, 300);
-  s.on_attempt_abort(0, 1, 60, false, 300);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 1u);
-  EXPECT_EQ(blames[0].aggressor_core, 0u);
-  EXPECT_EQ(blames[0].aggressor_pc, 0u);
+  Observer s = two_attempts();
+  s.conflict_stamp(0, 1, 0x42);
+  s.capacity_stamp(0, {0x3000});  // the overflow is what the attempt dies of
+  s.tx_abort(0, 300, report(2, 0x3000, 0x20), {});
+  s.attempt_abort(0, 300, 1, 60, false);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].aggressor_core, 0u);
+  EXPECT_EQ(b[0].aggressor_pc, 0u);
 }
 
 TEST(ProvSinkBlame, IrrevocableAggressorFlagged) {
-  ProvSink s(2, 16, 8);
-  s.on_irrev_begin(1, 7);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_conflict_stamp(0, 0x2000, 1, 0x42);
-  s.capture_footprint(0, {0x2000});
-  s.on_abort_finalize(0, 1, 0x2000, false, 0, 0x10, 0, -1, 200);
-  s.on_attempt_abort(0, 10, 80, /*will_glock=*/true, 200);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 1u);
-  EXPECT_TRUE(blames[0].flags & kBlameAggressorIrrev);
-  EXPECT_TRUE(blames[0].flags & kBlameWillGlock);
-  EXPECT_EQ(blames[0].retry, 10u);
+  Observer s(2, 64);
+  s.irrevocable(1, 0, 7, 10);
+  s.tx_begin(0, 0, 0, 3, 1);
+  s.conflict_stamp(0, 1, 0x42);
+  s.tx_abort(0, 200, report(1, 0x2000, 0x10), {0x2000});
+  s.attempt_abort(0, 200, 10, 80, /*will_glock=*/true);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_TRUE(b[0].flags & kBlameAggressorIrrev);
+  EXPECT_TRUE(b[0].flags & kBlameWillGlock);
+  EXPECT_EQ(b[0].retry, 10u);
 }
 
 TEST(ProvSinkBlame, CommitOrUnfinalizedAbortEmitsNothing) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_conflict_stamp(0, 0x2000, 1, 0x42);
+  Observer s(2, 64);
+  s.tx_begin(0, 0, 0, 3, 1);
+  s.conflict_stamp(0, 1, 0x42);
   s.capture_footprint(0, {0x2000});
-  s.on_attempt_commit(0, 100);  // stamped but survived: no blame
-  EXPECT_EQ(s.blame_emitted(0), 0u);
-  // An abort with no finalize (nothing reported by the HTM) emits nothing
-  // either, and the stale stamp must have been cleared by the commit.
-  s.on_attempt_begin(0, 3, 2);
-  s.on_attempt_abort(0, 2, 10, false, 150);
-  EXPECT_EQ(s.blame_emitted(0), 0u);
+  s.tx_commit(0, 100, 0, 3, 1);  // stamped but survived: no blame
+  EXPECT_EQ(s.emitted(0, EventKind::kBlame), 0u);
+  // An abort with no finalization (nothing reported by the HTM) emits
+  // nothing either, and the stale stamp must have been cleared by the
+  // commit.
+  s.tx_begin(0, 120, 0, 3, 2);
+  s.attempt_abort(0, 150, 2, 10, false);
+  EXPECT_EQ(s.emitted(0, EventKind::kBlame), 0u);
 }
 
 TEST(ProvSinkBlame, FootprintKeepsFirstCaptureAndFlagsTruncation) {
-  ProvSink s(1, 16, /*fp=*/2);
-  s.on_attempt_begin(0, 1, 1);
-  s.capture_footprint(0, {0x1000, 0x1040, 0x1080});  // 3 lines, cap 2
-  EXPECT_TRUE(s.footprint_captured(0));
-  s.capture_footprint(0, {0x9000});  // later capture must not overwrite
-  s.on_abort_finalize(0, 2, 0x1000, false, 0, 0, 0, -1, 100);
-  s.on_attempt_abort(0, 1, 10, false, 100);
-  const auto blames = s.blames(0);
-  ASSERT_EQ(blames.size(), 1u);
-  EXPECT_TRUE(blames[0].flags & kBlameFpTruncated);
+  Observer s(1, 64);
+  s.tx_begin(0, 0, 0, 1, 1);
+  // One line over the cap: truncated. A later capture must not overwrite
+  // the first, or the truncation flag would be lost.
+  s.capture_footprint(0, lines_from(0x1000, kFootprintLines + 1));
+  s.capture_footprint(0, {0x9000});
+  s.tx_abort(0, 100, report(2, 0x1000, 0), {0x9000});
+  s.attempt_abort(0, 100, 1, 10, false);
   // The next attempt starts fresh.
-  s.on_attempt_begin(0, 1, 2);
-  EXPECT_FALSE(s.footprint_captured(0));
+  s.tx_begin(0, 110, 0, 1, 2);
+  s.tx_abort(0, 120, report(2, 0x1000, 0), {0x1000});
+  s.attempt_abort(0, 120, 2, 10, false);
+  const auto b = blames(s, 0);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_TRUE(b[0].flags & kBlameFpTruncated);
+  EXPECT_FALSE(b[1].flags & kBlameFpTruncated);
 }
 
 // ------------------------------------------------- lock counterfactuals ----
 
 TEST(ProvSinkEpisode, OverlapClassifiesConflictAvoided) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, 7, 1);  // holder
-  s.on_attempt_begin(0, 3, 1);  // waiter
-  s.on_lock_wait(0, /*lock=*/5, /*data_line=*/0x2040, /*holder=*/1, 100);
-  s.on_lock_acquired(0, 160);
+  Observer s = two_attempts();  // holder core 1, waiter core 0
+  s.lock_wait(0, 100, /*lock=*/5, /*line=*/0x2040, /*holder=*/1);
+  s.lock_acquire(0, 160, 5, 0x2040);
   // Holder commits first, publishing its footprint to the open episode.
   s.capture_footprint(1, {0x2040, 0x9000});
-  s.on_attempt_commit(1, 170);
+  s.tx_commit(1, 170, 0, 7, 1);
   s.capture_footprint(0, {0x1000, 0x2040});
-  s.on_attempt_commit(0, 200);
-  const auto eps = s.episodes(0);
+  s.tx_commit(0, 200, 0, 3, 1);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
-  const LockEpisodeRecord& e = eps[0];
+  const Episode& e = eps[0];
   EXPECT_EQ(e.lock_idx, 5u);
   EXPECT_EQ(e.data_line, 0x2040u);
-  EXPECT_EQ(e.waiter_core, 0u);
   EXPECT_EQ(e.holder_core, 1u);
   EXPECT_EQ(e.waiter_ab, 3u);
   EXPECT_EQ(e.holder_ab, 7u);
-  EXPECT_EQ(e.wait_start, 100u);
+  EXPECT_EQ(e.at, 100u);
   EXPECT_EQ(e.wait_cycles, 60u);  // closed by the acquire at 160
   EXPECT_EQ(e.outcome, static_cast<std::uint8_t>(LockOutcome::kAcquired));
   EXPECT_EQ(e.classification,
@@ -261,19 +258,18 @@ TEST(ProvSinkEpisode, OverlapClassifiesConflictAvoided) {
   EXPECT_EQ(e.overlap_line, 0x2040u);
   EXPECT_TRUE(e.flags & kEpisodeHolderFpValid);
   EXPECT_FALSE(e.flags & kEpisodeFpTruncated);
+  EXPECT_TRUE(episodes(s, 1).empty());  // on the waiter's ring only
 }
 
 TEST(ProvSinkEpisode, DisjointClassifiesFalseSerialization) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, 7, 1);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_lock_wait(0, 5, 0x2040, 1, 100);
-  s.on_lock_timeout(0, 2100);  // gave up, ran unprotected
+  Observer s = two_attempts();
+  s.lock_wait(0, 100, 5, 0x2040, 1);
+  s.lock_timeout(0, 2100, 5, 2000);  // gave up, ran unprotected
   s.capture_footprint(1, {0x9000, 0x9040});
-  s.on_attempt_commit(1, 2200);
+  s.tx_commit(1, 2200, 0, 7, 1);
   s.capture_footprint(0, {0x1000, 0x2040});
-  s.on_attempt_commit(0, 2300);
-  const auto eps = s.episodes(0);
+  s.tx_commit(0, 2300, 0, 3, 1);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
   EXPECT_EQ(eps[0].outcome, static_cast<std::uint8_t>(LockOutcome::kTimeout));
   EXPECT_EQ(eps[0].wait_cycles, 2000u);
@@ -284,15 +280,15 @@ TEST(ProvSinkEpisode, DisjointClassifiesFalseSerialization) {
 }
 
 TEST(ProvSinkEpisode, MissingHolderFootprintIsIndeterminate) {
-  ProvSink s(2, 16, 8);
-  s.on_irrev_begin(1, 7);  // irrevocable holders have no speculative lines
-  s.on_attempt_begin(0, 3, 1);
-  s.on_lock_wait(0, 5, 0x2040, 1, 100);
-  s.on_lock_acquired(0, 150);
-  s.on_attempt_commit(1, 160);  // no footprint was ever captured
+  Observer s(2, 64);
+  s.irrevocable(1, 0, 7, 1);  // irrevocable holders have no speculative lines
+  s.tx_begin(0, 0, 0, 3, 1);
+  s.lock_wait(0, 100, 5, 0x2040, 1);
+  s.lock_acquire(0, 150, 5, 0x2040);
+  s.tx_commit(1, 160, 1, 7, 1);  // no footprint was ever captured
   s.capture_footprint(0, {0x2040});
-  s.on_attempt_commit(0, 200);
-  const auto eps = s.episodes(0);
+  s.tx_commit(0, 200, 0, 3, 1);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
   EXPECT_EQ(eps[0].classification,
             static_cast<std::uint8_t>(LockClass::kIndeterminate));
@@ -304,16 +300,17 @@ TEST(ProvSinkEpisode, MissingHolderFootprintIsIndeterminate) {
 }
 
 TEST(ProvSinkEpisode, TruncatedWaiterFootprintIsIndeterminate) {
-  ProvSink s(2, 16, /*fp=*/1);
-  s.on_attempt_begin(1, 7, 1);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_lock_wait(0, 5, 0x2040, 1, 100);
-  s.on_lock_acquired(0, 150);
+  Observer s = two_attempts();
+  s.lock_wait(0, 100, 5, 0x2040, 1);
+  s.lock_acquire(0, 150, 5, 0x2040);
   s.capture_footprint(1, {0x2040});
-  s.on_attempt_commit(1, 160);
-  s.capture_footprint(0, {0x1000, 0x2040});  // 2 lines, cap 1: clipped
-  s.on_attempt_commit(0, 200);
-  const auto eps = s.episodes(0);
+  s.tx_commit(1, 160, 0, 7, 1);
+  // Over the cap and clipped: the kept prefix misses the shared line.
+  std::vector<sim::Addr> fp = lines_from(0x100000, kFootprintLines);
+  fp.push_back(0x2040);
+  s.capture_footprint(0, fp);
+  s.tx_commit(0, 200, 0, 3, 1);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
   // The clipped footprint could hide the overlapping line, so no "false
   // serialization" claim is safe.
@@ -323,17 +320,14 @@ TEST(ProvSinkEpisode, TruncatedWaiterFootprintIsIndeterminate) {
 }
 
 TEST(ProvSinkEpisode, AbortDuringWaitRecordsOutcome) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, 7, 1);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_lock_wait(0, 5, 0x2040, 1, 100);
-  s.on_lock_wait_aborted(0, 140);  // remote conflict killed the spinner
+  Observer s = two_attempts();
+  s.lock_wait(0, 100, 5, 0x2040, 1);
+  s.lock_wait_aborted(0, 140);  // remote conflict killed the spinner
   s.capture_footprint(1, {0x2040});
-  s.on_attempt_commit(1, 150);
-  s.capture_footprint(0, {0x2040});
-  s.on_abort_finalize(0, 1, 0x2040, false, 0, 0x10, 0, -1, 160);
-  s.on_attempt_abort(0, 1, 60, false, 160);
-  const auto eps = s.episodes(0);
+  s.tx_commit(1, 150, 0, 7, 1);
+  s.tx_abort(0, 160, report(1, 0x2040, 0x10), {0x2040});
+  s.attempt_abort(0, 160, 1, 60, false);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
   EXPECT_EQ(eps[0].outcome,
             static_cast<std::uint8_t>(LockOutcome::kAbortedWaiting));
@@ -341,22 +335,20 @@ TEST(ProvSinkEpisode, AbortDuringWaitRecordsOutcome) {
   EXPECT_EQ(eps[0].classification,
             static_cast<std::uint8_t>(LockClass::kConflictAvoided));
   // The abort that ended the wait is also blamed, independently.
-  EXPECT_EQ(s.blame_emitted(0), 1u);
+  EXPECT_EQ(s.emitted(0, EventKind::kBlame), 1u);
 }
 
 TEST(ProvSinkEpisode, HolderGenerationMismatchStaysIndeterminate) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(1, 7, 1);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_lock_wait(0, 5, 0x2040, 1, 100);  // samples holder generation G
-  s.on_attempt_commit(1, 120);           // G ends without a footprint
-  s.on_attempt_begin(1, 7, 2);           // G+1 must not leak into the episode
+  Observer s = two_attempts();
+  s.lock_wait(0, 100, 5, 0x2040, 1);  // samples holder generation G
+  s.tx_commit(1, 120, 0, 7, 1);       // G ends without a footprint
+  s.tx_begin(1, 130, 0, 7, 2);        // G+1 must not leak into the episode
   s.capture_footprint(1, {0x2040});
-  s.on_attempt_commit(1, 180);
-  s.on_lock_acquired(0, 190);
+  s.tx_commit(1, 180, 0, 7, 2);
+  s.lock_acquire(0, 190, 5, 0x2040);
   s.capture_footprint(0, {0x2040});
-  s.on_attempt_commit(0, 200);
-  const auto eps = s.episodes(0);
+  s.tx_commit(0, 200, 0, 3, 1);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
   EXPECT_EQ(eps[0].classification,
             static_cast<std::uint8_t>(LockClass::kIndeterminate));
@@ -364,13 +356,13 @@ TEST(ProvSinkEpisode, HolderGenerationMismatchStaysIndeterminate) {
 }
 
 TEST(ProvSinkEpisode, UnknownHolderStaysIndeterminate) {
-  ProvSink s(2, 16, 8);
-  s.on_attempt_begin(0, 3, 1);
-  s.on_lock_wait(0, 5, 0x2040, /*holder=*/-1, 100);
-  s.on_lock_acquired(0, 150);
+  Observer s(2, 64);
+  s.tx_begin(0, 0, 0, 3, 1);
+  s.lock_wait(0, 100, 5, 0x2040, /*holder=*/-1);
+  s.lock_acquire(0, 150, 5, 0x2040);
   s.capture_footprint(0, {0x2040});
-  s.on_attempt_commit(0, 200);
-  const auto eps = s.episodes(0);
+  s.tx_commit(0, 200, 0, 3, 1);
+  const auto eps = episodes(s, 0);
   ASSERT_EQ(eps.size(), 1u);
   EXPECT_EQ(eps[0].holder_core, 0xFFu);
   EXPECT_EQ(eps[0].classification,
@@ -379,36 +371,33 @@ TEST(ProvSinkEpisode, UnknownHolderStaysIndeterminate) {
 
 // ---------------------------------------------------------- analysis ----
 
-ProvData two_core_data() {
-  ProvData d;
+TraceData two_core_data() {
+  TraceData d;
   d.cap_per_core = 16;
   d.per_core.resize(2);
   auto blame = [](std::uint32_t site, std::uint32_t vpc, std::uint32_t apc,
-                  std::uint8_t vcore, std::uint8_t acore,
-                  std::uint64_t wasted) {
-    BlameRecord r;
+                  std::uint8_t acore, std::uint64_t wasted) {
+    Blame r;
     r.alloc_site = site;
     r.victim_pc = vpc;
     r.aggressor_pc = apc;
-    r.victim_core = vcore;
     r.aggressor_core = acore;
     r.wasted_cycles = wasted;
     r.flags = kBlameHasAggressor;
-    return r;
+    return Record(r);
   };
-  d.per_core[0].blames = {blame(0x100, 0x10, 0x20, 0, 1, 50),
-                          blame(0x100, 0x10, 0x20, 0, 1, 70)};
-  d.per_core[1].blames = {blame(0x100, 0x20, 0x10, 1, 0, 30)};
+  d.per_core[0].records = {blame(0x100, 0x10, 0x20, 1, 50),
+                           blame(0x100, 0x10, 0x20, 1, 70)};
+  d.per_core[1].records = {blame(0x100, 0x20, 0x10, 0, 30)};
   // One self-stamped capacity abort: a node but no nonreflexive edge.
-  BlameRecord cap;
+  Blame cap;
   cap.alloc_site = 0x200;
   cap.victim_pc = 0x30;
-  cap.victim_core = 1;
   cap.aggressor_core = 1;
   cap.wasted_cycles = 10;
-  d.per_core[1].blames.push_back(cap);  // no kBlameHasAggressor: no edge
-  d.per_core[0].blame_emitted = 2;
-  d.per_core[1].blame_emitted = 2;
+  d.per_core[1].records.push_back(cap);  // no kBlameHasAggressor: no edge
+  d.per_core[0].emitted[unsigned(EventKind::kBlame)] = 2;
+  d.per_core[1].emitted[unsigned(EventKind::kBlame)] = 2;
   return d;
 }
 
@@ -435,21 +424,21 @@ TEST(ProvGraph, AggregatesNodesAndSortsEdges) {
 }
 
 TEST(ProvLocks, EffectivenessAggregatesPerLock) {
-  ProvData d;
+  TraceData d;
   d.cap_per_core = 16;
   d.per_core.resize(1);
   auto ep = [](std::uint32_t lock, LockClass cls, std::uint64_t wait) {
-    LockEpisodeRecord r;
+    Episode r;
     r.lock_idx = lock;
     r.classification = static_cast<std::uint8_t>(cls);
     r.wait_cycles = wait;
-    return r;
+    return Record(r);
   };
-  d.per_core[0].episodes = {ep(1, LockClass::kConflictAvoided, 100),
-                            ep(1, LockClass::kFalseSerialization, 40),
-                            ep(1, LockClass::kIndeterminate, 7),
-                            ep(2, LockClass::kConflictAvoided, 60)};
-  d.per_core[0].episodes_emitted = 4;
+  d.per_core[0].records = {ep(1, LockClass::kConflictAvoided, 100),
+                           ep(1, LockClass::kFalseSerialization, 40),
+                           ep(1, LockClass::kIndeterminate, 7),
+                           ep(2, LockClass::kConflictAvoided, 60)};
+  d.per_core[0].emitted[unsigned(EventKind::kEpisode)] = 4;
   const auto rows = lock_effectiveness(d);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].lock_idx, 1u);
@@ -469,38 +458,46 @@ TEST(ProvLocks, EffectivenessAggregatesPerLock) {
 }
 
 TEST(ProvBinary, RoundTripPreservesRecordsAndDropCounts) {
-  ProvSink s(2, /*cap=*/2, 8);
-  s.on_attempt_begin(1, 7, 1);
-  for (int i = 0; i < 3; ++i) {  // 3 > cap: one drop
-    s.on_attempt_begin(0, 3, 1);
-    run_conflict_abort(s, 0, 1, 0x1000 + 64u * i, 0x42,
-                       static_cast<sim::Cycle>(100 + i));
+  Observer s(2, /*cap=*/2, only(EventKind::kBlame));
+  s.tx_begin(1, 0, 0, 7, 1);
+  for (unsigned i = 0; i < 3; ++i) {  // 3 > cap: one drop
+    s.tx_begin(0, 90, 0, 3, 1);
+    run_conflict_abort(s, 0, 1, 0x1000 + 64u * i, 0x42, 100 + i);
   }
-  const std::string path = tmp_path("prov_roundtrip.prf");
+  const std::string path = tmp_path("prov_roundtrip.trc");
   std::string err;
-  ASSERT_TRUE(export_prov(s, path, &err)) << err;
-  ProvData d;
-  ASSERT_TRUE(read_prov_file(path, &d, &err)) << err;
+  ASSERT_TRUE(export_trace(snapshot(s), path, &err)) << err;
+  TraceData d;
+  ASSERT_TRUE(read_trace_file(path, &d, &err)) << err;
   std::remove(path.c_str());
   ASSERT_EQ(d.cores(), 2u);
   EXPECT_EQ(d.cap_per_core, 2u);
-  EXPECT_EQ(d.per_core[0].blame_emitted, 3u);
-  EXPECT_EQ(d.blame_dropped(), 1u);
-  ASSERT_EQ(d.per_core[0].blames.size(), 2u);
-  EXPECT_EQ(d.per_core[0].blames[0].at, 101u);
-  EXPECT_EQ(d.per_core[0].blames[1].line, 0x1000u + 128u);
+  EXPECT_EQ(d.per_core[0].emitted[unsigned(EventKind::kBlame)], 3u);
+  EXPECT_EQ(d.dropped(EventKind::kBlame), 1u);
+  ASSERT_EQ(d.per_core[0].records.size(), 2u);
+  EXPECT_EQ(d.per_core[0].records[0].blame.at, 101u);
+  EXPECT_EQ(d.per_core[0].records[1].blame.line, 0x1000u + 128u);
 }
 
 TEST(ProvBinary, RejectsGarbage) {
-  const std::string path = tmp_path("prov_garbage.prf");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("definitely not a prof file", f);
-  std::fclose(f);
-  ProvData d;
-  std::string err;
-  EXPECT_FALSE(read_prov_file(path, &d, &err));
-  EXPECT_FALSE(err.empty());
+  const std::string path = tmp_path("prov_garbage.trc");
+  // Junk, and both retired formats (the old trace and the old prof file):
+  // each is refused with a message naming what went wrong.
+  const char* const files[][2] = {
+      {"definitely not a trace file", "bad magic"},
+      {"STGTRC01\x01\x00\x00\x00", "retired STGTRC01"},
+      {"STGPRF01\x01\x00\x00\x00", "retired STGPRF01"},
+  };
+  for (const auto& [bytes, why] : files) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(bytes, f);
+    std::fclose(f);
+    TraceData d;
+    std::string err;
+    EXPECT_FALSE(read_trace_file(path, &d, &err));
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+  }
   std::remove(path.c_str());
 }
 
@@ -556,86 +553,34 @@ TEST(HeapSites, ArenaOfMapsAddressesBack) {
 
 // ------------------------------------------------------- differentials ----
 
-void expect_same_simulation(const workloads::RunResult& a,
-                            const workloads::RunResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  for (const CounterDef& d : counter_registry())
-    EXPECT_EQ(a.totals.*d.member, b.totals.*d.member) << d.name;
-  ASSERT_EQ(a.per_core.size(), b.per_core.size());
-  for (std::size_t c = 0; c < a.per_core.size(); ++c)
-    for (const CounterDef& d : counter_registry())
-      EXPECT_EQ(a.per_core[c].*d.member, b.per_core[c].*d.member)
-          << "core " << c << " " << d.name;
-  EXPECT_EQ(a.abort_trace_dropped, b.abort_trace_dropped);
-  EXPECT_DOUBLE_EQ(a.conflict_addr_locality, b.conflict_addr_locality);
-  EXPECT_DOUBLE_EQ(a.conflict_pc_locality, b.conflict_pc_locality);
-}
-
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
 TEST(ProvDifferential, ProvenanceDoesNotPerturbSimulatedResults) {
   workloads::RunOptions o;
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 4;
   o.ops_scale = 0.05;
-  o.prof_path = std::string();  // force provenance off
+  o.trace_path = std::string();  // force the observer off
   const auto off = workloads::run_workload("list-hi", o);
-  EXPECT_FALSE(off.prov_enabled);
+  EXPECT_TRUE(off.trace_path.empty());
 
-  const std::string path = tmp_path("prov_differential.prf");
-  o.prof_path = path;
+  const std::string path = tmp_path("prov_differential.trc");
+  o.trace_path = path;
   const auto on = workloads::run_workload("list-hi", o);
-  expect_same_simulation(off, on);
+  EXPECT_EQ(testutil::sim_fingerprint(off), testutil::sim_fingerprint(on));
   EXPECT_GT(on.totals.commits, 0u);
-  ASSERT_TRUE(on.prov_enabled);
-  EXPECT_EQ(on.prof_path, path);
+  EXPECT_EQ(on.trace_path, path);
 
   // Every abort the stats counted must carry a blame record (the default
-  // ring is far larger than this run's abort count, so none dropped).
-  ProvData d;
+  // ring is far larger than this run's record count, so none dropped).
+  TraceData d;
   std::string err;
-  ASSERT_TRUE(read_prov_file(path, &d, &err)) << err;
+  ASSERT_TRUE(read_trace_file(path, &d, &err)) << err;
   std::remove(path.c_str());
   ASSERT_EQ(d.cores(), 4u);
-  std::uint64_t blames = 0;
-  for (const CoreProv& c : d.per_core) blames += c.blame_emitted;
-  EXPECT_EQ(blames, on.totals.total_aborts());
-  EXPECT_EQ(d.blame_dropped(), 0u);
-  EXPECT_EQ(on.prov.blame_records, blames);
-}
-
-TEST(ProvDifferential, StepFusionDoesNotChangeProfFile) {
-  workloads::RunOptions o;
-  o.scheme = runtime::Scheme::kStaggered;
-  o.threads = 4;
-  o.ops_scale = 0.05;
-  const std::string p1 = tmp_path("prov_single.prf");
-  const std::string p2 = tmp_path("prov_fused.prf");
-  o.macrostep = false;
-  o.prof_path = p1;
-  const auto single = workloads::run_workload("list-hi", o);
-  o.macrostep = true;
-  o.prof_path = p2;
-  const auto fused = workloads::run_workload("list-hi", o);
-  expect_same_simulation(single, fused);
-  // Every hook fires in a synchronizing step, so the files are
-  // byte-identical — not merely equivalent.
-  const std::string b1 = slurp(p1), b2 = slurp(p2);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-  ASSERT_FALSE(b1.empty());
-  EXPECT_TRUE(b1 == b2) << "prof files differ with step fusion on/off";
+  const std::uint64_t blamed = d.emitted(EventKind::kBlame);
+  EXPECT_EQ(blamed, on.totals.total_aborts());
+  EXPECT_EQ(d.emitted(EventKind::kTxAbort), blamed);
+  EXPECT_EQ(d.dropped(), 0u);
+  EXPECT_EQ(on.prov.blame_records, blamed);
 }
 
 TEST(ProvDifferential, TinyRingStillDoesNotPerturbResults) {
@@ -643,37 +588,78 @@ TEST(ProvDifferential, TinyRingStillDoesNotPerturbResults) {
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 2;
   o.ops_scale = 0.05;
-  o.prof_path = std::string();
+  o.trace_path = std::string();
   const auto off = workloads::run_workload("list-hi", o);
 
-  ASSERT_EQ(setenv("STAGTM_PROF_CAP", "4", 1), 0);  // heavy wraparound
-  const std::string path = tmp_path("prov_tiny_ring.prf");
-  o.prof_path = path;
+  ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "16", 1), 0);  // heavy wraparound
+  const std::string path = tmp_path("prov_tiny_ring.trc");
+  o.trace_path = path;
   const auto on = workloads::run_workload("list-hi", o);
-  unsetenv("STAGTM_PROF_CAP");
-  expect_same_simulation(off, on);
+  unsetenv("STAGTM_TRACE_CAP");
+  EXPECT_EQ(testutil::sim_fingerprint(off), testutil::sim_fingerprint(on));
 
-  ProvData d;
+  TraceData d;
   std::string err;
-  ASSERT_TRUE(read_prov_file(path, &d, &err)) << err;
+  ASSERT_TRUE(read_trace_file(path, &d, &err)) << err;
   std::remove(path.c_str());
-  EXPECT_EQ(d.cap_per_core, 4u);
-  for (const CoreProv& c : d.per_core) EXPECT_LE(c.blames.size(), 4u);
-  EXPECT_GT(d.blame_dropped(), 0u);  // the run aborts far more than 4/core
-  EXPECT_EQ(on.prov.blame_dropped, d.blame_dropped());
+  EXPECT_EQ(d.cap_per_core, 16u);
+  for (unsigned c = 0; c < d.cores(); ++c) {
+    std::size_t kept = 0;
+    for (const Record& r : d.per_core[c].records)
+      kept += r.kind() == EventKind::kBlame;
+    EXPECT_LE(kept, 16u);
+  }
+  EXPECT_GT(d.dropped(EventKind::kBlame), 0u);  // far more than 16 aborts/core
+  // Per-kind emitted counts survive the wrap: every abort was blamed.
+  EXPECT_EQ(d.emitted(EventKind::kBlame), on.totals.total_aborts());
+  EXPECT_EQ(on.prov.blame_records, on.totals.total_aborts());
+  EXPECT_EQ(on.prov.blame_dropped, d.dropped(EventKind::kBlame));
 }
+
+/// Every hook fires in a synchronizing step, so the observer file is
+/// byte-identical with step fusion off and on — not merely equivalent.
+class TraceFusion : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TraceFusion, FileIdenticalWithStepFusionOnAndOff) {
+  workloads::RunOptions o;
+  o.scheme = runtime::Scheme::kStaggered;
+  o.threads = 8;
+  o.ops_scale = 0.05;
+  o.stm.enabled = true;
+  o.max_retries = 2;  // reach the STM tier
+  o.sched = check::SchedConfig{};
+  const std::string tag = std::string("fusion_") + GetParam();
+  const std::string p1 = tmp_path((tag + "_single.trc").c_str());
+  const std::string p2 = tmp_path((tag + "_fused.trc").c_str());
+  o.macrostep = false;
+  o.trace_path = p1;
+  const auto single = workloads::run_workload(GetParam(), o);
+  o.macrostep = true;
+  o.trace_path = p2;
+  const auto fused = workloads::run_workload(GetParam(), o);
+  EXPECT_EQ(testutil::sim_fingerprint(single), testutil::sim_fingerprint(fused));
+  const std::string b1 = slurp(p1), b2 = slurp(p2);
+  std::remove(p1.c_str());
+  std::remove(p2.c_str());
+  ASSERT_FALSE(b1.empty());
+  EXPECT_TRUE(b1 == b2) << "trace files differ with step fusion on/off";
+}
+
+INSTANTIATE_TEST_SUITE_P(Stm, TraceFusion,
+                         ::testing::Values("list-hi", "vacation", "genome",
+                                           "intruder"));
 
 TEST(ProvDifferential, LockEpisodesClassifiedInStaggeredRun) {
   workloads::RunOptions o;
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 4;
   o.ops_scale = 0.05;
-  const std::string path = tmp_path("prov_staggered.prf");
-  o.prof_path = path;
+  const std::string path = tmp_path("prov_staggered.trc");
+  o.trace_path = path;
   const auto r = workloads::run_workload("list-hi", o);
-  ProvData d;
+  TraceData d;
   std::string err;
-  ASSERT_TRUE(read_prov_file(path, &d, &err)) << err;
+  ASSERT_TRUE(read_trace_file(path, &d, &err)) << err;
   std::remove(path.c_str());
   // A contended staggered run must produce lock-wait episodes, and the
   // classifier must reach a verdict (any class) for every one of them.
@@ -686,25 +672,27 @@ TEST(ProvDifferential, LockEpisodesClassifiedInStaggeredRun) {
 }
 
 TEST(ProvRunner, PerJobProfPathsProduceDistinctFiles) {
-  const std::string p0 = tmp_path("prov_job0.prf");
-  const std::string p1 = tmp_path("prov_job1.prf");
+  const std::string p0 = tmp_path("prov_job0.trc");
+  const std::string p1 = tmp_path("prov_job1.trc");
   workloads::ExperimentRunner runner(2);
   workloads::RunOptions o;
   o.scheme = runtime::Scheme::kBaseline;
   o.threads = 2;
   o.ops_scale = 0.02;
-  o.prof_path = p0;
+  o.trace_path = p0;
   const std::size_t j0 = runner.submit("list-hi", o);
-  o.prof_path = p1;
+  o.trace_path = p1;
   const std::size_t j1 = runner.submit("list-hi", o);
   const auto& r0 = runner.wait(j0);
   const auto& r1 = runner.wait(j1);
-  EXPECT_EQ(r0.prof_path, p0);
-  EXPECT_EQ(r1.prof_path, p1);
-  ProvData d0, d1;
+  EXPECT_EQ(r0.trace_path, p0);
+  EXPECT_EQ(r1.trace_path, p1);
+  TraceData d0, d1;
   std::string err;
-  EXPECT_TRUE(read_prov_file(p0, &d0, &err)) << err;
-  EXPECT_TRUE(read_prov_file(p1, &d1, &err)) << err;
+  EXPECT_TRUE(read_trace_file(p0, &d0, &err)) << err;
+  EXPECT_TRUE(read_trace_file(p1, &d1, &err)) << err;
+  EXPECT_EQ(d0.emitted(EventKind::kBlame), r0.totals.total_aborts());
+  EXPECT_EQ(d1.emitted(EventKind::kBlame), r1.totals.total_aborts());
   std::remove(p0.c_str());
   std::remove(p1.c_str());
 }

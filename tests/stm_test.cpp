@@ -361,7 +361,6 @@ workloads::RunOptions hybrid_opts(bool stm_on, unsigned threads = 4,
   o.stm = StmConfig{};
   o.stm.enabled = stm_on;
   o.trace_path = std::string();  // observer-free
-  o.prof_path = std::string();
   o.sched = check::SchedConfig{};  // deterministic default schedule
   return o;
 }

@@ -23,8 +23,8 @@ struct MiniSystem {
   /// (off by default, as in production) and the HTM retry budget.
   stm::StmConfig stm;
   unsigned max_retries = 10;
-  /// Event tracing into TxSystem::trace() (in memory only: a TxSystem
-  /// never writes its sink to `trace.path`).
+  /// The observer, TxSystem::observer() (in memory only: a TxSystem never
+  /// writes it to `trace.path`).
   obs::TraceConfig trace;
 
   /// Compile (after the caller built IR into `module`) and boot a machine.
@@ -91,6 +91,25 @@ class ScriptTask final : public sim::CoreTask {
   bool active_ = false;
   bool done_ = false;
 };
+
+/// `name` inside $TMPDIR (or /tmp).
+inline std::string tmp_path(const std::string& name) {
+  const char* dir = std::getenv("TMPDIR");
+  return std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") + "/" +
+         name;
+}
+
+/// The whole file at `path` ("" when it cannot be opened).
+inline std::string slurp(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
 
 /// Serializes everything simulated about a run into one comparable string:
 /// every CoreStats counter and histogram (through the metrics JSON writer,

@@ -19,6 +19,7 @@ void Machine::set_task(CoreId core, std::unique_ptr<CoreTask> task) {
   const Cycle start = now();
   cores_[core].task = std::move(task);
   cores_[core].clock = start;
+  cores_[core].sync_next = false;
 }
 
 Cycle Machine::now() const {
@@ -58,23 +59,33 @@ Cycle Machine::run(Cycle max_cycles) {
     const CoreId id = win_[1];
     // Past the horizon, or every task done (kIdle).
     if (key_[id] >= max_cycles) break;
+    ++events_;
     Core& c = cores_[id];
     c.park_period = 0;  // a parked core pops at its wake slot: the park ends
     stepping_ = id;
-    // Run-ahead (DESIGN.md §13): a local step touches only this core's
-    // private state, so no other core can observe when it executes. A core
-    // whose next step is local runs through all of its local steps to its
-    // next synchronizing step, which the queue then orders against every
-    // other core's events exactly as single-stepping would. Synchronizing
-    // steps execute alone with budget 1 (boundary instructions run alone
-    // at any budget).
-    in_run_ahead_ = fusion_ && c.task->next_step_local(*this, id);
+    // One event is the popped core's next step plus every local step that
+    // follows it (DESIGN.md §13). A local step touches only this core's
+    // private state, so no other core can observe when it executes: the
+    // core runs ahead with the distance to the horizon as its budget.
+    // Synchronizing steps get budget 1 (boundary instructions run alone at
+    // any budget), and the event ends at the core's next synchronizing
+    // step, which the queue then orders against every other core's events
+    // exactly as single-stepping would. The answer that ended the previous
+    // event was remembered, so every step is classified once.
+    bool local = fusion_ && !c.sync_next && c.task->next_step_local(*this, id);
+    c.sync_next = false;
+    bool done = false;
     do {
-      if (in_run_ahead_) fuse_budget_ = max_cycles - c.clock;
+      in_run_ahead_ = local;
+      fuse_budget_ = local ? max_cycles - c.clock : 1;
       const Cycle used = c.task->step(*this, id);
       c.clock += used < 1 ? 1 : used;
-    } while (in_run_ahead_ && c.clock < max_cycles &&
-             c.task->next_step_local(*this, id));
+      done = c.task->done();
+      // These ends leave sync_next clear: the next pop classifies.
+      if (!fusion_ || done || park_until_ != 0 || c.clock >= max_cycles) break;
+      local = c.task->next_step_local(*this, id);
+      c.sync_next = !local;
+    } while (local);
     in_run_ahead_ = false;
     fuse_budget_ = 1;
     stepping_ = kNoCore;
@@ -85,7 +96,7 @@ Cycle Machine::run(Cycle max_cycles) {
       c.clock = park_until_;
       park_until_ = 0;
     }
-    if (!c.task->done()) {
+    if (!done) {
       rekey(id, c.clock);
     } else {
       rekey(id, kIdle);
@@ -165,6 +176,7 @@ Cycle Machine::run_perturbed(Cycle max_cycles) {
     const CoreId id = perturb_->pick(*this, runnable);
     Core& c = cores_[id];
     ST_CHECK_MSG(c.task && !c.task->done(), "perturb picked a finished core");
+    ++events_;
     c.clock += perturb_->delay(id, c.clock);
     const Cycle used = c.task->step(*this, id);
     c.clock += used < 1 ? 1 : used;

@@ -5,14 +5,14 @@
 // smallest clock (ties broken by core id), so a given configuration and seed
 // always produces a bit-identical execution, independent of the host.
 //
-// With step fusion on, a popped core whose next step is local (touches only
-// its own private state) runs ahead to its next synchronizing step in one
-// scheduler event, then is requeued at its new clock. A core polling a lock
-// may instead park through its identical polls and be woken exactly when a
-// poll could first see something different. Synchronizing steps still
-// execute in exactly the smallest-(clock, id) order, so every simulated
-// result is bit-identical to single-stepping; see DESIGN.md §13 for the
-// argument.
+// With step fusion on, one scheduler event is the popped core's next step
+// plus every local step (touching only its own private state) that follows
+// it: the core runs ahead to its next synchronizing step, then is requeued
+// at its new clock. A core polling a lock may instead park through its
+// identical polls and be woken exactly when a poll could first see
+// something different. Synchronizing steps still execute in exactly the
+// smallest-(clock, id) order, so every simulated result is bit-identical to
+// single-stepping; see DESIGN.md §13 for the argument.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +66,13 @@ class CoreTask {
   /// this core's private state — no shared memory system, directory,
   /// advisory locks, tracing, RNG, or any other cross-core channel — and
   /// to consume at most fuse_budget() cycles. With step fusion on, run()
-  /// steps such a core repeatedly (run-ahead) until its next step is a
-  /// synchronizing one; synchronizing steps execute one at a time in
-  /// (clock, id) order. The default (false) classifies every step as
-  /// synchronizing, which is always safe: the task then single-steps.
+  /// asks once per step and steps such a core repeatedly (run-ahead) until
+  /// its next step is a synchronizing one; synchronizing steps execute one
+  /// at a time in (clock, id) order. A "synchronizing" answer is remembered
+  /// until that step runs, so other cores' steps must not turn it into
+  /// "local"; a stale answer would still be exact, only slower. The default
+  /// (false) classifies every step as synchronizing, which is always safe:
+  /// the task then single-steps.
   virtual bool next_step_local(const Machine& m, CoreId core) const {
     (void)m;
     (void)core;
@@ -92,6 +95,11 @@ class Machine {
   Cycle run(Cycle max_cycles = ~Cycle{0});
 
   Cycle core_clock(CoreId core) const { return cores_[core].clock; }
+
+  /// Scheduler events since construction: one per pop of a core, whether
+  /// the event ran one step or a step and its local tail. Host-side only;
+  /// it depends on step fusion, never on a simulated result.
+  std::uint64_t events() const { return events_; }
 
   /// True when every installed task reports done() (a bounded run() that
   /// stopped at max_cycles leaves this false).
@@ -157,6 +165,9 @@ class Machine {
     std::unique_ptr<CoreTask> task;
     Cycle park_first = 0;   // first skipped poll slot
     Cycle park_period = 0;  // 0: not parked
+    // The last event ended because next_step_local said "synchronizing":
+    // the next pop runs that step with budget 1 without asking again.
+    bool sync_next = false;
   };
   std::vector<Core> cores_;
   // run()'s queue: a tournament tree with one (clock, id) key per core.
@@ -175,6 +186,7 @@ class Machine {
   // effect when the step returns.
   Cycle park_until_ = 0;
   Cycle fuse_budget_ = 1;
+  std::uint64_t events_ = 0;
   bool fusion_ = true;
   bool in_run_ahead_ = false;
   obs::Observer* obs_ = nullptr;

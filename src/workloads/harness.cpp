@@ -262,6 +262,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)
                   .count();
+  r.sched_events = sys.machine().events();
   r.privacy = sys.privacy().snapshot(sys.mem().private_classification());
   return r;
 }

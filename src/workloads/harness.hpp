@@ -94,6 +94,9 @@ struct RunResult {
   /// Host wall-clock time this run took (not simulated time; host-side
   /// only — everything above is bit-reproducible).
   double wall_ms = 0;
+  /// Scheduler events the run took (sim::Machine::events). Host-side like
+  /// wall_ms: it counts how the run was stepped, not what it simulated.
+  std::uint64_t sched_events = 0;
   /// Privacy-map snapshot at end of run (escaped lines, publish checks,
   /// per-arena escapes). The map itself is knob-independent; only
   /// `enabled` records whether classification was on.

@@ -46,8 +46,9 @@ class ListBench final : public Workload {
     const unsigned arena = heap.setup_arena();
     list_ = dslib::host_list_new(heap, arena, lib_);
     // 64 nodes over a 128-key space: every even key present initially.
+    sim::Addr tail = 0;
     for (std::int64_t k = 2; k <= 2 * kNodes; k += 2)
-      dslib::host_list_push_sorted(heap, arena, lib_, list_, k, k);
+      tail = dslib::host_list_append(heap, arena, lib_, list_, tail, k, k);
     rngs_.clear();
     for (unsigned t = 0; t < sys.config().cores; ++t)
       rngs_.emplace_back(mix64(sys.config().seed) ^ (0xABCDull * (t + 3)));

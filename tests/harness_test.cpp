@@ -33,6 +33,24 @@ TEST(Harness, OpsScaleControlsTotalOps) {
   EXPECT_EQ(big.total_ops, 2 * small.total_ops);
 }
 
+TEST(Harness, ReportsSchedulerEvents) {
+  RunOptions o;
+  o.scheme = runtime::Scheme::kStaggered;
+  o.threads = 4;
+  o.ops_scale = 0.05;
+  o.trace_path = "";
+  o.sched = check::SchedConfig{};  // the default schedule, whatever the env
+  const auto fused = run_workload("list-hi", o);
+  o.macrostep = false;
+  const auto single = run_workload("list-hi", o);
+  // Single-stepping makes every step, of at most one instruction, its own
+  // event; run-ahead folds local steps into the event of the step before.
+  EXPECT_EQ(fused.cycles, single.cycles);
+  EXPECT_GT(fused.sched_events, 0u);
+  EXPECT_GT(single.sched_events, 2 * fused.sched_events)
+      << fused.sched_events << " vs " << single.sched_events;
+}
+
 TEST(Harness, InstrumentOverrideAllIncreasesAlpsExecuted) {
   RunOptions o;
   o.scheme = runtime::Scheme::kStaggered;

@@ -255,54 +255,60 @@ TEST(MacrostepDeath, CallWithTooManyArgsIsRejected) {
 // Scheduler run-ahead.
 // ---------------------------------------------------------------------------
 
-/// Records the budget the machine granted at each step and the (core,
-/// clock) at which each step ran. The first `local_steps` steps report
-/// themselves local; the rest are synchronizing.
-struct BudgetTask final : sim::CoreTask {
+/// Runs `pattern` one character per step, each costing `cost` cycles: 'L'
+/// is a local step, 'S' a synchronizing one, and 'P' a synchronizing poll
+/// that parks through `polls` further polls `cost` apart. Records the
+/// budget the machine granted at each step, the (core, clock) at which each
+/// step ran, and how often the machine asked for a step's classification.
+struct PatternTask final : sim::CoreTask {
   using Log = std::vector<std::pair<sim::CoreId, sim::Cycle>>;
-  BudgetTask(std::vector<sim::Cycle>* budgets, sim::Cycle cost, unsigned steps,
-             unsigned local_steps = 0, Log* log = nullptr)
-      : budgets_(budgets),
-        log_(log),
+  PatternTask(std::string pattern, sim::Cycle cost,
+              std::vector<sim::Cycle>* budgets, Log* log = nullptr,
+              sim::Cycle polls = 0)
+      : pattern_(std::move(pattern)),
         cost_(cost),
-        remaining_(steps),
-        local_left_(local_steps) {}
+        budgets_(budgets),
+        log_(log),
+        polls_(polls) {}
 
   sim::Cycle step(sim::Machine& m, sim::CoreId core) override {
     budgets_->push_back(m.fuse_budget());
     if (log_ != nullptr) log_->emplace_back(core, m.core_clock(core));
-    --remaining_;
-    if (local_left_ > 0) --local_left_;
+    if (pattern_[next_++] == 'P')
+      m.park(core, m.core_clock(core) + cost_, cost_, polls_);
     return cost_;
   }
-  bool done() const override { return remaining_ == 0; }
+  bool done() const override { return next_ == pattern_.size(); }
   bool next_step_local(const sim::Machine&, sim::CoreId) const override {
-    return remaining_ > 0 && local_left_ > 0;
+    ++classified;
+    return !done() && pattern_[next_] == 'L';
   }
 
+  std::string pattern_;
+  sim::Cycle cost_;
   std::vector<sim::Cycle>* budgets_;
   Log* log_;
-  sim::Cycle cost_;
-  unsigned remaining_;
-  unsigned local_left_;
+  sim::Cycle polls_;
+  std::size_t next_ = 0;
+  mutable std::size_t classified = 0;
 };
 
 TEST(Macrostep, RunAheadPassesEarlierCompetitor) {
   sim::Machine m(2);
   m.set_step_fusion(true);
   std::vector<sim::Cycle> b0, b1;
-  BudgetTask::Log log;
+  PatternTask::Log log;
   // Core 0 only synchronizes (cost 3). Core 1's first two steps are local
   // (cost 5), then it synchronizes.
-  m.set_task(0, std::make_unique<BudgetTask>(&b0, 3, 4, 0, &log));
-  m.set_task(1, std::make_unique<BudgetTask>(&b1, 5, 4, 2, &log));
+  m.set_task(0, std::make_unique<PatternTask>("SSSS", 3, &b0, &log));
+  m.set_task(1, std::make_unique<PatternTask>("LLSS", 5, &b1, &log));
   m.run(1000);
   // t=0: core 0 wins the id tie and steps once. Core 1 then pops at t=0
   // and runs ahead through both local steps (t=0, t=5) in one event —
   // past core 0, whose next event is at t=3 — and is requeued at t=10,
   // where its synchronizing steps interleave with core 0 by clock again.
-  const BudgetTask::Log want = {{0, 0}, {1, 0}, {1, 5}, {0, 3},
-                                {0, 6}, {0, 9}, {1, 10}, {1, 15}};
+  const PatternTask::Log want = {{0, 0}, {1, 0}, {1, 5}, {0, 3},
+                                 {0, 6}, {0, 9}, {1, 10}, {1, 15}};
   EXPECT_EQ(log, want);
   // Local steps get the distance to max_cycles; synchronizing steps get 1.
   EXPECT_EQ(b0, (std::vector<sim::Cycle>{1, 1, 1, 1}));
@@ -313,8 +319,8 @@ TEST(Macrostep, FusionDisabledPinsBudgetToOne) {
   sim::Machine m(2);
   m.set_step_fusion(false);
   std::vector<sim::Cycle> b0, b1;
-  m.set_task(0, std::make_unique<BudgetTask>(&b0, 10, 3, 3));
-  m.set_task(1, std::make_unique<BudgetTask>(&b1, 3, 5, 5));
+  m.set_task(0, std::make_unique<PatternTask>("LLL", 10, &b0));
+  m.set_task(1, std::make_unique<PatternTask>("LLLLL", 3, &b1));
   m.run();
   for (sim::Cycle c : b0) EXPECT_EQ(c, 1u);
   for (sim::Cycle c : b1) EXPECT_EQ(c, 1u);
@@ -324,12 +330,92 @@ TEST(Macrostep, SoloCoreGetsUnboundedBudget) {
   sim::Machine m(1);
   m.set_step_fusion(true);
   std::vector<sim::Cycle> b;
-  m.set_task(0, std::make_unique<BudgetTask>(&b, 5, 2, 2));
+  m.set_task(0, std::make_unique<PatternTask>("LL", 5, &b));
   m.run(1000);
   ASSERT_EQ(b.size(), 2u);
   // A local step is bounded only by max_cycles.
   EXPECT_EQ(b[0], 1000u);
   EXPECT_EQ(b[1], 995u);
+}
+
+TEST(Macrostep, SyncStepCarriesItsLocalTail) {
+  sim::Machine m(2);
+  std::vector<sim::Cycle> b0, b1;
+  PatternTask::Log log;
+  m.set_task(0, std::make_unique<PatternTask>("SSSS", 3, &b0, &log));
+  m.set_task(1, std::make_unique<PatternTask>("SLSL", 5, &b1, &log));
+  m.run(1000);
+  // Core 1's synchronizing step at t=0 carries the local step after it in
+  // the same event: that step runs at t=5, ahead of core 0's pending step
+  // at t=3. Core 1's next synchronizing step waits for its turn at t=10.
+  const PatternTask::Log want = {{0, 0}, {1, 0}, {1, 5}, {0, 3},
+                                 {0, 6}, {0, 9}, {1, 10}, {1, 15}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(b1, (std::vector<sim::Cycle>{1, 995, 1, 985}));
+  EXPECT_EQ(m.events(), 6u);  // core 0's four steps, core 1's two pairs
+}
+
+TEST(Macrostep, ClassifiesEachStepOnce) {
+  const std::string patterns[] = {"SLLSLSSL", "LLSSLLLS", "SSLLLLSL"};
+  for (const bool fusion : {true, false}) {
+    sim::Machine m(3);
+    m.set_step_fusion(fusion);
+    std::vector<sim::Cycle> budgets[3];
+    PatternTask* tasks[3];
+    for (sim::CoreId c = 0; c < 3; ++c) {
+      auto t = std::make_unique<PatternTask>(patterns[c], 3 + 2 * c,
+                                             &budgets[c]);
+      tasks[c] = t.get();
+      m.set_task(c, std::move(t));
+    }
+    // Stop at a horizon inside a local tail, then finish the run.
+    m.run(20);
+    m.run();
+    std::size_t steps = 0;
+    for (sim::CoreId c = 0; c < 3; ++c) {
+      ASSERT_TRUE(tasks[c]->done());
+      // The answer that ends an event is remembered for the next pop, and
+      // one that the horizon cut off is asked again only at the pop.
+      EXPECT_EQ(tasks[c]->classified, fusion ? patterns[c].size() : 0u)
+          << "core " << c;
+      steps += patterns[c].size();
+    }
+    EXPECT_EQ(m.events() < steps, fusion);
+  }
+}
+
+TEST(Macrostep, ParkingPollEndsItsEvent) {
+  sim::Machine m(1);
+  std::vector<sim::Cycle> b;
+  PatternTask::Log log;
+  auto task = std::make_unique<PatternTask>("PL", 10, &b, &log, 3);
+  PatternTask* t = task.get();
+  m.set_task(0, std::move(task));
+  m.run(1000);
+  // The poll at t=0 parks through the slots at 10, 20 and 30: the local
+  // step after it runs at the wake slot in an event of its own, and only
+  // that event's pop classifies it.
+  EXPECT_EQ(log, (PatternTask::Log{{0, 0}, {0, 40}}));
+  EXPECT_EQ(b, (std::vector<sim::Cycle>{1, 960}));
+  EXPECT_EQ(m.events(), 2u);
+  EXPECT_EQ(t->classified, 2u);
+}
+
+TEST(Macrostep, HorizonStopEndsItsEvent) {
+  sim::Machine m(1);
+  std::vector<sim::Cycle> b;
+  PatternTask::Log log;
+  m.set_task(0, std::make_unique<PatternTask>("SLLL", 10, &b, &log));
+  // The local tail stops where the clock reaches the horizon.
+  m.run(20);
+  EXPECT_EQ(log, (PatternTask::Log{{0, 0}, {0, 10}}));
+  EXPECT_EQ(m.core_clock(0), 20u);
+  EXPECT_EQ(m.events(), 1u);
+  // Resuming pops the core again, and the rest of the tail is one event.
+  m.run(1000);
+  EXPECT_EQ(log, (PatternTask::Log{{0, 0}, {0, 10}, {0, 20}, {0, 30}}));
+  EXPECT_EQ(b, (std::vector<sim::Cycle>{1, 10, 980, 970}));
+  EXPECT_EQ(m.events(), 2u);
 }
 
 // ---------------------------------------------------------------------------

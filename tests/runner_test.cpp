@@ -16,7 +16,8 @@ RunOptions small_options(runtime::Scheme scheme) {
 }
 
 // Every field of RunResult except wall_ms must match bit-for-bit; wall_ms is
-// host time and legitimately differs between runs.
+// host time and legitimately differs between runs. sched_events is host-side
+// too, but a deterministic function of the run like the simulated fields.
 void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.scheme, b.scheme);
@@ -29,6 +30,7 @@ void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.static_loads_stores, b.static_loads_stores);
   EXPECT_EQ(a.static_anchors, b.static_anchors);
   EXPECT_EQ(a.atomic_blocks, b.atomic_blocks);
+  EXPECT_EQ(a.sched_events, b.sched_events);
 }
 
 TEST(ExperimentRunner, ParallelMatchesSerialBitForBit) {

@@ -182,7 +182,8 @@ class Sweep {
           "\", \"threads\": %u, \"cycles\": %llu, \"total_ops\": %llu, "
           "\"throughput\": %.17g, \"commits\": %llu, \"aborts\": %llu, "
           "\"aborts_per_commit\": %.17g, \"wall_ms\": %.3f, "
-          "\"sched_events\": %llu, \"instrs\": %llu, \"minstr_per_s\": %.3f, "
+          "\"sched_events\": %llu, \"sched_steps\": %llu, \"instrs\": %llu, "
+          "\"minstr_per_s\": %.3f, "
           "\"abort_trace_dropped\": %llu, "
           "\"sched_mode\": \"%s\", \"sched_seed\": %llu,",
           r->threads, static_cast<unsigned long long>(r->cycles),
@@ -191,6 +192,7 @@ class Sweep {
           static_cast<unsigned long long>(r->totals.total_aborts()),
           r->aborts_per_commit(), r->wall_ms,
           static_cast<unsigned long long>(r->sched_events),
+          static_cast<unsigned long long>(r->sched_steps),
           static_cast<unsigned long long>(r->totals.interp_instrs),
           r->host_minstr_per_s(),
           static_cast<unsigned long long>(r->abort_trace_dropped),

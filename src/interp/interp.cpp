@@ -42,8 +42,17 @@ Interp::Step Interp::step(sim::Cycle budget) {
     out.finished = true;
     return out;
   }
-  Frame& fr = frames_[depth_ - 1];
-  if (fr.code[fr.ip].is_boundary()) return step_boundary(fr.code[fr.ip]);
+  out.cycles = 0;
+  if (const Frame& top = frames_[depth_ - 1]; top.code[top.ip].is_boundary()) {
+    // The boundary executes first, at the caller's turn; the pure run after
+    // it joins the step unless the boundary finished the block, aborted,
+    // spun (ip stays on the ALPoint, a boundary) or used up the budget. A
+    // zero-cycle boundary ends the step too: the caller charges it 1.
+    out = step_boundary(top.code[top.ip]);
+    if (out.finished || out.aborted || out.cycles == 0 || out.cycles >= budget)
+      return out;
+  }
+  Frame& fr = frames_[depth_ - 1];  // a Call or Ret changed the top frame
 
   // Fused pure-register run. Nothing below reads or writes anything another
   // core can observe, so retiring the whole run inside one scheduler event
@@ -59,7 +68,6 @@ Interp::Step Interp::step(sim::Cycle budget) {
   auto W = [&](Reg r, std::uint64_t v) { regs[r] = v; };
   auto S = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
 
-  out.cycles = 0;
   for (;;) {
     const DecodedInstr& ins = code[ip];
     sim::Cycle cost = kAluCost;
@@ -137,8 +145,8 @@ Interp::Step Interp::step(sim::Cycle budget) {
 #undef ST_IMM_CASE
 
       default:
-        // Boundary instruction: ends the fused run; the next step executes
-        // it as its own scheduler event.
+        // Boundary instruction: ends the fused run; the next step starts
+        // with it.
         goto fused_done;
     }
     // Fusion epilogue (see ir/decode.hpp): this instruction may have

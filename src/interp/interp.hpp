@@ -2,15 +2,16 @@
 //
 // Executes the flattened DecodedCode of a function (see ir/decode.hpp):
 // each frame is a {code pointer, instruction index} pair, so the hot loop
-// never chases std::list nodes. step() takes a cycle budget: boundary
-// instructions (memory accesses, alloc/free, ALPoints, call/ret — the only
-// instructions through which cores interact) always execute as their own
-// step, while runs of pure-register instructions are fused into one step
-// whose cycle cost is the sum of the single-step costs, stopping before
-// the next boundary or once the budget is spent. With budget == 1 (the
-// default) every step retires exactly one instruction, as the original
-// single-stepping interpreter did (a branch fused into its predecessor
-// at decode time only executes when it starts inside the budget).
+// never chases std::list nodes. step() takes a cycle budget: a boundary
+// instruction (memory access, alloc/free, ALPoint, call/ret — the only
+// instructions through which cores interact) can only be the first
+// instruction of a step, and runs of pure-register instructions after it
+// are fused into the same step, whose cycle cost is the sum of the
+// single-step costs, stopping before the next boundary or once the budget
+// is spent. With budget == 1 (the default) every step retires exactly one
+// instruction, as the original single-stepping interpreter did (a branch
+// fused into its predecessor at decode time only executes when it starts
+// inside the budget).
 //
 // All memory effects go through an ExecEnv, which the transaction executor
 // implements in three flavours: speculative (HTM), irrevocable (plain
@@ -70,17 +71,19 @@ class Interp {
     bool finished = false;
     bool aborted = false;
   };
-  /// Executes at least one instruction. A boundary instruction executes
-  /// alone; a pure-register instruction starts a fused run that continues
-  /// while the next instruction is also pure and the accumulated cycle
-  /// cost stays below `budget`. The caller guarantees that no other core
-  /// has a scheduler event within `budget` cycles of the current one
-  /// (sim::Machine::fuse_budget provides exactly this), which makes fused
-  /// execution bit-identical to single-stepping: cores interact only at
-  /// boundary instructions, and those still fire at the same global clock.
-  /// Every retired instruction *starts* strictly inside the budget (a
-  /// multi-cycle instruction may finish past it, exactly as its atomic
-  /// single-step event would have).
+  /// Executes at least one instruction: the next one, boundary or not,
+  /// then a fused run of pure-register instructions that continues while
+  /// the next instruction is also pure and the accumulated cycle cost
+  /// (the first instruction's included) stays below `budget`. The run is
+  /// empty when a boundary finishes the block, aborts or spins (a retried
+  /// ALPoint leaves ip on itself). Only the first instruction can touch
+  /// shared state, and the caller runs the step at that instruction's
+  /// turn; the rest reads and writes only this frame stack, so no other
+  /// core can observe when it executes (sim::Machine::fuse_budget), which
+  /// makes fused execution bit-identical to single-stepping. Every retired
+  /// instruction *starts* strictly inside the budget (a multi-cycle
+  /// instruction may finish past it, exactly as its atomic single-step
+  /// event would have).
   Step step(sim::Cycle budget = 1);
 
   bool running() const { return depth_ > 0; }

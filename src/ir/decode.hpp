@@ -7,7 +7,7 @@
 // are resolved to indices, call argument registers live in a pooled
 // array, and every instruction carries a boundary flag telling the
 // interpreter whether it may be folded into a fused pure-register run
-// (see interp/interp.hpp) or must execute as its own scheduler event.
+// (see interp/interp.hpp) or must start a step of its own.
 //
 // Decoding is a pure function of the IR: it changes layout, never
 // semantics, so decoded execution is bit-identical to list execution.
@@ -74,7 +74,7 @@ enum class DecOp : std::uint8_t {
 /// in one dispatch round. Every absorbed instruction remains in the code
 /// array and executes individually when the budget splits the run.
 struct DecodedInstr {
-  static constexpr std::uint8_t kBoundary = 1;    // own scheduler event
+  static constexpr std::uint8_t kBoundary = 1;    // starts its own step
   static constexpr std::uint8_t kFusedBr = 2;     // next = t1 after this op
   static constexpr std::uint8_t kFusedCondBr = 4; // next = dst ? t1 : t2
   static constexpr std::uint8_t kFusedMov = 8;    // regs[t2] = regs[dst]

@@ -17,10 +17,10 @@
 // (DESIGN.md §6, "Executor tiers and waits").
 //
 // The executor is a resumable state machine: each step() performs one
-// boundary instruction, one spin/backoff interval, or one fused run of
-// pure-register instructions (bounded by the caller-provided cycle budget,
-// see interp::Interp::step), so the discrete-event scheduler interleaves
-// cores faithfully.
+// spin/backoff interval, or one boundary instruction and/or one fused run
+// of pure-register instructions after it (bounded by the caller-provided
+// cycle budget, see interp::Interp::step), so the discrete-event scheduler
+// interleaves cores faithfully.
 #pragma once
 
 #include <limits>
@@ -48,8 +48,8 @@ class TxExecutor {
   /// Advances the executor; call only while !idle() && !finished().
   /// `budget` bounds how many cycles a fused interpreter run may consume
   /// (pass sim::Machine::fuse_budget(); 1 forces single-stepping). One
-  /// step may retire several pure-register instructions, but boundary
-  /// instructions still execute one per step.
+  /// step may retire several pure-register instructions, but at most one
+  /// boundary instruction, and only as its first.
   sim::Cycle step(sim::Cycle budget = 1);
 
   /// True when the next step() call is guaranteed local: it touches

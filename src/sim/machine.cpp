@@ -19,7 +19,6 @@ void Machine::set_task(CoreId core, std::unique_ptr<CoreTask> task) {
   const Cycle start = now();
   cores_[core].task = std::move(task);
   cores_[core].clock = start;
-  cores_[core].sync_next = false;
 }
 
 Cycle Machine::now() const {
@@ -44,10 +43,7 @@ Cycle Machine::run(Cycle max_cycles) {
   // key equal to its clock.
   leaves_ = 1;
   while (leaves_ < cores()) leaves_ *= 2;
-  key_.assign(leaves_, kIdle);
-  win_.assign(2 * leaves_, 0);
-  for (unsigned i = 0; i < leaves_; ++i)
-    win_[leaves_ + i] = static_cast<CoreId>(i);
+  node_.assign(2 * leaves_, Node{kIdle, 0});
   // In leaf order, so each node is last replayed after both its subtrees.
   for (unsigned i = 0; i < leaves_; ++i) {
     const bool runnable =
@@ -56,36 +52,36 @@ Cycle Machine::run(Cycle max_cycles) {
   }
   horizon_ = max_cycles;
   for (;;) {
-    const CoreId id = win_[1];
+    const CoreId id = node_[1].id;
     // Past the horizon, or every task done (kIdle).
-    if (key_[id] >= max_cycles) break;
+    if (node_[1].key >= max_cycles) break;
     ++events_;
     Core& c = cores_[id];
     c.park_period = 0;  // a parked core pops at its wake slot: the park ends
     stepping_ = id;
     // One event is the popped core's next step plus every local step that
-    // follows it (DESIGN.md §13). A local step touches only this core's
-    // private state, so no other core can observe when it executes: the
-    // core runs ahead with the distance to the horizon as its budget.
-    // Synchronizing steps get budget 1 (boundary instructions run alone at
-    // any budget), and the event ends at the core's next synchronizing
-    // step, which the queue then orders against every other core's events
-    // exactly as single-stepping would. The answer that ended the previous
-    // event was remembered, so every step is classified once.
-    bool local = fusion_ && !c.sync_next && c.task->next_step_local(*this, id);
-    c.sync_next = false;
+    // follows it (DESIGN.md §13). The first step runs at the core's
+    // (clock, id) turn, and only its first instruction may synchronize:
+    // the rest of it, and every local step after it, touch only this
+    // core's private state, so no other core can observe when they
+    // execute and the distance to the horizon is their budget. The event
+    // ends before the core's next synchronizing step, which the queue then
+    // orders against every other core's events exactly as single-stepping
+    // would. Each step is classified at most once, after the step before
+    // it ran.
     bool done = false;
-    do {
-      in_run_ahead_ = local;
-      fuse_budget_ = local ? max_cycles - c.clock : 1;
+    fuse_budget_ = fusion_ ? max_cycles - c.clock : 1;
+    for (;;) {
       const Cycle used = c.task->step(*this, id);
+      ++steps_;
       c.clock += used < 1 ? 1 : used;
       done = c.task->done();
-      // These ends leave sync_next clear: the next pop classifies.
-      if (!fusion_ || done || park_until_ != 0 || c.clock >= max_cycles) break;
-      local = c.task->next_step_local(*this, id);
-      c.sync_next = !local;
-    } while (local);
+      if (!fusion_ || done || park_until_ != 0 || c.clock >= max_cycles ||
+          !c.task->next_step_local(*this, id))
+        break;
+      in_run_ahead_ = true;
+      fuse_budget_ = max_cycles - c.clock;
+    }
     in_run_ahead_ = false;
     fuse_budget_ = 1;
     stepping_ = kNoCore;
@@ -147,11 +143,20 @@ void Machine::wake(CoreId core) {
 }
 
 void Machine::rekey(CoreId core, Cycle key) {
-  key_[core] = key;
-  // Left subtrees hold the lower ids, so a tie keeps the left child.
-  for (unsigned j = (leaves_ + core) / 2; j >= 1; j /= 2) {
-    const CoreId a = win_[2 * j], b = win_[2 * j + 1];
-    win_[j] = key_[b] < key_[a] ? b : a;
+  // Carry the winner up the leaf-to-root path: each level loads only the
+  // sibling, whose address is known in advance, and selects with a mask.
+  // Left subtrees hold the lower ids, so a tie goes to the left node.
+  Node w{key, core};
+  unsigned j = leaves_ + core;
+  node_[j] = w;
+  for (; j > 1; j /= 2) {
+    const Node s = node_[j ^ 1];
+    const bool right = (j & 1) != 0;  // s is the left sibling
+    const bool s_wins = (s.key < w.key) | (right & (s.key == w.key));
+    const std::uint64_t take = 0 - static_cast<std::uint64_t>(s_wins);
+    w.key ^= (w.key ^ s.key) & take;
+    w.id ^= (w.id ^ s.id) & static_cast<CoreId>(take);
+    node_[j / 2] = w;
   }
 }
 
@@ -177,6 +182,7 @@ Cycle Machine::run_perturbed(Cycle max_cycles) {
     Core& c = cores_[id];
     ST_CHECK_MSG(c.task && !c.task->done(), "perturb picked a finished core");
     ++events_;
+    ++steps_;
     c.clock += perturb_->delay(id, c.clock);
     const Cycle used = c.task->step(*this, id);
     c.clock += used < 1 ? 1 : used;

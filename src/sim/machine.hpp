@@ -8,11 +8,12 @@
 // With step fusion on, one scheduler event is the popped core's next step
 // plus every local step (touching only its own private state) that follows
 // it: the core runs ahead to its next synchronizing step, then is requeued
-// at its new clock. A core polling a lock may instead park through its
-// identical polls and be woken exactly when a poll could first see
-// something different. Synchronizing steps still execute in exactly the
-// smallest-(clock, id) order, so every simulated result is bit-identical to
-// single-stepping; see DESIGN.md §13 for the argument.
+// at its new clock. Only the first instruction of a step may synchronize.
+// A core polling a lock may instead park through its identical polls and
+// be woken exactly when a poll could first see something different.
+// Synchronizing instructions still execute in exactly the smallest-(clock,
+// id) order, so every simulated result is bit-identical to single-stepping;
+// see DESIGN.md §13 for the argument.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +53,10 @@ class SchedPerturb {
 
 /// A resumable unit of work bound to one core. step() performs a bounded
 /// amount of work and returns the number of cycles it consumed (>= 1).
-/// A step may retire more than one instruction (a fused run), but it must
-/// consume no more than Machine::fuse_budget() cycles beyond its first
-/// instruction's start. The budget exceeds 1 only for local steps (see
-/// next_step_local), whose work no other core can observe.
+/// A step may retire more than one instruction (a fused run), but only its
+/// first instruction may touch state another core can observe (run() runs
+/// the step at that instruction's (clock, id) turn), and every later one
+/// must start within Machine::fuse_budget() cycles of the step's start.
 class CoreTask {
  public:
   virtual ~CoreTask() = default;
@@ -66,13 +67,11 @@ class CoreTask {
   /// this core's private state — no shared memory system, directory,
   /// advisory locks, tracing, RNG, or any other cross-core channel — and
   /// to consume at most fuse_budget() cycles. With step fusion on, run()
-  /// asks once per step and steps such a core repeatedly (run-ahead) until
-  /// its next step is a synchronizing one; synchronizing steps execute one
-  /// at a time in (clock, id) order. A "synchronizing" answer is remembered
-  /// until that step runs, so other cores' steps must not turn it into
-  /// "local"; a stale answer would still be exact, only slower. The default
-  /// (false) classifies every step as synchronizing, which is always safe:
-  /// the task then single-steps.
+  /// asks once after each step of an event (never at the pop) and steps
+  /// such a core on (run-ahead) until its next step is a synchronizing
+  /// one, which starts the core's next event in (clock, id) order. The
+  /// default (false) classifies every step as synchronizing, which is
+  /// always safe: each event is then one step.
   virtual bool next_step_local(const Machine& m, CoreId core) const {
     (void)m;
     (void)core;
@@ -101,6 +100,10 @@ class Machine {
   /// it depends on step fusion, never on a simulated result.
   std::uint64_t events() const { return events_; }
 
+  /// CoreTask::step calls since construction (>= events()): an event's
+  /// first step plus its local tail. Host-side like events().
+  std::uint64_t steps() const { return steps_; }
+
   /// True when every installed task reports done() (a bounded run() that
   /// stopped at max_cycles leaves this false).
   bool all_done() const {
@@ -114,12 +117,14 @@ class Machine {
   Cycle now() const;
 
   /// Valid during a CoreTask::step() call: the number of cycles the stepping
-  /// core may consume in this step. Always >= 1. During run-ahead it is
-  /// the distance to max_cycles (a local step is unobservable by other
-  /// cores, so only the run's horizon bounds it); every other step gets 1.
+  /// core may consume in this step. Always >= 1. With fusion on it is the
+  /// distance to max_cycles: everything after a step's first instruction
+  /// is unobservable by other cores, so only the run's horizon bounds it.
+  /// With fusion off, or under a perturbation hook, it is 1.
   Cycle fuse_budget() const { return fuse_budget_; }
 
-  /// True while run() is stepping a core through local steps (run-ahead).
+  /// True while run() is stepping a core through the local steps after an
+  /// event's first step (run-ahead).
   bool in_run_ahead() const { return in_run_ahead_; }
 
   /// Parks the stepping core `core` through `polls` identical polls, the
@@ -165,19 +170,19 @@ class Machine {
     std::unique_ptr<CoreTask> task;
     Cycle park_first = 0;   // first skipped poll slot
     Cycle park_period = 0;  // 0: not parked
-    // The last event ended because next_step_local said "synchronizing":
-    // the next pop runs that step with budget 1 without asking again.
-    bool sync_next = false;
   };
   std::vector<Core> cores_;
   // run()'s queue: a tournament tree with one (clock, id) key per core.
-  // Leaf i holds core i's key (kIdle once its task is done, and on the
-  // padding leaves); node j < leaves_ holds the core with the smaller key
-  // of its two children, ties to the lower id, so node 1 names the next
-  // core to step. rekey() replays one leaf-to-root path.
+  // Leaf i (node leaves_ + i) holds core i's key (kIdle once its task is
+  // done, and on the padding leaves); node j < leaves_ holds the smaller
+  // (key, id) of its two children, so node 1 names the next core to step.
+  // rekey() replays one leaf-to-root path.
   static constexpr Cycle kIdle = ~Cycle{0};
-  std::vector<Cycle> key_;   // per leaf
-  std::vector<CoreId> win_;  // per node; leaf i is node leaves_ + i
+  struct Node {
+    Cycle key;
+    CoreId id;
+  };
+  std::vector<Node> node_;
   unsigned leaves_ = 1;
   void rekey(CoreId core, Cycle key);
   CoreId stepping_ = kNoCore;  // the core run() is stepping, if any
@@ -187,6 +192,7 @@ class Machine {
   Cycle park_until_ = 0;
   Cycle fuse_budget_ = 1;
   std::uint64_t events_ = 0;
+  std::uint64_t steps_ = 0;
   bool fusion_ = true;
   bool in_run_ahead_ = false;
   obs::Observer* obs_ = nullptr;

@@ -20,6 +20,8 @@ PrivacyMap::PrivacyMap(const Heap& heap)
       stride_(heap.arena_stride()),
       arena_bytes_(heap.arena_bytes()),
       worker_arenas_(heap.arena_count() - 1),
+      workers_end_(worker_arenas_ * stride_),
+      stride_recip_(~Addr{0} / stride_),
       total_lines_(heap.total_bytes() >> kLineShift) {
   // Line-granular tracking needs line-granular geometry. kBase and the
   // stagger are line multiples by construction; arena_bytes must be too.

@@ -74,9 +74,17 @@ class PrivacyMap {
   int private_owner(Addr a) const {
     if (a < base_) return -1;
     const Addr rel = a - base_;
-    const std::size_t arena = static_cast<std::size_t>(rel / stride_);
-    if (arena >= worker_arenas_) return -1;           // setup arena / beyond
-    if (rel % stride_ >= arena_bytes_) return -1;     // stagger gap
+    if (rel >= workers_end_) return -1;  // setup arena / beyond
+    // rel / stride_ without a divide: the multiply-high estimate is never
+    // high and, for rel < 2^64, at most two low.
+    Addr arena = static_cast<Addr>(
+        (static_cast<unsigned __int128>(rel) * stride_recip_) >> 64);
+    Addr off = rel - arena * stride_;
+    while (off >= stride_) {
+      ++arena;
+      off -= stride_;
+    }
+    if (off >= arena_bytes_) return -1;  // stagger gap
     if (meta_[rel >> kLineShift] & kEscaped) return -1;
     return static_cast<int>(arena);
   }
@@ -136,6 +144,8 @@ class PrivacyMap {
   std::size_t stride_ = 0;       // arena_bytes + stagger, in bytes
   std::size_t arena_bytes_ = 0;
   std::size_t worker_arenas_ = 0;  // arena_count - 1 (last arena is setup)
+  Addr workers_end_ = 0;           // worker_arenas_ * stride_
+  Addr stride_recip_ = 0;          // floor((2^64 - 1) / stride_)
   std::size_t total_lines_ = 0;
   std::uint16_t* meta_ = nullptr;  // calloc'd: lazily-faulted zero pages
   std::uint64_t escaped_lines_ = 0;

@@ -263,6 +263,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
                   std::chrono::steady_clock::now() - wall_start)
                   .count();
   r.sched_events = sys.machine().events();
+  r.sched_steps = sys.machine().steps();
   r.privacy = sys.privacy().snapshot(sys.mem().private_classification());
   return r;
 }

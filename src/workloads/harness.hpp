@@ -97,6 +97,8 @@ struct RunResult {
   /// Scheduler events the run took (sim::Machine::events). Host-side like
   /// wall_ms: it counts how the run was stepped, not what it simulated.
   std::uint64_t sched_events = 0;
+  /// CoreTask::step calls the run took (sim::Machine::steps), host-side.
+  std::uint64_t sched_steps = 0;
   /// Privacy-map snapshot at end of run (escaped lines, publish checks,
   /// per-arena escapes). The map itself is knob-independent; only
   /// `enabled` records whether classification was on.

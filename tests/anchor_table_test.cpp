@@ -174,7 +174,9 @@ TEST(UnifiedTable, EveryNonAnchorResolvesToAnAnchorAlp) {
   c->prog = compile(c->m, InstrumentMode::kAnchors);
   for (const auto& e : c->prog.tables[0]->entries()) {
     EXPECT_NE(e.pioneer_alp, 0u);
-    if (!e.is_anchor) EXPECT_EQ(e.alp_id, 0u);
+    if (!e.is_anchor) {
+      EXPECT_EQ(e.alp_id, 0u);
+    }
   }
 }
 

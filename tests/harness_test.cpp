@@ -49,6 +49,9 @@ TEST(Harness, ReportsSchedulerEvents) {
   EXPECT_GT(fused.sched_events, 0u);
   EXPECT_GT(single.sched_events, 2 * fused.sched_events)
       << fused.sched_events << " vs " << single.sched_events;
+  // An event is one or more step calls; single-stepped, exactly one.
+  EXPECT_GE(fused.sched_steps, fused.sched_events);
+  EXPECT_EQ(single.sched_steps, single.sched_events);
 }
 
 TEST(Harness, InstrumentOverrideAllIncreasesAlpsExecuted) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "sim/machine.hpp"
 
 namespace st::sim {
@@ -263,6 +265,69 @@ TEST(Machine, NoParkingWithFusionOffOrPerturbation) {
   EXPECT_EQ(p->parks, 0u);
   EXPECT_EQ(p->steps, 30u);
   EXPECT_EQ(p->gave_up_at, 290u);
+}
+
+// ---- queue order ------------------------------------------------------------
+
+/// At every step, checks that the stepping core holds the smallest
+/// (clock, id) over all runnable cores by a linear scan, then makes a random
+/// move: a step of random cost, sometimes a park through random polls, and
+/// sometimes a wake of another core, which re-keys a core that is not
+/// stepping. Small costs make clock ties common.
+struct ArgminTask final : CoreTask {
+  ArgminTask(std::mt19937_64* rng, const std::vector<ArgminTask*>* all,
+             unsigned steps)
+      : rng_(rng), all_(all), remaining_(steps) {}
+
+  Cycle step(Machine& m, CoreId core) override {
+    CoreId best = core;
+    for (CoreId j = 0; j < all_->size(); ++j) {
+      if ((*all_)[j]->done()) continue;
+      const Cycle cj = m.core_clock(j), cb = m.core_clock(best);
+      if (cj < cb || (cj == cb && j < best)) best = j;
+    }
+    if (best != core) ++wrong_picks;
+    --remaining_;
+    const Cycle cost = 1 + (*rng_)() % 4;
+    const unsigned move = static_cast<unsigned>((*rng_)() % 8);
+    if (move == 0 && remaining_ > 0)  // a finished task has no polls
+      parks += m.park(core, m.core_clock(core) + cost, 1 + (*rng_)() % 5,
+                      1 + (*rng_)() % 6);
+    else if (move == 1)
+      m.wake(static_cast<CoreId>((*rng_)() % all_->size()));
+    return cost;
+  }
+  bool done() const override { return remaining_ == 0; }
+
+  std::mt19937_64* rng_;
+  const std::vector<ArgminTask*>* all_;
+  unsigned remaining_;
+  unsigned wrong_picks = 0;
+  unsigned parks = 0;
+};
+
+TEST(Machine, QueuePicksTheLinearArgmin) {
+  for (unsigned cores : {3u, 5u, 16u, 64u}) {
+    std::mt19937_64 rng(cores);
+    Machine m(cores);
+    std::vector<ArgminTask*> all;
+    for (CoreId c = 0; c < cores; ++c) {
+      auto t = std::make_unique<ArgminTask>(&rng, &all, 50 + rng() % 100);
+      all.push_back(t.get());
+      m.set_task(c, std::move(t));
+    }
+    m.run(200);  // a horizon mid-run, then the rest
+    m.run();
+    unsigned parks = 0;
+    for (const ArgminTask* t : all) {
+      EXPECT_TRUE(t->done());
+      EXPECT_EQ(t->wrong_picks, 0u) << cores << " cores";
+      parks += t->parks;
+    }
+    EXPECT_GT(parks, 0u) << cores << " cores";
+    // Every step was its own event: no task reports a local step.
+    EXPECT_EQ(m.steps(), m.events());
+  }
 }
 
 TEST(Machine, CoreCountValidated) {

@@ -2,11 +2,12 @@
 // machine's run-ahead through local steps.
 //
 // The load-bearing invariant: a fused execution is bit-identical to a
-// single-stepped one, because cores interact only at synchronizing steps
-// and the scheduler grants a budget above 1 only to local steps, which no
-// other core can observe. Verified three ways: unit tests of the fused
-// interpreter step, unit tests of the scheduler's run-ahead, and
-// differential full-system runs of real workloads with fusion on vs off.
+// single-stepped one, because cores interact only at a step's first
+// instruction, which the scheduler runs at its (clock, id) turn, and no
+// other core can observe the rest of the step or the local steps after it.
+// Verified three ways: unit tests of the fused interpreter step, unit tests
+// of the scheduler's run-ahead, and differential full-system runs of real
+// workloads with fusion on vs off.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -34,10 +35,12 @@ struct CountingEnv final : interp::ExecEnv {
   std::unordered_map<sim::Addr, std::uint64_t> mem;
   unsigned loads = 0;
   unsigned stores = 0;
+  unsigned alp_spins = 0;    // ALPoint polls to fail before acquiring
+  bool abort_loads = false;  // loads abort the transaction
 
   Mem load(sim::Addr a, unsigned, std::uint32_t) override {
     ++loads;
-    return {mem[a & ~7ull], 2, true};
+    return {mem[a & ~7ull], 2, !abort_loads};
   }
   Mem store(sim::Addr a, std::uint64_t v, unsigned, std::uint32_t) override {
     ++stores;
@@ -54,6 +57,10 @@ struct CountingEnv final : interp::ExecEnv {
   }
   void free_(sim::Addr) override {}
   AlpResult alpoint(std::uint32_t, sim::Addr, std::uint32_t) override {
+    if (alp_spins > 0) {
+      --alp_spins;
+      return {4, true, true};
+    }
     return {1, false, true};
   }
 };
@@ -145,18 +152,130 @@ TEST(Macrostep, FusedRunStopsBeforeBoundary) {
   auto s = it.step(1u << 20);
   EXPECT_FALSE(s.finished);
   EXPECT_EQ(env.stores, 0u);
-  // Step 2: the boundary executes alone.
+  // Step 2: the store, then the pure suffix after it, which stops before
+  // the Ret boundary.
   s = it.step(1u << 20);
   EXPECT_FALSE(s.finished);
   EXPECT_EQ(env.stores, 1u);
   EXPECT_EQ(env.mem[0x2000], 0x2001u);
-  // Step 3: pure suffix + Ret... Ret is itself a boundary, so the pure run
-  // stops before it; step 4 finishes.
-  s = it.step(1u << 20);
-  EXPECT_FALSE(s.finished);
+  EXPECT_FALSE(it.next_is_pure());
+  // Step 3: the final Ret.
   s = it.step(1u << 20);
   EXPECT_TRUE(s.finished);
   EXPECT_EQ(it.result(), 2 * 0x2001u);
+}
+
+// A boundary starts a step and the pure run after it joins the step: each
+// kind below is followed by pure work and then the final Ret, so a large
+// budget retires everything but the Ret in one step (two for a call: the
+// Call step stops before the callee's Ret, whose step stops before the
+// caller's), with the single-stepped cycle total.
+TEST(Macrostep, BoundaryCarriesThePureRunAfterIt) {
+  enum Kind { kLoad, kStore, kCall, kAlpoint };
+  for (const Kind kind : {kLoad, kStore, kCall, kAlpoint}) {
+    ir::Module m;
+    ir::Function* callee = nullptr;
+    if (kind == kCall) {
+      ir::FunctionBuilder cb(m, "callee", {nullptr});
+      cb.ret(cb.mul(cb.add(cb.param(0), cb.const_i(3)), cb.param(0)));
+      callee = cb.function();
+    }
+    ir::FunctionBuilder b(m, "f", {nullptr});
+    ir::Reg v = b.param(0);
+    if (kind == kLoad) v = b.load(b.param(0), 8);
+    if (kind == kStore) b.store(b.param(0), b.param(0), 8);
+    if (kind == kCall) v = b.call(callee, {b.param(0)});
+    if (kind == kAlpoint) {
+      ir::Instr alp;
+      alp.op = ir::Op::AlPoint;
+      alp.alp_id = 1;
+      alp.a = b.param(0);
+      b.insert_block()->instrs().push_back(alp);
+    }
+    b.ret(b.xor_(b.add(v, b.const_i(5)), b.const_i(9)));
+    m.finalize();
+
+    CountingEnv env;
+    env.mem[0x3000] = 11;
+    interp::Interp ref(env);
+    ref.start(b.function(), std::vector<std::uint64_t>{0x3000});
+    sim::Cycle ref_cycles = 0;
+    for (bool fin = false; !fin;) {
+      const auto s = ref.step(1);
+      ref_cycles += s.cycles;
+      fin = s.finished;
+    }
+
+    interp::Interp it(env);
+    it.start(b.function(), std::vector<std::uint64_t>{0x3000});
+    sim::Cycle cycles = 0;
+    const unsigned carrying_steps = kind == kCall ? 2 : 1;
+    for (unsigned i = 0; i < carrying_steps; ++i) {
+      const auto s = it.step(1u << 20);
+      EXPECT_FALSE(s.finished) << kind;
+      cycles += s.cycles;
+    }
+    // Only the final Ret is left, and it ends the block.
+    EXPECT_EQ(it.instrs_executed() + 1, ref.instrs_executed()) << kind;
+    const auto s = it.step(1u << 20);
+    EXPECT_TRUE(s.finished) << kind;
+    EXPECT_EQ(it.instrs_executed(), ref.instrs_executed()) << kind;
+    EXPECT_EQ(cycles + s.cycles, ref_cycles) << kind;
+    EXPECT_EQ(it.result(), ref.result()) << kind;
+  }
+}
+
+// An ALPoint spin, an aborted access, a boundary that uses up the budget,
+// and budget 1 each end the step at the boundary: the pure run after it
+// does not start.
+TEST(Macrostep, StepsThatEndAtTheirBoundary) {
+  ir::Module m;
+  ir::FunctionBuilder b(m, "f", {nullptr});
+  ir::Instr alp;
+  alp.op = ir::Op::AlPoint;
+  alp.alp_id = 1;
+  alp.a = b.param(0);
+  b.insert_block()->instrs().push_back(alp);
+  const ir::Reg v = b.load(b.param(0), 8);
+  b.ret(b.add(v, b.const_i(1)));
+  m.finalize();
+
+  CountingEnv env;
+  env.alp_spins = 1;
+  interp::Interp it(env);
+  it.start(b.function(), std::vector<std::uint64_t>{0x3000});
+  // The spin leaves ip on the ALPoint and retires nothing.
+  auto s = it.step(1u << 20);
+  EXPECT_EQ(s.cycles, 4u);
+  EXPECT_EQ(it.instrs_executed(), 0u);
+  EXPECT_EQ(it.next_access().kind, interp::Interp::NextAccess::Kind::kOther);
+  // The acquiring ALPoint stops before the Load, a boundary; the Load's
+  // own latency (2) meets budget 2, so its step ends after it.
+  s = it.step(1u << 20);
+  EXPECT_EQ(it.instrs_executed(), 1u);
+  s = it.step(2);
+  EXPECT_EQ(s.cycles, 2u);
+  EXPECT_EQ(it.instrs_executed(), 2u);
+  EXPECT_TRUE(it.next_is_pure());
+
+  // An aborted load retires nothing and ends the step.
+  env.abort_loads = true;
+  it.start(b.function(), std::vector<std::uint64_t>{0x3000});
+  it.step(1u << 20);  // the ALPoint (no spins left)
+  EXPECT_EQ(it.instrs_executed(), 1u);
+  s = it.step(1u << 20);
+  EXPECT_TRUE(s.aborted);
+  EXPECT_EQ(it.instrs_executed(), 1u);
+
+  // Budget 1: the load alone, then one pure instruction per step.
+  env.abort_loads = false;
+  it.start(b.function(), std::vector<std::uint64_t>{0x3000});
+  it.step(1);
+  s = it.step(1);
+  EXPECT_EQ(s.cycles, 2u);
+  EXPECT_EQ(it.instrs_executed(), 2u);
+  it.step(1);
+  EXPECT_EQ(it.instrs_executed(), 3u);
 }
 
 TEST(Macrostep, BudgetCapsFusedCycleCost) {
@@ -170,8 +289,8 @@ TEST(Macrostep, BudgetCapsFusedCycleCost) {
   for (;;) {
     const auto s = it.step(7);
     EXPECT_GE(s.cycles, 1u);
-    if (!s.finished) EXPECT_LE(s.cycles, 7u);
     if (s.finished) break;
+    EXPECT_LE(s.cycles, 7u);
   }
   EXPECT_EQ(it.result(), 499500u);
 }
@@ -310,9 +429,10 @@ TEST(Macrostep, RunAheadPassesEarlierCompetitor) {
   const PatternTask::Log want = {{0, 0}, {1, 0}, {1, 5}, {0, 3},
                                  {0, 6}, {0, 9}, {1, 10}, {1, 15}};
   EXPECT_EQ(log, want);
-  // Local steps get the distance to max_cycles; synchronizing steps get 1.
-  EXPECT_EQ(b0, (std::vector<sim::Cycle>{1, 1, 1, 1}));
-  EXPECT_EQ(b1, (std::vector<sim::Cycle>{1000, 995, 1, 1}));
+  // Every step gets the distance to max_cycles: after a step's first
+  // instruction, nothing in it is observable by other cores.
+  EXPECT_EQ(b0, (std::vector<sim::Cycle>{1000, 997, 994, 991}));
+  EXPECT_EQ(b1, (std::vector<sim::Cycle>{1000, 995, 990, 985}));
 }
 
 TEST(Macrostep, FusionDisabledPinsBudgetToOne) {
@@ -351,8 +471,9 @@ TEST(Macrostep, SyncStepCarriesItsLocalTail) {
   const PatternTask::Log want = {{0, 0}, {1, 0}, {1, 5}, {0, 3},
                                  {0, 6}, {0, 9}, {1, 10}, {1, 15}};
   EXPECT_EQ(log, want);
-  EXPECT_EQ(b1, (std::vector<sim::Cycle>{1, 995, 1, 985}));
+  EXPECT_EQ(b1, (std::vector<sim::Cycle>{1000, 995, 990, 985}));
   EXPECT_EQ(m.events(), 6u);  // core 0's four steps, core 1's two pairs
+  EXPECT_EQ(m.steps(), 8u);
 }
 
 TEST(Macrostep, ClassifiesEachStepOnce) {
@@ -374,13 +495,15 @@ TEST(Macrostep, ClassifiesEachStepOnce) {
     std::size_t steps = 0;
     for (sim::CoreId c = 0; c < 3; ++c) {
       ASSERT_TRUE(tasks[c]->done());
-      // The answer that ends an event is remembered for the next pop, and
-      // one that the horizon cut off is asked again only at the pop.
-      EXPECT_EQ(tasks[c]->classified, fusion ? patterns[c].size() : 0u)
+      // A pop never classifies: every step but the first is asked about
+      // once, after the step before it ran, except the one after the step
+      // that reached the horizon.
+      EXPECT_EQ(tasks[c]->classified, fusion ? patterns[c].size() - 2 : 0u)
           << "core " << c;
       steps += patterns[c].size();
     }
     EXPECT_EQ(m.events() < steps, fusion);
+    EXPECT_EQ(m.steps(), steps);
   }
 }
 
@@ -393,12 +516,13 @@ TEST(Macrostep, ParkingPollEndsItsEvent) {
   m.set_task(0, std::move(task));
   m.run(1000);
   // The poll at t=0 parks through the slots at 10, 20 and 30: the local
-  // step after it runs at the wake slot in an event of its own, and only
-  // that event's pop classifies it.
+  // step after it runs at the wake slot in an event of its own. The park
+  // ends the first event before any classification, a pop never
+  // classifies, and the last step finishes the task.
   EXPECT_EQ(log, (PatternTask::Log{{0, 0}, {0, 40}}));
-  EXPECT_EQ(b, (std::vector<sim::Cycle>{1, 960}));
+  EXPECT_EQ(b, (std::vector<sim::Cycle>{1000, 960}));
   EXPECT_EQ(m.events(), 2u);
-  EXPECT_EQ(t->classified, 2u);
+  EXPECT_EQ(t->classified, 0u);
 }
 
 TEST(Macrostep, HorizonStopEndsItsEvent) {
@@ -414,7 +538,7 @@ TEST(Macrostep, HorizonStopEndsItsEvent) {
   // Resuming pops the core again, and the rest of the tail is one event.
   m.run(1000);
   EXPECT_EQ(log, (PatternTask::Log{{0, 0}, {0, 10}, {0, 20}, {0, 30}}));
-  EXPECT_EQ(b, (std::vector<sim::Cycle>{1, 10, 980, 970}));
+  EXPECT_EQ(b, (std::vector<sim::Cycle>{20, 10, 980, 970}));
   EXPECT_EQ(m.events(), 2u);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,59 @@ TEST(PrivacyMap, SnapshotCounters) {
   ASSERT_EQ(s.arena_escapes.size(), 2u);  // 3 arenas - 1 setup
   EXPECT_EQ(s.arena_escapes[0], 0u);
   EXPECT_EQ(s.arena_escapes[1], 2u);
+}
+
+/// The owner formula private_owner computes without a divide, written with
+/// `/` and `%`, for a map with no escapes.
+int reference_owner(const Heap& h, Addr a) {
+  if (a < Heap::kBase) return -1;
+  const Addr rel = a - Heap::kBase;
+  if (rel / h.arena_stride() >= h.arena_count() - 1) return -1;
+  if (rel % h.arena_stride() >= h.arena_bytes()) return -1;
+  return static_cast<int>(rel / h.arena_stride());
+}
+
+TEST(PrivacyMap, OwnerMatchesTheDivisionFormula) {
+  // Strides with and without a power-of-two value.
+  const Heap probe(2, 1u << 16);
+  const std::size_t stagger = probe.arena_stride() - probe.arena_bytes();
+  const std::size_t sizes[] = {1u << 20, 1u << 16, (1u << 20) - stagger};
+  for (std::size_t bytes : sizes) {
+    for (unsigned arenas : {2u, 5u}) {
+      PrivFixture fx(arenas, bytes);
+      const Heap& h = fx.heap;
+      auto check = [&](Addr a) {
+        ASSERT_EQ(fx.priv.private_owner(a), reference_owner(h, a))
+            << std::hex << "addr 0x" << a << " arena_bytes 0x" << bytes;
+      };
+      // Every line's first and last byte, from the first worker arena's
+      // start through the end of the setup arena: the last worker arena,
+      // every stagger gap and the setup arena included.
+      const Addr end = Heap::kBase + h.total_bytes();
+      const Addr last_worker = Heap::kBase + (arenas - 2) * h.arena_stride();
+      for (Addr a = Heap::kBase; a < end; a += sim::kLineBytes) {
+        // Whole lines of the first and last worker arenas and every gap;
+        // elsewhere one line in 61.
+        const Addr rel = a - Heap::kBase;
+        if (rel >= h.arena_stride() && a < last_worker &&
+            rel % h.arena_stride() < h.arena_bytes() &&
+            (rel / sim::kLineBytes) % 61 != 0)
+          continue;
+        check(a);
+        check(a + sim::kLineBytes - 1);
+      }
+      // Below the heap, past it, and up to 2^64 - 1.
+      for (unsigned k = 0; k < 64; ++k) {
+        check((Addr{1} << k) - 1);
+        check(Addr{1} << k);
+        check(Heap::kBase + (Addr{1} << k));
+      }
+      std::mt19937_64 rng(bytes + arenas);
+      for (int i = 0; i < 10000; ++i) check(rng());
+      check(~Addr{0});
+      check(~Addr{0} - Heap::kBase);
+    }
+  }
 }
 
 // ---- end-to-end differential: the knob never changes simulated results ----

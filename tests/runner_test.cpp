@@ -16,8 +16,9 @@ RunOptions small_options(runtime::Scheme scheme) {
 }
 
 // Every field of RunResult except wall_ms must match bit-for-bit; wall_ms is
-// host time and legitimately differs between runs. sched_events is host-side
-// too, but a deterministic function of the run like the simulated fields.
+// host time and legitimately differs between runs. sched_events and
+// sched_steps are host-side too, but deterministic functions of the run like
+// the simulated fields.
 void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.scheme, b.scheme);
@@ -31,6 +32,7 @@ void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.static_anchors, b.static_anchors);
   EXPECT_EQ(a.atomic_blocks, b.atomic_blocks);
   EXPECT_EQ(a.sched_events, b.sched_events);
+  EXPECT_EQ(a.sched_steps, b.sched_steps);
 }
 
 TEST(ExperimentRunner, ParallelMatchesSerialBitForBit) {

@@ -5,7 +5,7 @@
 namespace st::interp {
 
 using ir::DecodedInstr;
-using ir::DecOp;
+using ir::Op;
 using ir::Reg;
 
 void Interp::start(const ir::Function* f,
@@ -73,106 +73,46 @@ Interp::Step Interp::step(sim::Cycle budget) {
     sim::Cycle cost = kAluCost;
     std::uint32_t next = ip + 1;
     switch (ins.op) {
-      case DecOp::ConstI: W(ins.dst, static_cast<std::uint64_t>(ins.imm)); break;
-      case DecOp::Mov: W(ins.dst, R(ins.a)); break;
-      case DecOp::Add: W(ins.dst, R(ins.a) + R(ins.b)); break;
-      case DecOp::Sub: W(ins.dst, R(ins.a) - R(ins.b)); break;
-      case DecOp::Mul: W(ins.dst, R(ins.a) * R(ins.b)); break;
-      case DecOp::SDiv:
+      case Op::ConstI: W(ins.dst, static_cast<std::uint64_t>(ins.imm)); break;
+      case Op::Mov: W(ins.dst, R(ins.a)); break;
+      case Op::Add: W(ins.dst, R(ins.a) + R(ins.b)); break;
+      case Op::Sub: W(ins.dst, R(ins.a) - R(ins.b)); break;
+      case Op::Mul: W(ins.dst, R(ins.a) * R(ins.b)); break;
+      case Op::SDiv:
         ST_CHECK_MSG(R(ins.b) != 0, "division by zero");
         W(ins.dst, static_cast<std::uint64_t>(S(R(ins.a)) / S(R(ins.b))));
         cost = kDivCost;
         break;
-      case DecOp::SRem:
+      case Op::SRem:
         ST_CHECK_MSG(R(ins.b) != 0, "remainder by zero");
         W(ins.dst, static_cast<std::uint64_t>(S(R(ins.a)) % S(R(ins.b))));
         cost = kDivCost;
         break;
-      case DecOp::And: W(ins.dst, R(ins.a) & R(ins.b)); break;
-      case DecOp::Or: W(ins.dst, R(ins.a) | R(ins.b)); break;
-      case DecOp::Xor: W(ins.dst, R(ins.a) ^ R(ins.b)); break;
-      case DecOp::Shl: W(ins.dst, R(ins.a) << (R(ins.b) & 63)); break;
-      case DecOp::LShr: W(ins.dst, R(ins.a) >> (R(ins.b) & 63)); break;
-      case DecOp::CmpEq: W(ins.dst, R(ins.a) == R(ins.b)); break;
-      case DecOp::CmpNe: W(ins.dst, R(ins.a) != R(ins.b)); break;
-      case DecOp::CmpSLt: W(ins.dst, S(R(ins.a)) < S(R(ins.b))); break;
-      case DecOp::CmpSLe: W(ins.dst, S(R(ins.a)) <= S(R(ins.b))); break;
-      case DecOp::CmpSGt: W(ins.dst, S(R(ins.a)) > S(R(ins.b))); break;
-      case DecOp::CmpSGe: W(ins.dst, S(R(ins.a)) >= S(R(ins.b))); break;
-      case DecOp::CmpULt: W(ins.dst, R(ins.a) < R(ins.b)); break;
-      case DecOp::Gep:
+      case Op::And: W(ins.dst, R(ins.a) & R(ins.b)); break;
+      case Op::Or: W(ins.dst, R(ins.a) | R(ins.b)); break;
+      case Op::Xor: W(ins.dst, R(ins.a) ^ R(ins.b)); break;
+      case Op::Shl: W(ins.dst, R(ins.a) << (R(ins.b) & 63)); break;
+      case Op::LShr: W(ins.dst, R(ins.a) >> (R(ins.b) & 63)); break;
+      case Op::CmpEq: W(ins.dst, R(ins.a) == R(ins.b)); break;
+      case Op::CmpNe: W(ins.dst, R(ins.a) != R(ins.b)); break;
+      case Op::CmpSLt: W(ins.dst, S(R(ins.a)) < S(R(ins.b))); break;
+      case Op::CmpSLe: W(ins.dst, S(R(ins.a)) <= S(R(ins.b))); break;
+      case Op::CmpSGt: W(ins.dst, S(R(ins.a)) > S(R(ins.b))); break;
+      case Op::CmpSGe: W(ins.dst, S(R(ins.a)) >= S(R(ins.b))); break;
+      case Op::CmpULt: W(ins.dst, R(ins.a) < R(ins.b)); break;
+      case Op::Gep:
         W(ins.dst, R(ins.a) + static_cast<std::uint64_t>(ins.imm));
         break;
-      case DecOp::GepIndex:
+      case Op::GepIndex:
         W(ins.dst, R(ins.a) + R(ins.b) * static_cast<std::uint64_t>(ins.imm));
         break;
-      case DecOp::Br: next = ins.t1; break;
-      case DecOp::CondBr: next = R(ins.a) != 0 ? ins.t1 : ins.t2; break;
-      case DecOp::Nop: break;
-
-// Imm superinstruction (see ir/decode.hpp): ConstI b, imm followed by a
-// binary op reading b. The ConstI half always executes; the binary half
-// only if it starts strictly inside the budget — otherwise ip stops on
-// the absorbed binary op (still present at ip + 1) and the next step
-// resumes there, exactly as single-stepping would.
-#define ST_IMM_CASE(NAME, EXPR)                                      \
-  case DecOp::NAME: {                                                \
-    const std::uint64_t iv = static_cast<std::uint64_t>(ins.imm);    \
-    W(ins.b, iv);                                                    \
-    if (out.cycles + kAluCost >= budget) break; /* ConstI half only */ \
-    const std::uint64_t av = R(ins.a);                               \
-    W(ins.dst, (EXPR));                                              \
-    cost = 2 * kAluCost;                                             \
-    next = ip + 2;                                                   \
-    ++retired;                                                       \
-    break;                                                           \
-  }
-      ST_IMM_CASE(AddImm, av + iv)
-      ST_IMM_CASE(SubImm, av - iv)
-      ST_IMM_CASE(MulImm, av * iv)
-      ST_IMM_CASE(AndImm, av & iv)
-      ST_IMM_CASE(OrImm, av | iv)
-      ST_IMM_CASE(XorImm, av ^ iv)
-      ST_IMM_CASE(ShlImm, av << (iv & 63))
-      ST_IMM_CASE(LShrImm, av >> (iv & 63))
-      ST_IMM_CASE(CmpEqImm, static_cast<std::uint64_t>(av == iv))
-      ST_IMM_CASE(CmpNeImm, static_cast<std::uint64_t>(av != iv))
-      ST_IMM_CASE(CmpSLtImm, static_cast<std::uint64_t>(S(av) < S(iv)))
-      ST_IMM_CASE(CmpSLeImm, static_cast<std::uint64_t>(S(av) <= S(iv)))
-      ST_IMM_CASE(CmpSGtImm, static_cast<std::uint64_t>(S(av) > S(iv)))
-      ST_IMM_CASE(CmpSGeImm, static_cast<std::uint64_t>(S(av) >= S(iv)))
-      ST_IMM_CASE(CmpULtImm, static_cast<std::uint64_t>(av < iv))
-#undef ST_IMM_CASE
-
+      case Op::Br: next = ins.t1; break;
+      case Op::CondBr: next = R(ins.a) != 0 ? ins.t1 : ins.t2; break;
+      case Op::Nop: break;
       default:
         // Boundary instruction: ends the fused run; the next step starts
         // with it.
         goto fused_done;
-    }
-    // Fusion epilogue (see ir/decode.hpp): this instruction may have
-    // absorbed a result-copying Mov and/or the branch that follows it.
-    // Each absorbed instruction executes only if it *starts* strictly
-    // inside the budget; otherwise `next` already points at it in the
-    // code array and the following step resumes there, exactly as
-    // single-stepping would. Only fusion flags reach this point —
-    // boundary instructions exited the switch above.
-    if (ins.flags != 0) {
-      if ((ins.flags & DecodedInstr::kFusedMov) != 0 &&
-          out.cycles + cost < budget) {
-        regs[static_cast<Reg>(ins.t2)] = regs[ins.dst];
-        cost += kAluCost;
-        ++retired;
-        next = ip + 3;  // past ConstI + binary op + Mov
-      }
-      if ((ins.flags &
-           (DecodedInstr::kFusedBr | DecodedInstr::kFusedCondBr)) != 0 &&
-          out.cycles + cost < budget) {
-        next = (ins.flags & DecodedInstr::kFusedCondBr)
-                   ? (regs[ins.dst] != 0 ? ins.t1 : ins.t2)
-                   : ins.t1;
-        cost += kAluCost;
-        ++retired;
-      }
     }
     ip = next;
     ++retired;
@@ -203,7 +143,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
   out.cycles = kAluCost;
 
   switch (ins.op) {
-    case DecOp::Load: {
+    case Op::Load: {
       const auto m = env_.load(R(ins.a), ext.acc_size, ext.pc);
       out.cycles = m.latency;
       if (!m.ok) {
@@ -213,7 +153,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       W(ins.dst, m.value);
       break;
     }
-    case DecOp::Store: {
+    case Op::Store: {
       const auto m = env_.store(R(ins.a), R(ins.b), ext.acc_size, ext.pc);
       out.cycles = m.latency;
       if (!m.ok) {
@@ -222,7 +162,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       }
       break;
     }
-    case DecOp::NtLoad: {
+    case Op::NtLoad: {
       const auto m = env_.nt_load(R(ins.a), ext.acc_size);
       out.cycles = m.latency;
       if (!m.ok) {
@@ -232,7 +172,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       W(ins.dst, m.value);
       break;
     }
-    case DecOp::NtStore: {
+    case Op::NtStore: {
       const auto m = env_.nt_store(R(ins.a), R(ins.b), ext.acc_size);
       out.cycles = m.latency;
       if (!m.ok) {
@@ -241,7 +181,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       }
       break;
     }
-    case DecOp::Alloc: {
+    case Op::Alloc: {
       sim::Addr a = 0;
       const auto m = env_.alloc(ext.type, a, ext.pc);
       out.cycles = m.latency;
@@ -252,12 +192,12 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       W(ins.dst, a);
       break;
     }
-    case DecOp::Free:
+    case Op::Free:
       env_.free_(R(ins.a));
       out.cycles = kFreeCost;
       break;
 
-    case DecOp::Call: {
+    case Op::Call: {
       const std::uint32_t nargs = ext.args_end - ext.args_begin;
       ST_CHECK_MSG(nargs <= ext.callee->num_regs(),
                    "call passes more arguments than the callee has registers");
@@ -282,7 +222,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       ++instr_count_;
       return out;
     }
-    case DecOp::Ret: {
+    case Op::Ret: {
       const std::uint64_t v = ins.a == ir::kNoReg ? 0 : R(ins.a);
       const Reg ret_to = fr.ret_to;
       --depth_;  // the popped frame stays pooled for the next call
@@ -298,7 +238,7 @@ Interp::Step Interp::step_boundary(const DecodedInstr& ins) {
       return out;
     }
 
-    case DecOp::AlPoint: {
+    case Op::AlPoint: {
       const auto r = env_.alpoint(ext.alp_id, R(ins.a), ext.pc);
       out.cycles = r.latency;
       if (!r.ok) {

@@ -9,9 +9,7 @@
 // are fused into the same step, whose cycle cost is the sum of the
 // single-step costs, stopping before the next boundary or once the budget
 // is spent. With budget == 1 (the default) every step retires exactly one
-// instruction, as the original single-stepping interpreter did (a branch
-// fused into its predecessor at decode time only executes when it starts
-// inside the budget).
+// instruction, as the original single-stepping interpreter did.
 //
 // All memory effects go through an ExecEnv, which the transaction executor
 // implements in three flavours: speculative (HTM), irrevocable (plain
@@ -131,19 +129,19 @@ class Interp {
       return na;
     }
     switch (ins.op) {
-      case ir::DecOp::Load:
-      case ir::DecOp::Store: {
+      case ir::Op::Load:
+      case ir::Op::Store: {
         const ir::DecodedExt& ext = fr.ext[ins.t1];
-        na.kind = ins.op == ir::DecOp::Load ? NextAccess::Kind::kLoad
-                                            : NextAccess::Kind::kStore;
+        na.kind = ins.op == ir::Op::Load ? NextAccess::Kind::kLoad
+                                         : NextAccess::Kind::kStore;
         na.addr = fr.regs[ins.a];
         na.size = ext.acc_size;
         break;
       }
-      case ir::DecOp::Call:
+      case ir::Op::Call:
         na.kind = NextAccess::Kind::kCall;
         break;
-      case ir::DecOp::Ret:
+      case ir::Op::Ret:
         na.kind = depth_ > 1 ? NextAccess::Kind::kRetInner
                              : NextAccess::Kind::kOther;
         break;

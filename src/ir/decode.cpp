@@ -80,6 +80,8 @@ DecodedCode decode_function(const Function& f) {
   out.block_start.reserve(f.blocks().size());
   std::unordered_map<const BasicBlock*, std::uint32_t> start;
 
+  // First pass: one record per instruction, boundary operands moved to the
+  // side table, pure operands range-checked.
   for (const auto& b : f.blocks()) {
     ST_CHECK_MSG(b->has_terminator(),
                  "decode: block would fall off the end of a basic block");
@@ -88,13 +90,13 @@ DecodedCode decode_function(const Function& f) {
     start.emplace(b.get(), first);
     for (const Instr& ins : b->instrs()) {
       DecodedInstr d;
-      d.op = static_cast<DecOp>(ins.op);
-      if (op_is_boundary(ins.op)) d.flags = DecodedInstr::kBoundary;
+      d.op = ins.op;
+      d.boundary = op_is_boundary(ins.op);
       d.dst = ins.dst;
       d.a = ins.a;
       d.b = ins.b;
       d.imm = ins.imm;
-      if (d.is_boundary()) {
+      if (d.boundary) {
         DecodedExt e;
         e.acc_size = ins.acc_size;
         e.pc = ins.pc;
@@ -130,93 +132,6 @@ DecodedCode decode_function(const Function& f) {
           d.t2 = it2->second;
         }
       }
-    }
-  }
-
-  // Third pass: imm fusion. ConstI b, imm immediately followed by a
-  // cost-1 binary op reading b becomes one superinstruction that writes
-  // both registers (the FunctionBuilder emits this pattern for every
-  // literal operand). The absorbed binary op stays at k + 1, both for
-  // direct jumps to it and for resuming there when the step budget
-  // splits the pair mid-way.
-  for (std::size_t k = 0; k + 1 < out.code.size(); ++k) {
-    DecodedInstr& d = out.code[k];
-    if (d.op != DecOp::ConstI) continue;
-    const DecodedInstr& s = out.code[k + 1];
-    if (s.b != d.dst || s.dst == kNoReg) continue;
-    DecOp fused;
-    switch (s.op) {
-      case DecOp::Add: fused = DecOp::AddImm; break;
-      case DecOp::Sub: fused = DecOp::SubImm; break;
-      case DecOp::Mul: fused = DecOp::MulImm; break;
-      case DecOp::And: fused = DecOp::AndImm; break;
-      case DecOp::Or: fused = DecOp::OrImm; break;
-      case DecOp::Xor: fused = DecOp::XorImm; break;
-      case DecOp::Shl: fused = DecOp::ShlImm; break;
-      case DecOp::LShr: fused = DecOp::LShrImm; break;
-      case DecOp::CmpEq: fused = DecOp::CmpEqImm; break;
-      case DecOp::CmpNe: fused = DecOp::CmpNeImm; break;
-      case DecOp::CmpSLt: fused = DecOp::CmpSLtImm; break;
-      case DecOp::CmpSLe: fused = DecOp::CmpSLeImm; break;
-      case DecOp::CmpSGt: fused = DecOp::CmpSGtImm; break;
-      case DecOp::CmpSGe: fused = DecOp::CmpSGeImm; break;
-      case DecOp::CmpULt: fused = DecOp::CmpULtImm; break;
-      default: continue;  // SDiv/SRem (cost differs), non-binary, boundary
-    }
-    // d keeps its own dst in b (the ConstI target) and takes the binary
-    // op's dst/a; imm is already the literal.
-    d.b = d.dst;
-    d.dst = s.dst;
-    d.a = s.a;
-    d.op = fused;
-    // Also absorb a Mov that copies the result out (FunctionBuilder's
-    // assign() pattern); its destination register rides in t2.
-    if (k + 2 < out.code.size()) {
-      const DecodedInstr& mv = out.code[k + 2];
-      if (mv.op == DecOp::Mov && mv.a == d.dst) {
-        d.flags |= DecodedInstr::kFusedMov;
-        d.t2 = mv.dst;
-      }
-    }
-  }
-
-  // Fourth pass: branch fusion. A pure non-branch instruction whose
-  // block successor is a branch absorbs it: the branch's resolved
-  // targets move into the instruction's free t1/t2 slots and the
-  // interpreter retires both in one dispatch round. Cycle cost and
-  // retired-instruction count are those of the separate pair, so every
-  // counter the simulation reports is unchanged; pure instructions touch
-  // only core-local state, so the coarser event granularity is invisible
-  // to other cores. The absorbed branch is left in place for jumps that
-  // enter the block mid-pair (it is then executed unfused, exactly as
-  // before).
-  for (std::size_t k = 0; k + 1 < out.code.size(); ++k) {
-    DecodedInstr& d = out.code[k];
-    if (d.is_boundary() || d.op == DecOp::Br || d.op == DecOp::CondBr ||
-        d.op == DecOp::Nop) {
-      continue;
-    }
-    // An imm-fused superinstruction's block successor lies past the
-    // instructions it absorbed (binary op, plus a Mov when kFusedMov).
-    std::size_t succ = k + 1;
-    if (d.op > DecOp::Nop) {
-      succ = k + ((d.flags & DecodedInstr::kFusedMov) != 0 ? 3 : 2);
-    }
-    if (succ >= out.code.size()) continue;
-    const DecodedInstr& s = out.code[succ];
-    // A pure non-branch instruction is never a block terminator, so
-    // `succ` is still inside the same block.
-    if (s.op == DecOp::Br) {
-      d.flags |= DecodedInstr::kFusedBr;
-      d.t1 = s.t1;
-    } else if (s.op == DecOp::CondBr && s.a == d.dst &&
-               (d.flags & DecodedInstr::kFusedMov) == 0) {
-      // The branch tests the value this instruction just wrote, so the
-      // fused form can read it back from the register file. kFusedMov
-      // already owns t2, so it only composes with the one-target Br.
-      d.flags |= DecodedInstr::kFusedCondBr;
-      d.t1 = s.t1;
-      d.t2 = s.t2;
     }
   }
   return out;

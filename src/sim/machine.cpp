@@ -87,9 +87,14 @@ Cycle Machine::run(Cycle max_cycles) {
     stepping_ = kNoCore;
     if (park_until_ != 0) {
       // Parked waits (DESIGN.md §13): the step was a poll that ends where
-      // the first skipped poll starts.
+      // the first skipped poll starts. A finished task polls no more, so a
+      // park requested by its last step is dropped: its clock stays at the
+      // step's end and wake() leaves it alone.
       ST_CHECK_MSG(c.clock == c.park_first, "park slot is not the step's end");
-      c.clock = park_until_;
+      if (done)
+        c.park_period = 0;
+      else
+        c.clock = park_until_;
       park_until_ = 0;
     }
     if (!done) {

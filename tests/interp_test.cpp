@@ -4,6 +4,7 @@
 
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
+#include "ir/decode.hpp"
 
 namespace st::interp {
 namespace {
@@ -233,6 +234,64 @@ TEST(Interp, InstrsExecutedCountsRetiredInstructions) {
   while (!it.step().finished) {
   }
   EXPECT_EQ(it.instrs_executed(), 4u);  // 2 consts, add, ret
+}
+
+// Decoding is a layout pass: one record per IR instruction in block order,
+// carrying the IR opcode, with branch targets resolved to block starts.
+// Multi-instruction builder patterns stay one record per instruction, such
+// as the ConstI + Add + Mov + Br of `assign(i, add(i, const_i(1)))` that
+// closes the loop body.
+TEST(Decode, OneRecordPerInstructionInBlockOrder) {
+  ir::Module m;
+  ir::FunctionBuilder callee(m, "inc", {nullptr});
+  callee.ret(callee.add(callee.param(0), callee.const_i(1)));
+  ir::FunctionBuilder b(m, "loop", {nullptr, nullptr});
+  const ir::Reg i = b.var(b.const_i(0));
+  const ir::Reg acc = b.var(b.const_i(0));
+  b.while_([&] { return b.cmp_slt(i, b.param(0)); },
+           [&] {
+             b.assign(acc, b.xor_(acc, b.load(b.param(1), 8)));
+             b.assign(acc, b.call(callee.function(), {acc}));
+             b.assign(i, b.add(i, b.const_i(1)));
+           });
+  b.ret(acc);
+  m.finalize();
+
+  const ir::Function& f = *b.function();
+  const ir::DecodedCode& dc = f.decoded();
+  ASSERT_EQ(dc.code.size(), f.instr_count());
+  ASSERT_EQ(dc.block_start.size(), f.blocks().size());
+  std::unordered_map<const ir::BasicBlock*, std::uint32_t> start;
+  for (std::size_t k = 0; k < f.blocks().size(); ++k)
+    start.emplace(f.blocks()[k].get(), dc.block_start[k]);
+
+  std::size_t idx = 0;
+  unsigned boundaries = 0, branches = 0;
+  for (const auto& blk : f.blocks()) {
+    EXPECT_EQ(start.at(blk.get()), idx);
+    for (const ir::Instr& ins : blk->instrs()) {
+      const ir::DecodedInstr& d = dc.code[idx++];
+      EXPECT_EQ(d.op, ins.op) << "instruction " << idx - 1;
+      EXPECT_EQ(d.is_boundary(), ir::op_is_boundary(d.op));
+      if (d.is_boundary()) {
+        ASSERT_LT(d.t1, dc.ext.size());
+        EXPECT_EQ(dc.ext[d.t1].pc, ins.pc);
+        ++boundaries;
+      }
+      // Each target is the block_start entry of the IR target block.
+      if (d.op == ir::Op::Br || d.op == ir::Op::CondBr) {
+        EXPECT_EQ(d.t1, start.at(ins.t1));
+        if (d.op == ir::Op::CondBr) {
+          EXPECT_EQ(d.t2, start.at(ins.t2));
+        }
+        ++branches;
+      }
+    }
+  }
+  EXPECT_EQ(dc.ext.size(), boundaries);
+  EXPECT_GE(boundaries, 3u);  // load, call, ret
+  EXPECT_GE(branches, 3u);    // loop entry, back edge, exit test
+  EXPECT_EQ(run(b.function(), {5, 0x8000}), 5u);  // memory reads as 0
 }
 
 TEST(InterpDeath, DivisionByZeroDies) {

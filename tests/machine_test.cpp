@@ -290,7 +290,7 @@ struct ArgminTask final : CoreTask {
     --remaining_;
     const Cycle cost = 1 + (*rng_)() % 4;
     const unsigned move = static_cast<unsigned>((*rng_)() % 8);
-    if (move == 0 && remaining_ > 0)  // a finished task has no polls
+    if (move == 0)  // on the last step, too: run() drops that park
       parks += m.park(core, m.core_clock(core) + cost, 1 + (*rng_)() % 5,
                       1 + (*rng_)() % 6);
     else if (move == 1)

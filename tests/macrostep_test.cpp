@@ -295,16 +295,15 @@ TEST(Macrostep, BudgetCapsFusedCycleCost) {
   EXPECT_EQ(it.result(), 499500u);
 }
 
-// Decode-time superinstructions (imm fusion, Mov fusion, branch fusion —
-// see ir/decode.hpp) must be invisible at every budget: any budget value
-// slices the fused runs at different sub-instruction boundaries, and the
-// result, retired-instruction count, and total cycle cost must all match
-// the budget-1 single-stepped reference.
+// Budget slicing must be invisible: any budget cuts the fused pure-register
+// runs at different instructions, and the result, retired-instruction
+// count, and total cycle cost must all match the budget-1 single-stepped
+// reference.
 TEST(Macrostep, BudgetSweepIsInvariant) {
   ir::Module m;
   ir::FunctionBuilder b(m, "mix", {nullptr});
-  // Exercises CmpSLt+CondBr pair fusion plus AddImm/XorImm/AndImm with
-  // and without the trailing-Mov fold.
+  // Loop bodies of cost-1 ALU runs (literal operands, result-copying Movs,
+  // the closing branch) that budgets 2..12 split at every offset.
   const ir::Reg i = b.var(b.const_i(0));
   const ir::Reg acc = b.var(b.const_i(7));
   b.while_([&] { return b.cmp_slt(i, b.param(0)); },

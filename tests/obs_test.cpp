@@ -28,7 +28,7 @@ using testutil::tmp_path;
 
 // ---------------------------------------------------------------- ring ----
 
-TEST(TraceSink, StoresUpToCapacityWithoutDrops) {
+TEST(ObserverRing, StoresUpToCapacityWithoutDrops) {
   Observer o(2, 8);
   for (unsigned i = 0; i < 8; ++i) o.backoff(0, i, 1, i);
   EXPECT_EQ(o.emitted(0), 8u);
@@ -39,7 +39,7 @@ TEST(TraceSink, StoresUpToCapacityWithoutDrops) {
   for (unsigned i = 0; i < 8; ++i) EXPECT_EQ(records[i].event.a64, i);
 }
 
-TEST(TraceSink, WrapKeepsNewestAndCountsDrops) {
+TEST(ObserverRing, WrapKeepsNewestAndCountsDrops) {
   Observer o(1, 4);
   for (unsigned i = 0; i < 11; ++i) o.backoff(0, i, 1, i);
   EXPECT_EQ(o.emitted(0), 11u);
@@ -50,7 +50,7 @@ TEST(TraceSink, WrapKeepsNewestAndCountsDrops) {
   for (unsigned i = 0; i < 4; ++i) EXPECT_EQ(records[i].event.a64, 7 + i);
 }
 
-TEST(TraceSink, MaskFiltersAtEmitTime) {
+TEST(ObserverRing, MaskFiltersAtEmitTime) {
   EventMask mask = 0;
   std::string err;
   ASSERT_TRUE(parse_event_mask("lock", &mask, &err)) << err;

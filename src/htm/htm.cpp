@@ -224,7 +224,20 @@ HtmSystem::MemOp HtmSystem::load(CoreId c, Addr a, unsigned size,
     r.ok = false;
     return r;
   }
-  r.value = read_through_wb(tx, a, size);
+  // Only a line carrying tx_write can have buffered data. Both store paths
+  // mark tx_write before write_to_wb, and a written line leaves the L1 only
+  // through a capacity abort or a conflict stamp, both of which set
+  // pending_abort, which fails every later load but a private hit (and a
+  // stamp leaves private written lines resident).
+  if (out.written) {
+    r.value = read_through_wb(tx, a, size);
+  } else {
+#ifndef NDEBUG
+    ST_CHECK_MSG(tx.wb.find(a >> 3) == tx.wb.end(),
+                 "buffered data on a line without tx_write");
+#endif
+    r.value = heap_.load(a, size);
+  }
   return r;
 }
 

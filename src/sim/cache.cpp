@@ -1,26 +1,49 @@
 #include "sim/cache.hpp"
 
 #include <bit>
+#include <cstdint>
 
 #include "common/check.hpp"
 
 namespace st::sim {
 
-L1Cache::L1Cache(const CacheGeometry& g) : sets_(g.sets()), ways_(g.ways) {
+namespace {
+constexpr std::uint32_t kWordsPerHostLine = 64 / sizeof(std::uint64_t);
+
+std::uint32_t round_up_to_host_line(std::uint32_t words) {
+  return (words + kWordsPerHostLine - 1) / kWordsPerHostLine *
+         kWordsPerHostLine;
+}
+}  // namespace
+
+ZeroedLines::ZeroedLines(std::size_t words)
+    : raw_(std::calloc(words * sizeof(std::uint64_t) + 64, 1)) {
+  ST_CHECK_MSG(raw_ != nullptr, "tag array allocation failed");
+  const auto p = reinterpret_cast<std::uintptr_t>(raw_.get());
+  words_ = reinterpret_cast<std::uint64_t*>((p + 63) & ~std::uintptr_t{63});
+}
+
+L1Cache::L1Cache(const CacheGeometry& g)
+    : sets_(g.sets()),
+      ways_(g.ways),
+      row_words_(round_up_to_host_line(g.ways)),
+      lines_(static_cast<std::size_t>(sets_) * ways_),
+      tags_(static_cast<std::size_t>(sets_) * row_words_),
+      mru_(sets_, 0) {
   ST_CHECK(std::has_single_bit(sets_));
   ST_CHECK(ways_ >= 1);
-  lines_.resize(static_cast<std::size_t>(sets_) * ways_);
-  mru_.resize(sets_, 0);
 }
 
 L1Line* L1Cache::find(Addr line) {
   const std::uint32_t set = set_of(line);
   L1Line* base = lines_.data() + static_cast<std::size_t>(set) * ways_;
-  // Fast path: the way that hit last time in this set.
+  // Fast path: the way that hit last time in this set, checked on the slot
+  // itself (the caller reads that slot next anyway).
   L1Line* m = base + mru_[set];
   if (m->state != Coh::I && m->line == line) return m;
+  const Addr* r = row(set);
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].state != Coh::I && base[w].line == line) {
+    if (r[w] == line) {
       mru_[set] = w;
       return &base[w];
     }
@@ -29,32 +52,36 @@ L1Line* L1Cache::find(Addr line) {
 }
 
 const L1Line* L1Cache::find(Addr line) const {
-  return const_cast<L1Cache*>(this)->find(line);
+  const std::uint32_t set = set_of(line);
+  const Addr* r = row(set);
+  for (std::uint32_t w = 0; w < ways_; ++w)
+    if (r[w] == line)
+      return lines_.data() + static_cast<std::size_t>(set) * ways_ + w;
+  return nullptr;
 }
 
 L1Line* L1Cache::victim(Addr line) {
   const std::uint32_t set = set_of(line);
   L1Line* base = lines_.data() + static_cast<std::size_t>(set) * ways_;
-  L1Line* best = nullptr;
+  // The caller installs into the chosen slot, so it is the set's next hit.
+  const Addr* r = row(set);
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    L1Line& l = base[w];
-    if (l.state == Coh::I) {
-      best = &l;
-      break;
+    if (r[w] == 0) {
+      mru_[set] = w;
+      return &base[w];
     }
-    // Prefer the least-recently-used non-speculative line; fall back to the
-    // LRU speculative line (forcing a capacity abort) only when the whole
-    // set is speculative.
-    if (best == nullptr) {
-      best = &l;
-      continue;
-    }
+  }
+  // Full set: the least-recently-used non-speculative line; the LRU
+  // speculative line (forcing a capacity abort) only when the whole set is
+  // speculative.
+  L1Line* best = base;
+  for (std::uint32_t w = 1; w < ways_; ++w) {
+    const L1Line& l = base[w];
     const bool l_better =
         (l.speculative() < best->speculative()) ||
         (l.speculative() == best->speculative() && l.last_use < best->last_use);
-    if (l_better) best = &l;
+    if (l_better) best = &base[w];
   }
-  // The caller installs into this slot, so it is the set's next hit.
   mru_[set] = static_cast<std::uint32_t>(best - base);
   return best;
 }
@@ -91,51 +118,64 @@ void L1Cache::check_log_invariants() const {
                "speculative line not present in the log");
 }
 
-TagCache::TagCache(const CacheGeometry& g) : sets_(g.sets()), ways_(g.ways) {
+void L1Cache::check_tag_rows() const {
+  for (std::uint32_t set = 0; set < sets_; ++set) {
+    const Addr* r = row(set);
+    const L1Line* base = lines_.data() + static_cast<std::size_t>(set) * ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w)
+      ST_CHECK_MSG(r[w] == (base[w].state != Coh::I ? base[w].line : 0),
+                   "tag row disagrees with its slot");
+    for (std::uint32_t w = ways_; w < row_words_; ++w)
+      ST_CHECK_MSG(r[w] == 0, "tag row padding written");
+  }
+}
+
+TagCache::TagCache(const CacheGeometry& g)
+    : sets_(g.sets()),
+      ways_(g.ways),
+      block_words_(round_up_to_host_line(2 * g.ways)),
+      blocks_(static_cast<std::size_t>(sets_) * block_words_),
+      mru_(sets_, 0) {
   ST_CHECK(std::has_single_bit(sets_));
   ST_CHECK(ways_ >= 1);
-  slots_.reset(static_cast<Slot*>(
-      std::calloc(static_cast<std::size_t>(sets_) * ways_, sizeof(Slot))));
-  ST_CHECK_MSG(slots_ != nullptr, "tag array allocation failed");
-  mru_.resize(sets_, 0);
 }
 
 bool TagCache::access(Addr line) {
-  const std::uint32_t set = set_of(line);
-  Slot* base = slots_.get() + static_cast<std::size_t>(set) * ways_;
+  ST_CHECK(line != 0);
+  std::uint64_t* tags = block(line);
+  std::uint64_t* stamps = tags + ways_;
+  std::uint32_t& mru = mru_[set_of(line)];
   // Fast path: the way that hit last time in this set.
-  Slot* m = base + mru_[set];
-  if (m->valid && m->line == line) {
-    m->last_use = ++tick_;
+  if (tags[mru] == line) {
+    stamps[mru] = ++tick_;
     return true;
   }
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].line == line) {
-      base[w].last_use = ++tick_;
-      mru_[set] = w;
+    if (tags[w] == line) {
+      stamps[w] = ++tick_;
+      mru = w;
       return true;
     }
   }
-  Slot* victim = &base[0];
+  // Miss: the first empty way, else the LRU way.
+  std::uint32_t v = 0;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    Slot& s = base[w];
-    if (!s.valid) {
-      victim = &s;
+    if (tags[w] == 0) {
+      v = w;
       break;
     }
-    if (victim->valid && s.last_use < victim->last_use) victim = &s;
+    if (stamps[w] < stamps[v]) v = w;
   }
-  victim->line = line;
-  victim->valid = true;
-  victim->last_use = ++tick_;
-  mru_[set] = static_cast<std::uint32_t>(victim - base);
+  tags[v] = line;
+  stamps[v] = ++tick_;
+  mru = v;
   return false;
 }
 
 bool TagCache::contains(Addr line) const {
-  const Slot* base = slots_.get() + static_cast<std::size_t>(set_of(line)) * ways_;
+  const std::uint64_t* tags = block(line);
   for (std::uint32_t w = 0; w < ways_; ++w)
-    if (base[w].valid && base[w].line == line) return true;
+    if (tags[w] == line) return true;
   return false;
 }
 

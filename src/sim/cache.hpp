@@ -5,13 +5,19 @@
 // read/write bits, and the per-line conflicting-PC tag of §4 of the paper.
 //
 // Host-side fast paths (none of which change simulated results):
+//  - Every set lookup reads one 64-byte host line. The L1 keeps a packed
+//    tag row per set (one Addr per way: the line when valid, 0 when I)
+//    apart from the 32-byte per-line slots, so a full find() or the
+//    invalid-way scan in victim() never touches a slot. L2/L3 store each
+//    set as one 128-byte block: the tags, then the LRU stamps. A zero tag
+//    is an empty way; heap lines are never 0 (Heap::kBase).
+//  - A per-set MRU way hint lets the common re-access hit on the slot
+//    itself without reading the row.
 //  - A per-core speculative-line log records the slot of every line on its
 //    first speculative touch, so commit/abort bookkeeping walks only the
 //    transaction's footprint instead of sweeping all sets × ways.
-//  - A per-set MRU way hint lets the common re-access hit without scanning
-//    every way.
-//  - L2/L3 tag arrays are calloc'd, so ways no access reaches are never
-//    faulted in.
+//  - Tag rows and L2/L3 blocks are calloc'd, so sets no access reaches are
+//    never faulted in.
 #pragma once
 
 #include <algorithm>
@@ -31,18 +37,35 @@ enum class Coh : std::uint8_t { I, S, E, O, M };
 
 inline bool coh_can_write(Coh c) { return c == Coh::E || c == Coh::M; }
 
-struct L1Line {
+/// 32 bytes, 32-aligned: a slot never straddles two host lines.
+struct alignas(32) L1Line {
   Addr line = 0;  // line-aligned address; valid iff state != I
+  std::uint64_t last_use = 0;      // LRU timestamp
+  std::uint32_t first_pc = 0;      // full first-access PC (ground truth)
+  std::int32_t log_pos = -1;       // position in the speculative-line log
+  std::uint16_t pc_tag = 0;        // truncated first-access PC (hardware view)
   Coh state = Coh::I;
   bool tx_read = false;
   bool tx_write = false;
   bool pc_tag_valid = false;
-  std::uint16_t pc_tag = 0;        // truncated first-access PC (hardware view)
-  std::uint32_t first_pc = 0;      // full first-access PC (ground truth)
-  std::uint64_t last_use = 0;      // LRU timestamp
-  std::int32_t log_pos = -1;       // position in the speculative-line log
 
   bool speculative() const { return tx_read || tx_write; }
+};
+static_assert(sizeof(L1Line) == 32);
+
+/// A zero-filled array of 64-bit words whose first word starts a 64-byte
+/// host line. calloc'd, so pages no access reaches are never faulted in.
+class ZeroedLines {
+ public:
+  explicit ZeroedLines(std::size_t words);
+  std::uint64_t* data() const { return words_; }
+
+ private:
+  struct Free {
+    void operator()(void* p) const { std::free(p); }
+  };
+  std::unique_ptr<void, Free> raw_;
+  std::uint64_t* words_ = nullptr;
 };
 
 struct CacheGeometry {
@@ -56,14 +79,36 @@ class L1Cache {
  public:
   explicit L1Cache(const CacheGeometry& g);
 
-  /// Returns the line's slot if present (state != I).
+  /// Returns the line's slot if present (state != I), and makes its way the
+  /// set's MRU hint.
   L1Line* find(Addr line);
+  /// The same lookup as a pure read: reads the tag row only and leaves the
+  /// MRU hint alone.
   const L1Line* find(Addr line) const;
 
   /// Chooses a victim slot in `line`'s set: an invalid way if any, else the
   /// LRU way, preferring non-speculative lines over speculative ones.
   /// Never returns null.
   L1Line* victim(Addr line);
+
+  /// Fills slot `l` (from victim(line)) with `line` in coherence state
+  /// `state` (not I), resetting every other field. With invalidate(), the
+  /// only way a slot enters or leaves I, so the tag row stays exact.
+  L1Line& install(L1Line& l, Addr line, Coh state) {
+    ST_CHECK(line != 0 && state != Coh::I);
+    l = L1Line{};
+    l.line = line;
+    l.state = state;
+    tag_of(l) = line;
+    return l;
+  }
+
+  /// Drops `l` to I. Its speculative marks and log entry stay: a
+  /// cross-core abort stamp invalidates lines the victim drains later.
+  void invalidate(L1Line& l) {
+    l.state = Coh::I;
+    tag_of(l) = 0;
+  }
 
   /// True if every way of `line`'s set holds a speculative line (insertion
   /// would force a capacity abort).
@@ -110,7 +155,8 @@ class L1Cache {
   /// Invokes `fn(L1Line&)` on every speculative line in slot (set-major)
   /// order — the exact order a full tag-array sweep would visit them — then
   /// clears all speculative state and empties the log. `fn` sees each line
-  /// with its transactional bits still set and must not touch the log.
+  /// with its transactional bits still set, may invalidate() it, and must
+  /// not touch the log.
   template <typename Fn>
   void drain_speculative(Fn&& fn) {
     std::sort(spec_log_.begin(), spec_log_.end());
@@ -141,7 +187,7 @@ class L1Cache {
   }
 
   /// Invokes `fn(L1Line&)` on every speculative line in slot order without
-  /// clearing speculative state or the log. `fn` may change coherence state
+  /// clearing speculative state or the log. `fn` may invalidate() the line
   /// but must not touch the speculative bits or the log.
   template <typename Fn>
   void for_each_speculative_mut(Fn&& fn) {
@@ -159,6 +205,10 @@ class L1Cache {
   /// logged slot is speculative, every speculative slot is logged at its
   /// recorded position, and the log holds no duplicates.
   void check_log_invariants() const;
+
+  /// Aborts the process unless every slot's tag-row entry is
+  /// `state != I ? line : 0` and every padding entry is 0.
+  void check_tag_rows() const;
 
   /// Invoke `fn(L1Line&)` on every valid line.
   template <typename Fn>
@@ -193,6 +243,20 @@ class L1Cache {
   std::uint32_t slot_of(const L1Line& l) const {
     return static_cast<std::uint32_t>(&l - lines_.data());
   }
+  /// The set's tag row: `ways_` entries, padded to whole host lines.
+  Addr* row(std::uint32_t set) {
+    return tags_.data() + static_cast<std::size_t>(set) * row_words_;
+  }
+  const Addr* row(std::uint32_t set) const {
+    return tags_.data() + static_cast<std::size_t>(set) * row_words_;
+  }
+  /// The tag-row entry of `l`, a slot holding `l.line` (valid or not).
+  Addr& tag_of(const L1Line& l) {
+    const std::uint32_t set = set_of(l.line);
+    const std::uint32_t way = slot_of(l) - set * ways_;
+    ST_CHECK_MSG(way < ways_, "slot outside its line's set");
+    return row(set)[way];
+  }
 
   /// Sorts the log into slot order and repairs the lines' log positions.
   void sort_log() {
@@ -203,7 +267,9 @@ class L1Cache {
 
   std::uint32_t sets_;
   std::uint32_t ways_;
+  std::uint32_t row_words_;         // ways_ rounded up to a host line
   std::vector<L1Line> lines_;       // sets_ * ways_, set-major
+  ZeroedLines tags_;                // sets_ tag rows
   std::vector<std::uint32_t> mru_;  // per-set most-recently-hit way
   std::vector<std::uint32_t> spec_log_;  // slots of speculative lines
   std::size_t spec_log_hwm_ = 0;
@@ -224,24 +290,20 @@ class TagCache {
   bool contains(Addr line) const;
 
  private:
-  struct Slot {
-    Addr line = 0;
-    bool valid = false;
-    std::uint64_t last_use = 0;
-  };
   std::uint32_t set_of(Addr line) const {
     return static_cast<std::uint32_t>(line_index(line)) & (sets_ - 1);
   }
-
-  struct FreeSlots {
-    void operator()(Slot* p) const { std::free(p); }
-  };
+  /// The set's block: `ways_` tags (0 = empty way), then `ways_` LRU stamps.
+  std::uint64_t* block(Addr line) const {
+    return blocks_.data() + static_cast<std::size_t>(set_of(line)) * block_words_;
+  }
 
   std::uint32_t sets_;
   std::uint32_t ways_;
-  // calloc'd: an all-zero Slot is an empty way (the L2s and the L3 are
-  // ~9 MB at 16 cores, most of it untouched by a short simulation).
-  std::unique_ptr<Slot[], FreeSlots> slots_;
+  std::uint32_t block_words_;  // 2 * ways_ rounded up to a host line
+  // The L2s and the L3 are ~6 MB at 16 cores, most of it untouched by a
+  // short simulation; ZeroedLines leaves those pages unfaulted.
+  ZeroedLines blocks_;
   std::vector<std::uint32_t> mru_;  // per-set most-recently-hit way
   std::uint64_t tick_ = 0;
 };

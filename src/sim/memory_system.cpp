@@ -57,7 +57,7 @@ void MemorySystem::invalidate_remote(CoreId remote, Addr line, DirEntry& d) {
     // at its next synchronizing step. Compacting the victim's log here —
     // during the *requester's* step — would make the log's size transients
     // (and hence spec_log_hwm) depend on how far the victim ran ahead.
-    rl->state = Coh::I;
+    l1_[remote]->invalidate(*rl);
     if (watch_[remote] == line) wake(remote);
   }
   d.sharers.clear(remote);
@@ -95,6 +95,8 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
   const Addr line = line_addr(addr);
   ST_CHECK_MSG(line_addr(addr + size - 1) == line,
                "access crosses a cache line");
+  // Line 0 marks an empty way in the tag rows; no heap line is 0.
+  ST_CHECK_MSG(line != 0, "access to the null line");
 
   // Privacy classification. `is_private` is knob-independent (it feeds the
   // priv_hits/priv_misses counters); `priv_fast` additionally requires the
@@ -204,9 +206,11 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
       }
     }
 
-    // Install or upgrade the local copy.
+    // Install or upgrade the local copy. The victim is evicted (and its
+    // directory entry dropped) before the new line's directory update.
+    L1Line* v = nullptr;
     if (l == nullptr) {
-      L1Line* v = l1.victim(line);
+      v = l1.victim(line);
       // A stamped core holds invalid-but-marked slots until it aborts, but
       // it can only retire private *hits* until then, so an install never
       // reuses one (reuse would orphan the slot's log entry).
@@ -223,31 +227,33 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
               priv_->private_to(c, v->line)))
           dir_drop(c, v->line);
       }
-      *v = L1Line{};
-      v->line = line;
-      l = v;
     }
+    Coh state;
     if (priv_fast) {
       // Directory-invisible install: a private line's conservative entry
       // would be {sharers={c}, owner=c} — recomputable from the L1 alone,
       // and materialized by on_line_escape if the line ever escapes.
-      l->state = (kind == AccessKind::Store) ? Coh::M : Coh::E;
+      state = (kind == AccessKind::Store) ? Coh::M : Coh::E;
     } else {
       // Re-probe: aborts and evictions above may have erased or relocated
       // the entry, so the install path cannot reuse an earlier pointer.
       ++stats_.core(c).dir_probes;
       DirEntry& d2 = dir_.get_or_insert(line);
       if (kind == AccessKind::Store) {
-        l->state = Coh::M;
+        state = Coh::M;
         d2.owner = static_cast<int>(c);
       } else {
         SharerMask others = d2.sharers;
         others.clear(c);
-        l->state = (others.none() && d2.owner < 0) ? Coh::E : Coh::S;
-        if (l->state == Coh::E) d2.owner = static_cast<int>(c);
+        state = (others.none() && d2.owner < 0) ? Coh::E : Coh::S;
+        if (state == Coh::E) d2.owner = static_cast<int>(c);
       }
       d2.sharers.set(c);
     }
+    if (l == nullptr)
+      l = &l1.install(*v, line, state);
+    else
+      l->state = state;
   }
 
   l1.touch(*l);
@@ -260,6 +266,7 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
     }
     l1.mark_speculative(*l, kind == AccessKind::Store);
   }
+  out.written = l->tx_write;
   return out;
 }
 
@@ -272,6 +279,7 @@ AccessOutcome MemorySystem::tx_store_lazy(CoreId c, Addr addr, unsigned size,
   L1Line* l = l1_[c]->find(line_addr(addr));
   ST_CHECK(l != nullptr);
   l1_[c]->mark_speculative(*l, /*write=*/true);
+  out.written = true;
   return out;
 }
 
@@ -338,7 +346,7 @@ void MemorySystem::clear_speculative(CoreId c, bool invalidate_written) {
     cs.spec_log_hwm = l1.spec_log_high_water();
   l1.drain_speculative([&](L1Line& l) {
     if (l.tx_write && invalidate_written) {
-      l.state = Coh::I;
+      l1.invalidate(l);
       // Still-private speculative lines were installed directory-invisible
       // by the fast paths; there is no entry to drop.
       if (!(private_classification() && priv_->private_to(c, l.line)))
@@ -348,7 +356,8 @@ void MemorySystem::clear_speculative(CoreId c, bool invalidate_written) {
 }
 
 void MemorySystem::invalidate_speculative_writes(CoreId c) {
-  l1_[c]->for_each_speculative_mut([&](L1Line& l) {
+  L1Cache& l1 = *l1_[c];
+  l1.for_each_speculative_mut([&](L1Line& l) {
     if (!l.tx_write) return;
     // Lines still private to the victim are exempt: no requester can name
     // one (the defensive publish in access() escapes a line *before* any
@@ -357,7 +366,7 @@ void MemorySystem::invalidate_speculative_writes(CoreId c) {
     // until its own abort step. Knob-independent predicate (priv_ presence,
     // not private_classification()) so off/on runs stay byte-identical.
     if (priv_ != nullptr && priv_->private_to(c, l.line)) return;
-    l.state = Coh::I;
+    l1.invalidate(l);
     dir_drop(c, l.line);
   });
 }
@@ -398,7 +407,10 @@ int MemorySystem::dir_owner(Addr line) const {
 }
 
 void MemorySystem::check_invariants() const {
-  for (unsigned c = 0; c < cfg_.cores; ++c) l1_[c]->check_log_invariants();
+  for (unsigned c = 0; c < cfg_.cores; ++c) {
+    l1_[c]->check_log_invariants();
+    l1_[c]->check_tag_rows();
+  }
   dir_.for_each([&](Addr line, const DirEntry& d) {
     ST_CHECK_MSG(d.sharers.any(), "directory entry with no sharers");
     if (private_classification())

@@ -76,6 +76,9 @@ struct AccessOutcome {
   /// The requesting core's own transaction had to abort because a
   /// speculative line would have been evicted (capacity).
   bool capacity_abort = false;
+  /// The accessed line carries tx_write after the access: only then can the
+  /// HTM write buffer hold data for it.
+  bool written = false;
 };
 
 class MemorySystem : public LineEscapeSink {
@@ -106,7 +109,7 @@ class MemorySystem : public LineEscapeSink {
   bool private_hit(CoreId c, Addr addr) const {
     if (priv_ == nullptr) return false;
     const Addr line = line_addr(addr);
-    // Const find: no MRU-hint update, so the probe is a pure read and
+    // Const find reads the tag row only and leaves the MRU hint alone, so
     // classifying a step never changes what the step then does.
     const L1Cache& l1 = *l1_[c];
     return priv_->private_to(c, line) && l1.find(line) != nullptr;

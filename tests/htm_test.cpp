@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "htm/htm.hpp"
+#include "sim/privacy.hpp"
 
 namespace st::htm {
 namespace {
@@ -253,6 +254,113 @@ TEST(Htm, AbortTraceFeedsLocalityMetrics) {
   EXPECT_EQ(f.stats.abort_trace().size(), 4u);
   EXPECT_DOUBLE_EQ(f.stats.conflict_addr_locality(), 1.0);
   EXPECT_DOUBLE_EQ(f.stats.conflict_pc_locality(), 1.0);
+}
+
+// Loads read the write buffer only on lines carrying tx_write; every other
+// load goes straight to the heap. Each case runs eager and lazy.
+struct WbFixture {
+  sim::MemConfig cfg;
+  sim::MachineStats stats{4};
+  sim::Heap heap{5, 1 << 20};
+  sim::PrivacyMap priv{heap};
+  std::unique_ptr<sim::MemorySystem> mem;
+  std::unique_ptr<HtmSystem> htm;
+  Addr x, y;
+
+  explicit WbFixture(bool lazy) {
+    cfg.cores = 4;
+    cfg.lazy_conflicts = lazy;
+    mem = std::make_unique<sim::MemorySystem>(cfg, stats);
+    htm = std::make_unique<HtmSystem>(heap, *mem, stats);
+    heap.set_privacy(&priv);
+    priv.set_sink(mem.get());
+    mem->set_privacy(&priv);
+    htm->set_privacy(&priv);
+    x = heap.alloc_line_aligned(4, 64);  // setup arena: shared
+    y = heap.alloc_line_aligned(4, 64);
+    heap.store(x, 10, 8);
+    heap.store(y, 20, 8);
+  }
+  bool written(CoreId c, Addr a) const {
+    const sim::L1Line* l = mem->peek_l1(c, sim::line_addr(a));
+    return l != nullptr && l->tx_write;
+  }
+};
+
+TEST(HtmWriteBuffer, StoreThenLoadSameWord) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    WbFixture f(lazy);
+    f.htm->begin(0);
+    EXPECT_EQ(f.htm->load(0, f.x, 8, 1).value, 10u);
+    EXPECT_FALSE(f.written(0, f.x));
+    ASSERT_TRUE(f.htm->store(0, f.x, 42, 8, 2).ok);
+    EXPECT_TRUE(f.written(0, f.x));
+    EXPECT_EQ(f.htm->load(0, f.x, 8, 3).value, 42u);
+    EXPECT_EQ(f.heap.load(f.x, 8), 10u);
+    EXPECT_TRUE(f.htm->commit(0));
+    EXPECT_EQ(f.heap.load(f.x, 8), 42u);
+  }
+}
+
+TEST(HtmWriteBuffer, PartlyWrittenChunkMergesHeapBytes) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    WbFixture f(lazy);
+    f.heap.store(f.x, 0x1122334455667788ull, 8);
+    f.htm->begin(0);
+    ASSERT_TRUE(f.htm->store(0, f.x + 2, 0xAABB, 2, 1).ok);
+    EXPECT_EQ(f.htm->load(0, f.x, 8, 2).value, 0x11223344AABB7788ull);
+    EXPECT_EQ(f.htm->load(0, f.x, 2, 3).value, 0x7788u);
+    EXPECT_EQ(f.htm->load(0, f.x + 4, 4, 4).value, 0x11223344u);
+    EXPECT_EQ(f.htm->load(0, f.x + 2, 2, 5).value, 0xAABBu);
+    f.htm->abort(0);
+    EXPECT_EQ(f.heap.load(f.x, 8), 0x1122334455667788ull);
+  }
+}
+
+TEST(HtmWriteBuffer, UnwrittenWordOnWrittenLineReadsHeap) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    WbFixture f(lazy);
+    f.heap.store(f.x + 8, 0x55, 8);
+    f.htm->begin(0);
+    ASSERT_TRUE(f.htm->store(0, f.x, 1, 8, 1).ok);
+    EXPECT_TRUE(f.written(0, f.x + 8));
+    EXPECT_EQ(f.htm->load(0, f.x + 8, 8, 2).value, 0x55u);
+    EXPECT_EQ(f.htm->load(0, f.y, 8, 3).value, 20u);  // unwritten line
+    EXPECT_FALSE(f.written(0, f.y));
+    EXPECT_TRUE(f.htm->commit(0));
+  }
+}
+
+TEST(HtmWriteBuffer, PrivateWrittenLineSurvivesConflictStamp) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    WbFixture f(lazy);
+    const Addr p = f.heap.alloc_line_aligned(0, 64);  // private to core 0
+    ASSERT_TRUE(f.priv.private_to(0, p));
+    f.heap.store(p, 7, 8);
+    f.heap.store(p + 8, 8, 8);
+    f.htm->begin(0);
+    ASSERT_TRUE(f.htm->store(0, p, 70, 8, 1).ok);
+    ASSERT_TRUE(f.htm->store(0, f.x, 99, 8, 2).ok);
+    f.htm->plain_store(1, f.x, 5, 8);  // stamps core 0 (requester wins)
+    ASSERT_TRUE(f.htm->pending_abort(0));
+    // The stamp dropped the shared written line, so its load fails...
+    EXPECT_EQ(f.mem->peek_l1(0, f.x), nullptr);
+    EXPECT_FALSE(f.htm->load(0, f.x, 8, 3).ok);
+    // ...while the private written line stays resident and written: loads
+    // of it still merge the buffer.
+    EXPECT_TRUE(f.written(0, p));
+    const auto r = f.htm->load(0, p, 8, 4);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.value, 70u);
+    EXPECT_EQ(f.htm->load(0, p + 8, 8, 5).value, 8u);
+    EXPECT_EQ(f.htm->abort(0).cause, AbortCause::Conflict);
+    EXPECT_EQ(f.heap.load(p, 8), 7u);
+    EXPECT_EQ(f.heap.load(f.x, 8), 5u);
+  }
 }
 
 TEST(HtmDeath, NestedBeginDies) {

@@ -81,7 +81,7 @@ void run_conflict_abort(Observer& s, sim::CoreId victim, sim::CoreId aggressor,
   s.attempt_abort(victim, at, /*attempts=*/1, /*wasted=*/50, false);
 }
 
-TEST(ProvSinkRing, WrapKeepsNewestAndCountsDrops) {
+TEST(ObserverRing, BlameWrapKeepsNewestAndCountsDrops) {
   Observer s(2, /*cap=*/4, only(EventKind::kBlame));
   s.tx_begin(1, 0, 0, 7, 1);
   for (unsigned i = 0; i < 11; ++i) {
@@ -99,7 +99,7 @@ TEST(ProvSinkRing, WrapKeepsNewestAndCountsDrops) {
   EXPECT_EQ(s.emitted(1, EventKind::kBlame), 0u);  // the aggressor never aborted
 }
 
-TEST(ProvSinkBlame, ConflictAbortFullyAttributed) {
+TEST(ObserverBlame, ConflictAbortFullyAttributed) {
   Observer s(2, 64);
   s.tx_begin(1, 0, 0, /*ab=*/7, 1);   // aggressor context
   s.tx_begin(0, 0, 0, /*ab=*/3, 2);   // victim, second attempt
@@ -141,7 +141,7 @@ TEST(ProvSinkBlame, ConflictAbortFullyAttributed) {
   EXPECT_EQ(recs.back().kind(), EventKind::kBlame);
 }
 
-TEST(ProvSinkBlame, AggressorContextSampledAtStampTime) {
+TEST(ObserverBlame, AggressorContextSampledAtStampTime) {
   Observer s = two_attempts();
   s.conflict_stamp(0, 1, 0x42);
   // The aggressor commits and moves on to a different block before the
@@ -155,7 +155,7 @@ TEST(ProvSinkBlame, AggressorContextSampledAtStampTime) {
   EXPECT_EQ(b[0].aggressor_ab, 7u);  // not 9
 }
 
-TEST(ProvSinkBlame, CapacityAbortIsSelfConflict) {
+TEST(ObserverBlame, CapacityAbortIsSelfConflict) {
   Observer s(1, 64);
   s.tx_begin(0, 0, 0, 5, 1);
   s.capacity_stamp(0, {0x3000, 0x3040});
@@ -170,7 +170,7 @@ TEST(ProvSinkBlame, CapacityAbortIsSelfConflict) {
   EXPECT_TRUE(b[0].flags & kBlameHasAggressor);
 }
 
-TEST(ProvSinkBlame, CapacityStampOverridesEarlierConflictStamp) {
+TEST(ObserverBlame, CapacityStampOverridesEarlierConflictStamp) {
   Observer s = two_attempts();
   s.conflict_stamp(0, 1, 0x42);
   s.capacity_stamp(0, {0x3000});  // the overflow is what the attempt dies of
@@ -182,7 +182,7 @@ TEST(ProvSinkBlame, CapacityStampOverridesEarlierConflictStamp) {
   EXPECT_EQ(b[0].aggressor_pc, 0u);
 }
 
-TEST(ProvSinkBlame, IrrevocableAggressorFlagged) {
+TEST(ObserverBlame, IrrevocableAggressorFlagged) {
   Observer s(2, 64);
   s.irrevocable(1, 0, 7, 10);
   s.tx_begin(0, 0, 0, 3, 1);
@@ -196,7 +196,7 @@ TEST(ProvSinkBlame, IrrevocableAggressorFlagged) {
   EXPECT_EQ(b[0].retry, 10u);
 }
 
-TEST(ProvSinkBlame, CommitOrUnfinalizedAbortEmitsNothing) {
+TEST(ObserverBlame, CommitOrUnfinalizedAbortEmitsNothing) {
   Observer s(2, 64);
   s.tx_begin(0, 0, 0, 3, 1);
   s.conflict_stamp(0, 1, 0x42);
@@ -211,7 +211,7 @@ TEST(ProvSinkBlame, CommitOrUnfinalizedAbortEmitsNothing) {
   EXPECT_EQ(s.emitted(0, EventKind::kBlame), 0u);
 }
 
-TEST(ProvSinkBlame, FootprintKeepsFirstCaptureAndFlagsTruncation) {
+TEST(ObserverBlame, FootprintKeepsFirstCaptureAndFlagsTruncation) {
   Observer s(1, 64);
   s.tx_begin(0, 0, 0, 1, 1);
   // One line over the cap: truncated. A later capture must not overwrite

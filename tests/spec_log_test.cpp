@@ -18,15 +18,15 @@ namespace {
 
 CacheGeometry tiny{4 * 64 * 2, 2};  // 4 sets x 2 ways
 
+// Line 0 marks an empty way, so test lines start at the heap's base.
+constexpr Addr kBase = 0x10000;
+
 Addr line_in_set(unsigned set, unsigned k, unsigned sets = 4) {
-  return (static_cast<Addr>(k) * sets + set) * kLineBytes;
+  return kBase + (static_cast<Addr>(k) * sets + set) * kLineBytes;
 }
 
 L1Line* install(L1Cache& c, Addr l, Coh st = Coh::E) {
-  L1Line* v = c.victim(l);
-  *v = L1Line{};
-  v->line = l;
-  v->state = st;
+  L1Line* v = &c.install(*c.victim(l), l, st);
   c.touch(*v);
   return v;
 }

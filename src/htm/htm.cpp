@@ -1,8 +1,5 @@
 #include "htm/htm.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/check.hpp"
 
 namespace st::htm {
@@ -153,52 +150,14 @@ void HtmSystem::mark_capacity_abort(CoreId c, Addr a) {
   mem_.clear_speculative(c, /*invalidate_written=*/true);
 }
 
-std::uint64_t HtmSystem::read_through_wb(const TxState& tx, Addr a,
-                                         unsigned size) const {
-  const Addr chunk = a >> 3;
-  const unsigned off = static_cast<unsigned>(a & 7);
-  std::uint64_t v = heap_.load(a, size);
-  auto it = tx.wb.find(chunk);
-  if (it == tx.wb.end()) return v;
-  const WbChunk& wc = it->second;
-  for (unsigned i = 0; i < size; ++i) {
-    if (wc.mask & (1u << (off + i))) {
-      const std::uint64_t byte = (wc.data >> (8 * (off + i))) & 0xFF;
-      v = (v & ~(std::uint64_t{0xFF} << (8 * i))) | (byte << (8 * i));
-    }
-  }
-  return v;
-}
-
-void HtmSystem::write_to_wb(TxState& tx, Addr a, std::uint64_t v,
-                            unsigned size) {
-  const Addr chunk = a >> 3;
-  const unsigned off = static_cast<unsigned>(a & 7);
-  WbChunk& wc = tx.wb[chunk];
-  for (unsigned i = 0; i < size; ++i) {
-    const std::uint64_t byte = (v >> (8 * i)) & 0xFF;
-    wc.data = (wc.data & ~(std::uint64_t{0xFF} << (8 * (off + i)))) |
-              (byte << (8 * (off + i)));
-    wc.mask |= static_cast<std::uint8_t>(1u << (off + i));
-  }
-}
-
 void HtmSystem::drain_wb(CoreId c, TxState& tx) {
-  for (const auto& [chunk, wc] : tx.wb) {
-    const Addr base = chunk << 3;
-    std::uint64_t v = heap_.load(base, 8);
-    for (unsigned i = 0; i < 8; ++i) {
-      if (wc.mask & (1u << i)) {
-        const std::uint64_t byte = (wc.data >> (8 * i)) & 0xFF;
-        v = (v & ~(std::uint64_t{0xFF} << (8 * i))) | (byte << (8 * i));
-      }
-    }
+  tx.wb.drain(heap_, [&](Addr base, std::uint64_t v) {
     heap_.store(base, v, 8);
     // Commit is the publication point for transactional stores (aborted
     // attempts publish nothing): the merged chunk value just became
     // committed, shared-readable data.
     publish_stored_value(c, base, v, 0);
-  }
+  });
 }
 
 HtmSystem::MemOp HtmSystem::load(CoreId c, Addr a, unsigned size,
@@ -211,7 +170,7 @@ HtmSystem::MemOp HtmSystem::load(CoreId c, Addr a, unsigned size,
   // doomed transaction run through it keeps abort delivery a deterministic
   // function of the instruction stream however far the victim has run
   // ahead (the run-ahead classifier treats exactly these accesses as
-  // local). Knob-independent by construction of private_hit.
+  // local).
   if (tx.pending_abort && !mem_.private_hit(c, a)) {
     r.ok = false;
     return r;
@@ -229,15 +188,12 @@ HtmSystem::MemOp HtmSystem::load(CoreId c, Addr a, unsigned size,
   // through a capacity abort or a conflict stamp, both of which set
   // pending_abort, which fails every later load but a private hit (and a
   // stamp leaves private written lines resident).
-  if (out.written) {
-    r.value = read_through_wb(tx, a, size);
-  } else {
+  r.value = heap_.load(a, size);
+  if (out.written) r.value = tx.wb.overlay(a, size, r.value);
 #ifndef NDEBUG
-    ST_CHECK_MSG(tx.wb.find(a >> 3) == tx.wb.end(),
-                 "buffered data on a line without tx_write");
+  ST_CHECK_MSG(out.written || !tx.wb.holds(a),
+               "buffered data on a line without tx_write");
 #endif
-    r.value = heap_.load(a, size);
-  }
   return r;
 }
 
@@ -263,7 +219,7 @@ HtmSystem::MemOp HtmSystem::store(CoreId c, Addr a, std::uint64_t v,
     r.ok = false;
     return r;
   }
-  write_to_wb(tx, a, v, size);
+  tx.wb.put(a, v, size);
   return r;
 }
 
@@ -361,25 +317,8 @@ void HtmSystem::tx_free(CoreId c, Addr a) {
 }
 
 const std::vector<Addr>& HtmSystem::written_lines(CoreId c) {
-  written_scratch_.clear();
-  for (const auto& [chunk, wc] : tx_[c].wb) {
-    (void)wc;
-    written_scratch_.push_back(sim::line_addr(chunk << 3));
-  }
-  std::sort(written_scratch_.begin(), written_scratch_.end());
-  written_scratch_.erase(
-      std::unique(written_scratch_.begin(), written_scratch_.end()),
-      written_scratch_.end());
+  tx_[c].wb.lines(written_scratch_);
   return written_scratch_;
-}
-
-std::size_t HtmSystem::write_buffer_bytes(CoreId c) const {
-  std::size_t n = 0;
-  for (const auto& [k, wc] : tx_[c].wb) {
-    (void)k;
-    n += static_cast<std::size_t>(std::popcount(wc.mask));
-  }
-  return n;
 }
 
 }  // namespace st::htm

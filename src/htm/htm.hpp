@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -21,6 +20,7 @@
 #include "sim/machine.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/stats.hpp"
+#include "sim/write_buffer.hpp"
 
 namespace st::htm {
 
@@ -150,9 +150,6 @@ class HtmSystem final : public sim::ConflictSink {
   /// Deferred free: performed at commit, cancelled on abort.
   void tx_free(CoreId c, Addr a);
 
-  const AbortInfo& peek_abort_info(CoreId c) const { return tx_[c].info; }
-  std::size_t write_buffer_bytes(CoreId c) const;
-
   /// Distinct cache lines buffered in the write set, sorted ascending
   /// (scratch reuse — valid until the next call). The hybrid executor
   /// inspects the STM orecs covering these at commit (DESIGN.md §16).
@@ -168,15 +165,11 @@ class HtmSystem final : public sim::ConflictSink {
   sim::MachineStats& stats() { return stats_; }
 
  private:
-  struct WbChunk {
-    std::uint64_t data = 0;
-    std::uint8_t mask = 0;  // bit i set => byte i is buffered
-  };
   struct TxState {
     bool active = false;
     bool pending_abort = false;
     AbortInfo info;
-    std::unordered_map<Addr, WbChunk> wb;  // keyed by addr >> 3
+    sim::WriteBuffer wb;
     std::vector<Addr> allocs;
     std::vector<Addr> deferred_frees;
   };
@@ -188,8 +181,6 @@ class HtmSystem final : public sim::ConflictSink {
     mem_.speculative_line_addrs(c, fp_scratch_);
     return fp_scratch_;
   }
-  std::uint64_t read_through_wb(const TxState& tx, Addr a, unsigned size) const;
-  void write_to_wb(TxState& tx, Addr a, std::uint64_t v, unsigned size);
   void drain_wb(CoreId c, TxState& tx);
   /// Publication check for a store of `v` to `dest` by core c: a store
   /// whose destination stays inside c's own private domain publishes

@@ -109,10 +109,9 @@ void write_core_stats_json(std::FILE* f, const CoreStats& cs) {
 
 void write_privacy_json(std::FILE* f, const sim::PrivacyStats& priv) {
   std::fprintf(f,
-               "{\"enabled\": %s, \"escaped_lines\": %" PRIu64
-               ", \"publish_checks\": %" PRIu64 ", \"arena_escapes\": [",
-               priv.enabled ? "true" : "false", priv.escaped_lines,
-               priv.publish_checks);
+               "{\"escaped_lines\": %" PRIu64 ", \"publish_checks\": %" PRIu64
+               ", \"arena_escapes\": [",
+               priv.escaped_lines, priv.publish_checks);
   for (std::size_t a = 0; a < priv.arena_escapes.size(); ++a)
     std::fprintf(f, "%s%" PRIu64, a == 0 ? "" : ", ", priv.arena_escapes[a]);
   std::fprintf(f, "]}");

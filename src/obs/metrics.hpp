@@ -48,9 +48,8 @@ void merge_core_stats(sim::CoreStats& into, const sim::CoreStats& c);
 void write_core_stats_json(std::FILE* f, const sim::CoreStats& cs);
 
 /// Serializes the privacy-map snapshot (sim/privacy.hpp PrivacyStats) as
-/// one JSON object (with braces): whether the classification was on,
-/// escaped-line / publish-check totals, and per-worker-arena escape counts.
-/// The counts are knob-independent; they stay outside the registry so the
+/// one JSON object (with braces): escaped-line / publish-check totals, and
+/// per-worker-arena escape counts. They stay outside the registry so the
 /// byte-compared counter set does not depend on the privacy map.
 void write_privacy_json(std::FILE* f, const sim::PrivacyStats& priv);
 

@@ -110,7 +110,6 @@ class TxExecutor::PlainEnv final : public SpecEnv {
 
 TxExecutor::TxExecutor(TxSystem& sys, sim::CoreId core)
     : sys_(sys), core_(core),
-      private_local_(sys.htm().mem().private_classification()),
       spec_env_(std::make_unique<SpecEnv>(*this)),
       stm_env_(std::make_unique<StmEnv>(*this)),
       plain_env_(std::make_unique<PlainEnv>(*this)),
@@ -180,7 +179,7 @@ bool TxExecutor::next_step_local() const {
     case State::kIrrevRunning:
       // Irrevocable execution holds the global lock and cannot abort; its
       // commuting steps are as private as speculative ones.
-      return private_local_ ? step_commutes() : live_->next_is_pure();
+      return step_commutes();
     default:
       return false;
   }
@@ -434,8 +433,7 @@ sim::Cycle TxExecutor::run_step(sim::Cycle budget) {
   // function of the victim's own instruction stream — not of when between
   // two such steps the stamp landed — which is the invariant that lets the
   // machine (sim/machine.hpp, DESIGN.md §13–14) run commuting steps ahead
-  // of other cores' events without consulting shared state. The
-  // predicate is deliberately knob-independent (see step_commutes).
+  // of other cores' events without consulting shared state.
   if (state_ == State::kRunning && sys_.htm().pending_abort(core_) &&
       !step_commutes())
     return handle_abort(AbortCause::None);

@@ -55,8 +55,8 @@ class TxExecutor {
   /// True when the next step() call is guaranteed local: it touches
   /// nothing outside this core's interpreter frames, own L1, own stats row,
   /// and lines still private to this core. Pure-register runs always
-  /// qualify; with the STAGTM_PRIVATE classification on, so do calls,
-  /// inner returns, and private-line loads/stores (see step_commutes).
+  /// qualify, and so do calls, inner returns, and private-line loads and
+  /// stores of a hardware or irrevocable attempt (see step_commutes).
   /// Everything else (begin/commit/abort handling, shared-line accesses,
   /// waits, backoff) synchronizes. The machine's run-ahead
   /// (sim/machine.hpp) consults this through CoreTask::next_step_local.
@@ -117,11 +117,10 @@ class TxExecutor {
   class PlainEnv;
 
   /// Whether the next step touches only this-core-local state, so it
-  /// commutes with every synchronizing step of another core. The
-  /// knob-INDEPENDENT core of the local-step classification; it also gates
-  /// pending-abort observation in run_step, so enabling the knob cannot
-  /// move where a doomed transaction notices its abort. Valid only in
-  /// kRunning / kIrrevRunning.
+  /// commutes with every synchronizing step of another core: the
+  /// local-step classification. It also gates pending-abort observation in
+  /// run_step, so running ahead cannot move where a doomed transaction
+  /// notices its abort. Valid only in kRunning / kIrrevRunning.
   bool step_commutes() const;
 
   /// The fallback ladder: HTM attempts while attempts_ < max_retries, then
@@ -192,10 +191,6 @@ class TxExecutor {
 
   TxSystem& sys_;
   sim::CoreId core_;
-  /// Cached MemorySystem::private_classification() (config is immutable
-  /// after construction): gates only whether private-line hits classify as
-  /// local, never what they do.
-  bool private_local_ = false;
   std::unique_ptr<SpecEnv> spec_env_;
   std::unique_ptr<StmEnv> stm_env_;
   std::unique_ptr<PlainEnv> plain_env_;

@@ -54,7 +54,7 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   // Privacy wiring, before any allocation (the glock below must be seeded
   // through on_alloc like everything else): the heap reports block extents,
   // the HTM reports publications, and the memory system consumes both —
-  // escape materialization, fast paths, and local-step classification.
+  // escape counting and local-step classification.
   heap_.set_privacy(&priv_);
   priv_.set_sink(mem_.get());
   mem_->set_privacy(&priv_);

@@ -86,14 +86,6 @@ L1Line* L1Cache::victim(Addr line) {
   return best;
 }
 
-bool L1Cache::set_full_of_speculative(Addr line) const {
-  const L1Line* base =
-      lines_.data() + static_cast<std::size_t>(set_of(line)) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w)
-    if (base[w].state == Coh::I || !base[w].speculative()) return false;
-  return true;
-}
-
 void L1Cache::check_log_invariants() const {
   for (std::size_t p = 0; p < spec_log_.size(); ++p) {
     ST_CHECK_MSG(spec_log_[p] < lines_.size(),

@@ -110,10 +110,6 @@ class L1Cache {
     tag_of(l) = 0;
   }
 
-  /// True if every way of `line`'s set holds a speculative line (insertion
-  /// would force a capacity abort).
-  bool set_full_of_speculative(Addr line) const;
-
   void touch(L1Line& l) { l.last_use = ++tick_; }
   /// `n` touches of `l` at once; a null `l` (the line has left) only
   /// advances the LRU clock. An invalid slot's stamp is never read: victim()
@@ -136,20 +132,6 @@ class L1Cache {
       l.tx_write = true;
     else
       l.tx_read = true;
-  }
-
-  /// Clears one line's speculative state, compacting the log (O(1)
-  /// swap-with-last). Safe to call on non-speculative lines.
-  void clear_line_speculative(L1Line& l) {
-    l.tx_read = l.tx_write = false;
-    l.pc_tag_valid = false;
-    if (l.log_pos < 0) return;
-    const std::size_t pos = static_cast<std::size_t>(l.log_pos);
-    const std::uint32_t last = spec_log_.back();
-    spec_log_[pos] = last;
-    lines_[last].log_pos = static_cast<std::int32_t>(pos);
-    spec_log_.pop_back();
-    l.log_pos = -1;
   }
 
   /// Invokes `fn(L1Line&)` on every speculative line in slot (set-major)
@@ -177,20 +159,12 @@ class L1Cache {
 #endif
   }
 
-  /// Invokes `fn(const L1Line&)` on every speculative line in slot order
-  /// without clearing anything. Sorts the log in place (a host-side
-  /// reordering only; positions are repaired).
-  template <typename Fn>
-  void for_each_speculative_ordered(Fn&& fn) {
-    sort_log();
-    for (const std::uint32_t idx : spec_log_) fn(lines_[idx]);
-  }
-
   /// Invokes `fn(L1Line&)` on every speculative line in slot order without
   /// clearing speculative state or the log. `fn` may invalidate() the line
-  /// but must not touch the speculative bits or the log.
+  /// but must not touch the speculative bits or the log. Sorts the log in
+  /// place (a host-side reordering only; positions are repaired).
   template <typename Fn>
-  void for_each_speculative_mut(Fn&& fn) {
+  void for_each_speculative(Fn&& fn) {
     sort_log();
     for (const std::uint32_t idx : spec_log_) fn(lines_[idx]);
   }

@@ -98,13 +98,11 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
   // Line 0 marks an empty way in the tag rows; no heap line is 0.
   ST_CHECK_MSG(line != 0, "access to the null line");
 
-  // Privacy classification. `is_private` is knob-independent (it feeds the
-  // priv_hits/priv_misses counters); `priv_fast` additionally requires the
-  // STAGTM_PRIVATE fast paths to be on. A foreign access reaching a
+  // Privacy classification (it feeds the priv_hits/priv_misses counters and
+  // the run-ahead cross-check below). A foreign access reaching a
   // still-private line should be impossible — addresses only cross cores
   // through the publication channels the privacy map watches — but if one
-  // ever does (defensive), the access *is* the publication: escape first,
-  // then take the conservative path.
+  // ever does (defensive), the access *is* the publication: escape first.
   bool is_private = false;
   if (priv_ != nullptr) {
     const int owner = priv_->private_owner(line);
@@ -114,7 +112,6 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
       is_private = owner >= 0;
     }
   }
-  const bool priv_fast = is_private && cfg_.private_lines;
 
   AccessOutcome out;
   out.latency = cfg_.l1_lat;
@@ -143,24 +140,7 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
     // Under lazy conflict detection, a *transactional* request defers its
     // conflicts to commit time; everything else stays eager.
     const bool check_conflicts = !(transactional && cfg_.lazy_conflicts);
-    if (priv_fast) {
-      // Private-line miss: the fast paths never create a directory entry
-      // for a private line and no other core can hold a copy, so the whole
-      // conservative walk below would find nothing — skip its directory
-      // probes. Latencies match the conservative path exactly (store: an
-      // entry-less line costs dir_lat + fill; load: fill only, since there
-      // is no owner to forward from).
-      if (kind == AccessKind::Store) {
-        ST_CHECK_MSG(check_conflicts,
-                     "lazy transactional stores must use tx_store_lazy");
-        // Private resident lines are E/M (store hits); a store miss means
-        // the line is absent, never a shared-state upgrade.
-        ST_CHECK(l == nullptr);
-        out.latency += cfg_.dir_lat + fill_latency(c, line);
-      } else {
-        out.latency += fill_latency(c, line);
-      }
-    } else if (kind == AccessKind::Store) {
+    if (kind == AccessKind::Store) {
       ST_CHECK_MSG(check_conflicts,
                    "lazy transactional stores must use tx_store_lazy");
       // Invalidate every other copy, aborting conflicting transactions
@@ -221,35 +201,24 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
           out.capacity_abort = true;
           return out;
         }
-        // A victim still private to this core has no directory entry to
-        // drop under the fast paths (none was ever created).
-        if (!(cfg_.private_lines && priv_ != nullptr &&
-              priv_->private_to(c, v->line)))
-          dir_drop(c, v->line);
+        dir_drop(c, v->line);
       }
     }
+    // Re-probe: aborts and evictions above may have erased or relocated
+    // the entry, so the install path cannot reuse an earlier pointer.
+    ++stats_.core(c).dir_probes;
+    DirEntry& d2 = dir_.get_or_insert(line);
     Coh state;
-    if (priv_fast) {
-      // Directory-invisible install: a private line's conservative entry
-      // would be {sharers={c}, owner=c} — recomputable from the L1 alone,
-      // and materialized by on_line_escape if the line ever escapes.
-      state = (kind == AccessKind::Store) ? Coh::M : Coh::E;
+    if (kind == AccessKind::Store) {
+      state = Coh::M;
+      d2.owner = static_cast<int>(c);
     } else {
-      // Re-probe: aborts and evictions above may have erased or relocated
-      // the entry, so the install path cannot reuse an earlier pointer.
-      ++stats_.core(c).dir_probes;
-      DirEntry& d2 = dir_.get_or_insert(line);
-      if (kind == AccessKind::Store) {
-        state = Coh::M;
-        d2.owner = static_cast<int>(c);
-      } else {
-        SharerMask others = d2.sharers;
-        others.clear(c);
-        state = (others.none() && d2.owner < 0) ? Coh::E : Coh::S;
-        if (state == Coh::E) d2.owner = static_cast<int>(c);
-      }
-      d2.sharers.set(c);
+      SharerMask others = d2.sharers;
+      others.clear(c);
+      state = (others.none() && d2.owner < 0) ? Coh::E : Coh::S;
+      if (state == Coh::E) d2.owner = static_cast<int>(c);
     }
+    d2.sharers.set(c);
     if (l == nullptr)
       l = &l1.install(*v, line, state);
     else
@@ -285,17 +254,6 @@ AccessOutcome MemorySystem::tx_store_lazy(CoreId c, Addr addr, unsigned size,
 
 Cycle MemorySystem::publish_line(CoreId c, Addr line) {
   line = line_addr(line);
-  if (private_classification() && priv_->private_to(c, line)) {
-    // Committing a write to a still-private line: nobody else can hold a
-    // copy and the fast paths keep it directory-invisible, so the whole
-    // conservative walk reduces to the local M upgrade. Same dir_lat the
-    // conservative path charges. (Whether the committed *value* publishes
-    // an address is the HTM drain's concern, not this line's.)
-    L1Line* l = l1_[c]->find(line);
-    ST_CHECK_MSG(l != nullptr, "publishing a line not in the committer's L1");
-    l->state = Coh::M;
-    return cfg_.dir_lat;
-  }
   Cycle lat = cfg_.dir_lat;
   // Same probe-hoisting discipline as the store-invalidate loop in access().
   DirEntry* e = dir_probe(c, line);
@@ -328,14 +286,14 @@ Cycle MemorySystem::publish_line(CoreId c, Addr line) {
 void MemorySystem::speculative_written_lines(CoreId c,
                                              std::vector<Addr>& out) {
   out.clear();
-  l1_[c]->for_each_speculative_ordered([&](const L1Line& l) {
+  l1_[c]->for_each_speculative([&](const L1Line& l) {
     if (l.tx_write) out.push_back(l.line);
   });
 }
 
 void MemorySystem::speculative_line_addrs(CoreId c, std::vector<Addr>& out) {
   out.clear();
-  l1_[c]->for_each_speculative_ordered(
+  l1_[c]->for_each_speculative(
       [&](const L1Line& l) { out.push_back(l.line); });
 }
 
@@ -347,24 +305,20 @@ void MemorySystem::clear_speculative(CoreId c, bool invalidate_written) {
   l1.drain_speculative([&](L1Line& l) {
     if (l.tx_write && invalidate_written) {
       l1.invalidate(l);
-      // Still-private speculative lines were installed directory-invisible
-      // by the fast paths; there is no entry to drop.
-      if (!(private_classification() && priv_->private_to(c, l.line)))
-        dir_drop(c, l.line);
+      dir_drop(c, l.line);
     }
   });
 }
 
 void MemorySystem::invalidate_speculative_writes(CoreId c) {
   L1Cache& l1 = *l1_[c];
-  l1.for_each_speculative_mut([&](L1Line& l) {
+  l1.for_each_speculative([&](L1Line& l) {
     if (!l.tx_write) return;
     // Lines still private to the victim are exempt: no requester can name
     // one (the defensive publish in access() escapes a line *before* any
     // foreign access reaches the conflict check), and the victim's
     // local-step classification depends on their residency staying put
-    // until its own abort step. Knob-independent predicate (priv_ presence,
-    // not private_classification()) so off/on runs stay byte-identical.
+    // until its own abort step.
     if (priv_ != nullptr && priv_->private_to(c, l.line)) return;
     l1.invalidate(l);
     dir_drop(c, l.line);
@@ -374,20 +328,6 @@ void MemorySystem::invalidate_speculative_writes(CoreId c) {
 void MemorySystem::on_line_escape(CoreId publisher, Addr line, CoreId owner,
                                   std::uint32_t pc) {
   ++stats_.core(publisher).priv_escapes;
-  if (cfg_.private_lines) {
-    // While the line was private the fast paths skipped its directory
-    // bookkeeping; recreate exactly the entry the conservative path would
-    // have now that other cores may probe for it. Private resident lines
-    // are E/M, so the entry is always {sharers={owner}, owner=owner}; an
-    // absent line has no entry either way. Not counted in dir_probes: this
-    // is deferred bookkeeping, not a modeled directory round trip.
-    const L1Cache& l1 = *l1_[owner];
-    if (l1.find(line) != nullptr) {
-      DirEntry& d = dir_.get_or_insert(line);
-      d.sharers.set(owner);
-      d.owner = static_cast<int>(owner);
-    }
-  }
   if (obs_ != nullptr)
     obs_->line_escape(publisher, clock_ ? clock_() : 0, owner, pc, line);
 }
@@ -410,12 +350,16 @@ void MemorySystem::check_invariants() const {
   for (unsigned c = 0; c < cfg_.cores; ++c) {
     l1_[c]->check_log_invariants();
     l1_[c]->check_tag_rows();
+    // The converse of the presence check below: every valid copy, private
+    // lines included, is in its line's sharer set.
+    l1_[c]->for_each_valid([&](const L1Line& l) {
+      const DirEntry* e = dir_.find(l.line);
+      ST_CHECK_MSG(e != nullptr && e->sharers.test(c),
+                   "valid L1 line missing from the directory");
+    });
   }
   dir_.for_each([&](Addr line, const DirEntry& d) {
     ST_CHECK_MSG(d.sharers.any(), "directory entry with no sharers");
-    if (private_classification())
-      ST_CHECK_MSG(priv_->private_owner(line) == -1,
-                   "directory entry for a still-private line");
     if (d.owner >= 0)
       ST_CHECK_MSG(d.sharers.test(static_cast<CoreId>(d.owner)),
                    "owner not in sharer set");

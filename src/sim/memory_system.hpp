@@ -45,12 +45,6 @@ struct MemConfig {
   /// commit time via publish_line (committer wins). Nontransactional and
   /// plain accesses stay eager — they act on committed state immediately.
   bool lazy_conflicts = false;
-  /// STAGTM_PRIVATE: enable the private-line fast paths (skip directory
-  /// bookkeeping for lines still private to their arena's core) and the
-  /// run-ahead classification of private-line hits as local steps.
-  /// The privacy map itself is maintained either way, and all simulated
-  /// results are bit-identical off/on (CI-enforced).
-  bool private_lines = default_private_lines();
 };
 
 enum class AccessKind : std::uint8_t { Load, Store };
@@ -105,7 +99,7 @@ class MemorySystem : public LineEscapeSink {
   /// c's L1. Private resident lines are always E or M (no other core can
   /// have installed a copy), so such an access is a guaranteed hit — load
   /// or store — that reads and writes no shared simulator state. This is
-  /// the local-step classification predicate; it is knob-independent.
+  /// the local-step classification predicate.
   bool private_hit(CoreId c, Addr addr) const {
     if (priv_ == nullptr) return false;
     const Addr line = line_addr(addr);
@@ -115,15 +109,9 @@ class MemorySystem : public LineEscapeSink {
     return priv_->private_to(c, line) && l1.find(line) != nullptr;
   }
 
-  /// Whether the private-line fast paths / local classification are on.
-  bool private_classification() const {
-    return priv_ != nullptr && cfg_.private_lines;
-  }
-
-  /// LineEscapeSink: a line just went private->shared. Counts the escape,
-  /// materializes the directory entry the conservative path would have had
-  /// (when the fast paths were skipping its bookkeeping), and records the
-  /// line_escape event.
+  /// LineEscapeSink: a line just went private->shared. Counts the escape
+  /// and records the line_escape event; the line already has its directory
+  /// entry.
   void on_line_escape(CoreId publisher, Addr line, CoreId owner,
                       std::uint32_t pc) override;
 

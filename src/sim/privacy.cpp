@@ -3,16 +3,9 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "sim/heap.hpp"
 
 namespace st::sim {
-
-bool default_private_lines() {
-  // Re-read per call (sampled at config construction): no process-wide
-  // latch, so tests and tools can flip the knob between runs.
-  return env_onoff("STAGTM_PRIVATE", true);
-}
 
 PrivacyMap::PrivacyMap(const Heap& heap)
     : heap_(heap),
@@ -44,9 +37,8 @@ void PrivacyMap::on_alloc(Addr a, std::size_t cls, unsigned arena) {
   const std::size_t li = static_cast<std::size_t>((a - base_) >> kLineShift);
   const std::size_t n = cls >> kLineShift;
   if (n > kMaxBlockLines) {
-    // Too large to track extent: born shared. Route through the normal
-    // escape path so directory materialization stays exact even when a
-    // free-list reuse left lines resident in the owner's L1.
+    // Too large to track extent: born shared, through the normal escape
+    // path, which counts and traces each line's escape like any other.
     for (std::size_t j = 0; j < n; ++j)
       escape_block(static_cast<CoreId>(arena), li + j, 0);
     return;

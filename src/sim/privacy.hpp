@@ -11,13 +11,12 @@
 // happen inside synchronizing steps (DESIGN.md §13/§14), so privacy
 // observed when a core starts running ahead is stable until its next
 // synchronizing step — the invariant that lets private-line L1 hits
-// classify as local steps, and lets the memory system skip directory
-// bookkeeping for them (a private line can never conflict, by
+// classify as local steps (a private line can never conflict, by
 // construction).
 //
 // The map is deliberately conservative in one direction only: an integer
 // that happens to look like a private address over-escapes a block (safe —
-// it merely loses the fast path); a real published pointer is never
+// its hits merely stop running ahead); a real published pointer is never
 // missed, because every store to shared memory, every drained commit
 // chunk, every commit result, and every host-dispatched op argument is
 // checked. A foreign access that somehow reaches a private line anyway
@@ -35,8 +34,7 @@ namespace st::sim {
 class Heap;
 
 /// Observer of private->shared transitions, implemented by the memory
-/// system: it materializes the directory entry the conservative path would
-/// have had, counts the escape, and emits the trace event.
+/// system: it counts the escape and emits the trace event.
 class LineEscapeSink {
  public:
   virtual ~LineEscapeSink() = default;
@@ -51,7 +49,6 @@ class LineEscapeSink {
 /// Snapshot of privacy counters for end-of-run reporting (the STAGTM_JSON
 /// "privacy" object).
 struct PrivacyStats {
-  bool enabled = false;          // was the classification/fast path on?
   std::uint64_t escaped_lines = 0;
   std::uint64_t publish_checks = 0;
   std::vector<std::uint64_t> arena_escapes;  // per worker arena
@@ -117,8 +114,8 @@ class PrivacyMap {
   const std::vector<std::uint64_t>& arena_escapes() const {
     return arena_escapes_;
   }
-  PrivacyStats snapshot(bool enabled) const {
-    return {enabled, escaped_lines_, publish_checks_, arena_escapes_};
+  PrivacyStats snapshot() const {
+    return {escaped_lines_, publish_checks_, arena_escapes_};
   }
 
   /// Largest block (in lines) whose extent is tracked; bigger blocks are
@@ -153,11 +150,5 @@ class PrivacyMap {
   std::vector<std::uint64_t> arena_escapes_;
   std::vector<Addr> work_;  // reused transitive-escape worklist
 };
-
-/// Default for the STAGTM_PRIVATE knob (off|on / 0|1; unset = on): gates
-/// the local-step classification and the directory fast paths. The map
-/// itself is always maintained, so simulated results are bit-identical
-/// either way (CI-enforced).
-bool default_private_lines();
 
 }  // namespace st::sim

@@ -58,7 +58,7 @@ struct CoreStats {
   // Memory system.
   std::uint64_t l1_hits = 0;
   std::uint64_t l1_misses = 0;
-  // Host-side diagnostics for the memory-system fast paths: directory
+  // Host-side diagnostics of the memory system: directory
   // lookups issued on this core's behalf, and the largest transactional
   // footprint (speculative-line log high-water mark, in lines) seen at a
   // commit/abort. Neither affects any simulated result.
@@ -67,10 +67,8 @@ struct CoreStats {
 
   // Privacy classification (sim/privacy.hpp): accesses that touched a line
   // still private to this core (hit/miss split), and private->shared line
-  // escapes triggered by this core's publications. Maintained whether or
-  // not the STAGTM_PRIVATE fast paths are on, so the counts are knob- and
-  // thread-count-independent; like dir_probes they observe the simulation
-  // without affecting any simulated result.
+  // escapes triggered by this core's publications. Like dir_probes they
+  // observe the simulation without affecting any simulated result.
   std::uint64_t priv_hits = 0;
   std::uint64_t priv_misses = 0;
   std::uint64_t priv_escapes = 0;

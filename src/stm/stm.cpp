@@ -62,23 +62,6 @@ Cycle StmSystem::begin(CoreId c) {
   return rv.latency;
 }
 
-std::uint64_t StmSystem::overlay_redo(const TxState& tx, Addr a, unsigned size,
-                                      std::uint64_t v) const {
-  const Addr chunk = a >> 3;
-  if (!tx.write_bloom.maybe(static_cast<std::uint32_t>(chunk))) return v;
-  const auto it = tx.redo.find(chunk);
-  if (it == tx.redo.end()) return v;  // Bloom false positive
-  const unsigned off = static_cast<unsigned>(a & 7);
-  const Chunk& wc = it->second;
-  for (unsigned i = 0; i < size; ++i) {
-    if (wc.mask & (1u << (off + i))) {
-      const std::uint64_t byte = (wc.data >> (8 * (off + i))) & 0xFF;
-      v = (v & ~(std::uint64_t{0xFF} << (8 * i))) | (byte << (8 * i));
-    }
-  }
-  return v;
-}
-
 StmSystem::Op StmSystem::read(CoreId c, Addr a, unsigned size,
                               std::uint32_t pc) {
   (void)pc;
@@ -100,7 +83,10 @@ StmSystem::Op StmSystem::read(CoreId c, Addr a, unsigned size,
   }
   const auto data = htm_.plain_load(c, a, size);
   r.latency += data.latency;
-  r.value = overlay_redo(tx, a, size, data.value);
+  // Reads-own-writes; the Bloom filter screens out most redo-log probes.
+  r.value = tx.write_bloom.maybe(static_cast<std::uint32_t>(a >> 3))
+                ? tx.redo.overlay(a, size, data.value)
+                : data.value;
   ++stats(c).tx_mem_ops;
   // Read-set append, deduplicated by orec (the Bloom filter screens out
   // the common fresh-orec case; a maybe falls back to the exact scan). A
@@ -118,16 +104,8 @@ StmSystem::Op StmSystem::read(CoreId c, Addr a, unsigned size,
 Cycle StmSystem::write(CoreId c, Addr a, std::uint64_t v, unsigned size) {
   TxState& tx = tx_[c];
   ST_CHECK_MSG(tx.active, "STM write outside an attempt");
-  const Addr chunk = a >> 3;
-  const unsigned off = static_cast<unsigned>(a & 7);
-  Chunk& wc = tx.redo[chunk];
-  for (unsigned i = 0; i < size; ++i) {
-    const std::uint64_t byte = (v >> (8 * i)) & 0xFF;
-    wc.data = (wc.data & ~(std::uint64_t{0xFF} << (8 * (off + i)))) |
-              (byte << (8 * (off + i)));
-    wc.mask |= static_cast<std::uint8_t>(1u << (off + i));
-  }
-  tx.write_bloom.add(static_cast<std::uint32_t>(chunk));
+  tx.redo.put(a, v, size);
+  tx.write_bloom.add(static_cast<std::uint32_t>(a >> 3));
   const std::uint32_t idx = orec_index(a);
   if (!tx.orec_bloom.maybe(idx) ||
       std::find(tx.write_orecs.begin(), tx.write_orecs.end(), idx) ==
@@ -261,17 +239,9 @@ StmSystem::Op StmSystem::commit(CoreId c) {
     // coherence: any hardware transaction holding one of these lines
     // speculatively aborts here — the committing STM transaction wins,
     // exactly as a committed plain store always has.
-    for (const auto& [chunk, wc] : tx.redo) {
-      const Addr base = chunk << 3;
-      std::uint64_t v = htm_.heap().load(base, 8);
-      for (unsigned i = 0; i < 8; ++i) {
-        if (wc.mask & (1u << i)) {
-          const std::uint64_t byte = (wc.data >> (8 * i)) & 0xFF;
-          v = (v & ~(std::uint64_t{0xFF} << (8 * i))) | (byte << (8 * i));
-        }
-      }
+    tx.redo.drain(htm_.heap(), [&](Addr base, std::uint64_t v) {
       r.latency += htm_.plain_store(c, base, v, 8).latency;
-    }
+    });
     // Release every held orec at the new version.
     for (const Held& h : tx.held)
       r.latency += htm_.plain_store(c, orec_addr(h.orec),

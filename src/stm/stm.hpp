@@ -42,11 +42,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "htm/htm.hpp"
+#include "sim/write_buffer.hpp"
 
 namespace st::stm {
 
@@ -185,10 +185,6 @@ class StmSystem {
   Cycle irrev_stamp(CoreId c, Addr line);
 
  private:
-  struct Chunk {
-    std::uint64_t data = 0;
-    std::uint8_t mask = 0;  // bit i set => byte i is buffered
-  };
   struct ReadEntry {
     std::uint32_t orec = 0;
     std::uint64_t version = 0;
@@ -202,7 +198,7 @@ class StmSystem {
     std::uint64_t rv = 0;
     std::vector<ReadEntry> reads;
     Bloom64 read_bloom;
-    std::unordered_map<Addr, Chunk> redo;  // keyed by addr >> 3
+    sim::WriteBuffer redo;
     Bloom64 write_bloom;
     std::vector<std::uint32_t> write_orecs;  // distinct; sorted at lock time
     Bloom64 orec_bloom;                      // summarizes write_orecs
@@ -216,8 +212,6 @@ class StmSystem {
     Bloom64 irrev_bloom;
   };
 
-  std::uint64_t overlay_redo(const TxState& tx, Addr a, unsigned size,
-                             std::uint64_t v) const;
   void reset(TxState& tx);
   /// Guarded release of every held orec; returns accumulated latency.
   Cycle release_held(CoreId c, TxState& tx);

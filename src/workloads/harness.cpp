@@ -152,7 +152,6 @@ runtime::RuntimeConfig make_runtime_config(const RunOptions& opt) {
   rt.policy = opt.policy;
   rt.policy.addr_only = opt.scheme == runtime::Scheme::kAddrOnly;
   rt.macrostep = opt.macrostep;
-  rt.mem.private_lines = opt.private_lines;
   rt.record_commits = opt.checked;
   rt.unsafe_skip_subscription = opt.unsafe_skip_subscription;
   rt.trace = obs::TraceConfig::from_env();
@@ -264,7 +263,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
                   .count();
   r.sched_events = sys.machine().events();
   r.sched_steps = sys.machine().steps();
-  r.privacy = sys.privacy().snapshot(sys.mem().private_classification());
+  r.privacy = sys.privacy().snapshot();
   return r;
 }
 

@@ -42,12 +42,6 @@ struct RunOptions {
   /// differential tests can compare run-ahead vs single-stepped executions
   /// in one process.
   bool macrostep = true;
-  /// Private-line local classification (sim/privacy.hpp, DESIGN.md §14).
-  /// Host-side like macrostep: whether private-line hits classify as
-  /// local steps (and take the directory-skipping fast paths) never
-  /// changes a simulated result (CI-enforced byte-identical off vs on).
-  /// Defaults to the STAGTM_PRIVATE env knob (unset = on).
-  bool private_lines = sim::default_private_lines();
   stagger::PolicyConfig policy;  // addr_only is set automatically
   /// Override the instrumentation mode (default: what the scheme implies).
   /// kAll + kStaggered reproduces Table 3's naive instrument-everything
@@ -100,8 +94,7 @@ struct RunResult {
   /// CoreTask::step calls the run took (sim::Machine::steps), host-side.
   std::uint64_t sched_steps = 0;
   /// Privacy-map snapshot at end of run (escaped lines, publish checks,
-  /// per-arena escapes). The map itself is knob-independent; only
-  /// `enabled` records whether classification was on.
+  /// per-arena escapes).
   sim::PrivacyStats privacy;
   /// Schedule-perturbation provenance ("off" when no perturbation ran).
   std::string sched_mode = "off";

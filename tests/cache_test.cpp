@@ -67,20 +67,6 @@ TEST(L1Cache, VictimPrefersNonSpeculativeOverLruSpeculative) {
   EXPECT_EQ(c.victim(line_in_set(0, 3))->line, b);
 }
 
-TEST(L1Cache, SetFullOfSpeculativeDetection) {
-  L1Cache c(tiny);
-  const Addr probe = line_in_set(3, 9);
-  EXPECT_FALSE(c.set_full_of_speculative(probe));
-  for (unsigned k = 0; k < 2; ++k) {
-    const Addr l = line_in_set(3, k);
-    L1Line* v = c.victim(l);
-    c.install(*v, l, Coh::M);
-    v->tx_write = true;
-    c.touch(*v);
-  }
-  EXPECT_TRUE(c.set_full_of_speculative(probe));
-}
-
 TEST(L1Cache, ForEachValidVisitsExactlyValidLines) {
   L1Cache c(tiny);
   for (unsigned k = 0; k < 3; ++k) {
@@ -264,9 +250,8 @@ void l1_differential(unsigned sets, unsigned ways, std::uint64_t seed) {
       c.touch(*v);
       r = RefL1Way{line, true, false, false, ++ref.tick};
     } else if (kind < 55) {  // invalidate (a non-speculative copy)
-      if (l == nullptr) continue;
+      if (l == nullptr || l->speculative()) continue;
       RefL1Way& r = ref.at(line, static_cast<unsigned>(rw));
-      c.clear_line_speculative(*l);
       c.invalidate(*l);
       r = RefL1Way{};
     } else if (kind < 95) {  // transactional mark

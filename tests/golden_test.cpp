@@ -33,29 +33,29 @@ struct GoldenCase {
 
 constexpr GoldenCase kGoldenCases[] = {
     {"ListHiBaselineEager", "list-hi", Scheme::kBaseline, false, false,
-     0x323b3f30acecdf9eull},
+     0xf04aafd5f938f8eeull},
     {"ListHiBaselineLazy", "list-hi", Scheme::kBaseline, true, false,
-     0xcf04cbac7079039aull},
+     0x745e3649f6a909b1ull},
     {"ListHiStaggeredEager", "list-hi", Scheme::kStaggered, false, false,
-     0x3ee8888de3164fb5ull},
+     0x62207af3774a8c29ull},
     {"ListHiStaggeredLazy", "list-hi", Scheme::kStaggered, true, false,
-     0x03b154c07ba18584ull},
+     0x18143c01c0d202feull},
     {"ListHiStaggeredSWEager", "list-hi", Scheme::kStaggeredSW, false, false,
-     0x90d495ff341db983ull},
+     0x7eced52b5c382c8dull},
     {"ListHiStaggeredSWLazy", "list-hi", Scheme::kStaggeredSW, true, false,
-     0xdff3d3f4092940f8ull},
+     0xa8350de2569859b5ull},
     {"ListHiAddrOnlyEager", "list-hi", Scheme::kAddrOnly, false, false,
-     0x19b8b138c7421fccull},
+     0xe0d36a9460803f0full},
     {"ListHiAddrOnlyLazy", "list-hi", Scheme::kAddrOnly, true, false,
-     0xd2fd8ec4126e2d13ull},
+     0x04e733e89465c4bfull},
     {"ListHiTxSchedEager", "list-hi", Scheme::kTxSched, false, false,
-     0x91197ecb83f2c22bull},
+     0x5c30b4d194ec256cull},
     {"ListHiTxSchedLazy", "list-hi", Scheme::kTxSched, true, false,
-     0x83762e121e030b4aull},
+     0x6c2e8acb2280dcd6ull},
     {"IntruderHybridBaseline", "intruder", Scheme::kBaseline, false, true,
-     0x6ca7bcca9c61acd6ull},
+     0x20c45e2fc01dbaf0ull},
     {"IntruderHybridStaggered", "intruder", Scheme::kStaggered, false, true,
-     0x5eaaedc54acac6a2ull},
+     0x7d14eea03ba3691dull},
 };
 
 /// Every option that can change a simulated result is set explicitly, so

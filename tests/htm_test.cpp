@@ -363,6 +363,80 @@ TEST(HtmWriteBuffer, PrivateWrittenLineSurvivesConflictStamp) {
   }
 }
 
+// Private lines keep their directory entries, so with the privacy map wired
+// the directory and the L1s agree in both directions after every step:
+// private misses, hits, evictions, an escape, a commit and two aborts.
+TEST(HtmPrivateLines, DirectoryStaysExactAfterEveryStep) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    WbFixture f(lazy);
+    const auto check = [&] { f.mem->check_invariants(); };
+    // Nine lines of core 0's arena in one 8-way L1 set, and two more lines.
+    const Addr stride = Addr{f.cfg.l1.sets()} * sim::kLineBytes;
+    const Addr p = f.heap.alloc_line_aligned(0, 9 * stride);
+    const Addr q = f.heap.alloc_line_aligned(0, 64);
+    const Addr r = f.heap.alloc_line_aligned(0, 64);
+    for (Addr a : {p, q, r}) ASSERT_TRUE(f.priv.private_to(0, a));
+
+    f.htm->plain_load(0, p, 8);  // private load miss
+    check();
+    EXPECT_EQ(f.mem->dir_owner(p), 0);
+    f.htm->plain_store(0, p + stride, 1, 8);  // private store miss
+    check();
+    f.htm->plain_load(0, p, 8);  // hit
+    check();
+    f.htm->plain_store(0, p, 2, 8);  // hit, E -> M
+    check();
+    for (unsigned k = 2; k < 9; ++k) {  // the last fill evicts p + stride
+      f.htm->plain_load(0, p + k * stride, 8);
+      check();
+    }
+    EXPECT_EQ(f.mem->peek_l1(0, p + stride), nullptr);
+    EXPECT_TRUE(f.mem->dir_sharers(p + stride).none());
+
+    // Commit: q's address, stored to a shared line, escapes q at the drain.
+    f.htm->begin(0);
+    ASSERT_TRUE(f.htm->store(0, q, 5, 8, 1).ok);
+    check();
+    ASSERT_TRUE(f.htm->load(0, q, 8, 2).ok);
+    check();
+    ASSERT_TRUE(f.htm->store(0, f.x, q, 8, 3).ok);
+    check();
+    EXPECT_TRUE(f.htm->commit(0));
+    check();
+    EXPECT_FALSE(f.priv.private_to(0, q));
+    f.htm->plain_load(1, q, 8);  // the owner forwards the escaped line
+    check();
+    EXPECT_TRUE(f.mem->dir_sharers(q).test(1));
+
+    // Conflict abort: the stamp spares private r; the abort drops it.
+    f.htm->begin(0);
+    ASSERT_TRUE(f.htm->store(0, r, 7, 8, 4).ok);
+    check();
+    ASSERT_TRUE(f.htm->store(0, f.y, 8, 8, 5).ok);
+    check();
+    f.htm->plain_store(1, f.y, 9, 8);
+    check();
+    ASSERT_TRUE(f.htm->pending_abort(0));
+    EXPECT_NE(f.mem->peek_l1(0, r), nullptr);
+    EXPECT_EQ(f.htm->abort(0).cause, AbortCause::Conflict);
+    check();
+    EXPECT_EQ(f.mem->peek_l1(0, r), nullptr);
+    EXPECT_TRUE(f.mem->dir_sharers(r).none());
+
+    // Capacity abort: nine speculative private lines overflow one set.
+    f.htm->begin(0);
+    bool overflowed = false;
+    for (unsigned k = 0; k < 9 && !overflowed; ++k) {
+      overflowed = !f.htm->store(0, p + k * stride, k, 8, 6).ok;
+      check();
+    }
+    EXPECT_TRUE(overflowed);
+    EXPECT_EQ(f.htm->abort(0).cause, AbortCause::Capacity);
+    check();
+  }
+}
+
 TEST(HtmDeath, NestedBeginDies) {
   Fixture f;
   f.htm->begin(0);

@@ -232,7 +232,7 @@ TEST(ObserverBlame, FootprintKeepsFirstCaptureAndFlagsTruncation) {
 
 // ------------------------------------------------- lock counterfactuals ----
 
-TEST(ProvSinkEpisode, OverlapClassifiesConflictAvoided) {
+TEST(ObserverEpisode, OverlapClassifiesConflictAvoided) {
   Observer s = two_attempts();  // holder core 1, waiter core 0
   s.lock_wait(0, 100, /*lock=*/5, /*line=*/0x2040, /*holder=*/1);
   s.lock_acquire(0, 160, 5, 0x2040);
@@ -261,7 +261,7 @@ TEST(ProvSinkEpisode, OverlapClassifiesConflictAvoided) {
   EXPECT_TRUE(episodes(s, 1).empty());  // on the waiter's ring only
 }
 
-TEST(ProvSinkEpisode, DisjointClassifiesFalseSerialization) {
+TEST(ObserverEpisode, DisjointClassifiesFalseSerialization) {
   Observer s = two_attempts();
   s.lock_wait(0, 100, 5, 0x2040, 1);
   s.lock_timeout(0, 2100, 5, 2000);  // gave up, ran unprotected
@@ -279,7 +279,7 @@ TEST(ProvSinkEpisode, DisjointClassifiesFalseSerialization) {
   EXPECT_EQ(eps[0].overlap_line, 0u);
 }
 
-TEST(ProvSinkEpisode, MissingHolderFootprintIsIndeterminate) {
+TEST(ObserverEpisode, MissingHolderFootprintIsIndeterminate) {
   Observer s(2, 64);
   s.irrevocable(1, 0, 7, 1);  // irrevocable holders have no speculative lines
   s.tx_begin(0, 0, 0, 3, 1);
@@ -299,7 +299,7 @@ TEST(ProvSinkEpisode, MissingHolderFootprintIsIndeterminate) {
   EXPECT_FALSE(eps[0].flags & kEpisodeFpTruncated);
 }
 
-TEST(ProvSinkEpisode, TruncatedWaiterFootprintIsIndeterminate) {
+TEST(ObserverEpisode, TruncatedWaiterFootprintIsIndeterminate) {
   Observer s = two_attempts();
   s.lock_wait(0, 100, 5, 0x2040, 1);
   s.lock_acquire(0, 150, 5, 0x2040);
@@ -319,7 +319,7 @@ TEST(ProvSinkEpisode, TruncatedWaiterFootprintIsIndeterminate) {
   EXPECT_TRUE(eps[0].flags & kEpisodeFpTruncated);
 }
 
-TEST(ProvSinkEpisode, AbortDuringWaitRecordsOutcome) {
+TEST(ObserverEpisode, AbortDuringWaitRecordsOutcome) {
   Observer s = two_attempts();
   s.lock_wait(0, 100, 5, 0x2040, 1);
   s.lock_wait_aborted(0, 140);  // remote conflict killed the spinner
@@ -338,7 +338,7 @@ TEST(ProvSinkEpisode, AbortDuringWaitRecordsOutcome) {
   EXPECT_EQ(s.emitted(0, EventKind::kBlame), 1u);
 }
 
-TEST(ProvSinkEpisode, HolderGenerationMismatchStaysIndeterminate) {
+TEST(ObserverEpisode, HolderGenerationMismatchStaysIndeterminate) {
   Observer s = two_attempts();
   s.lock_wait(0, 100, 5, 0x2040, 1);  // samples holder generation G
   s.tx_commit(1, 120, 0, 7, 1);       // G ends without a footprint
@@ -355,7 +355,7 @@ TEST(ProvSinkEpisode, HolderGenerationMismatchStaysIndeterminate) {
   EXPECT_FALSE(eps[0].flags & kEpisodeHolderFpValid);
 }
 
-TEST(ProvSinkEpisode, UnknownHolderStaysIndeterminate) {
+TEST(ObserverEpisode, UnknownHolderStaysIndeterminate) {
   Observer s(2, 64);
   s.tx_begin(0, 0, 0, 3, 1);
   s.lock_wait(0, 100, 5, 0x2040, /*holder=*/-1);

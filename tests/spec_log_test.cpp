@@ -44,24 +44,6 @@ TEST(SpecLog, MarkLogsFirstTouchOnly) {
   c.check_log_invariants();
 }
 
-TEST(SpecLog, ClearLineCompactsBySwapWithLast) {
-  L1Cache c(tiny);
-  L1Line* a = install(c, line_in_set(0, 0));
-  L1Line* b = install(c, line_in_set(1, 0));
-  L1Line* d = install(c, line_in_set(2, 0));
-  for (L1Line* l : {a, b, d}) c.mark_speculative(*l, false);
-  ASSERT_EQ(c.speculative_line_count(), 3u);
-  c.clear_line_speculative(*b);  // middle entry: swap-remove moves d
-  EXPECT_EQ(c.speculative_line_count(), 2u);
-  EXPECT_FALSE(b->speculative());
-  c.check_log_invariants();
-  c.clear_line_speculative(*d);  // last entry
-  c.clear_line_speculative(*a);
-  EXPECT_EQ(c.speculative_line_count(), 0u);
-  c.check_log_invariants();
-  EXPECT_EQ(c.spec_log_high_water(), 3u);  // peak footprint survives clears
-}
-
 TEST(SpecLog, DrainVisitsInTagArraySweepOrder) {
   L1Cache c(tiny);
   // Mark in an order unrelated to slot order; the drain must visit in the
@@ -88,7 +70,7 @@ TEST(SpecLog, ForEachSpeculativeOrderedMatchesSweepAndPreservesLog) {
   c.mark_speculative(*b, true);
   c.mark_speculative(*a, false);
   std::vector<Addr> ordered;
-  c.for_each_speculative_ordered(
+  c.for_each_speculative(
       [&](const L1Line& l) { ordered.push_back(l.line); });
   std::vector<Addr> sweep;
   c.for_each_valid([&](const L1Line& l) {

@@ -123,6 +123,26 @@ struct StmMini {
   StmSystem& stm() { return *ms.sys->stm(); }
 };
 
+TEST(StmRedoLog, SubWordStoreIntoPartlyWrittenChunkReadsBack) {
+  StmMini m;
+  sim::Heap& heap = m.ms.sys->heap();
+  const sim::Addr a = m.counter;
+  heap.store(a, 0x1122334455667788ull, 8);
+  StmSystem& stm = m.stm();
+  stm.begin(0);
+  stm.write(0, a, 0xCC, 1);
+  stm.write(0, a + 2, 0xAABB, 2);  // same chunk, already partly written
+  EXPECT_EQ(stm.read(0, a, 8, 1).value, 0x11223344AABB77CCull);
+  EXPECT_EQ(stm.read(0, a + 2, 2, 2).value, 0xAABBu);
+  EXPECT_EQ(stm.read(0, a + 1, 1, 3).value, 0x77u);
+  EXPECT_EQ(stm.read(0, a + 4, 4, 4).value, 0x11223344u);
+  EXPECT_EQ(heap.load(a, 8), 0x1122334455667788ull);  // nothing written yet
+  while (stm.lock_next(0).status == StmSystem::LockStatus::kAdvanced) {
+  }
+  ASSERT_TRUE(stm.commit(0).ok);
+  EXPECT_EQ(heap.load(a, 8), 0x11223344AABB77CCull);
+}
+
 TEST(StmOrecIndex, LineGranularAndTableBounded) {
   StmMini m(64);
   const sim::Addr base = 0x10000;

@@ -177,11 +177,10 @@ int main(int argc, char** argv) {
   std::printf("energy     %.0f (arbitrary units; spin 0.3x, backoff 0.2x)\n",
               r.energy_estimate());
   // Host-side privacy report goes to stderr: stdout carries only
-  // simulated results and is byte-compared across STAGTM_PRIVATE by CI.
+  // simulated results, which CI byte-compares.
   std::fprintf(stderr,
-               "[privacy: classification=%s escaped_lines=%llu "
-               "publish_checks=%llu priv_hits=%llu dir_probes=%llu]\n",
-               r.privacy.enabled ? "on" : "off",
+               "[privacy: escaped_lines=%llu publish_checks=%llu "
+               "priv_hits=%llu dir_probes=%llu]\n",
                static_cast<unsigned long long>(r.privacy.escaped_lines),
                static_cast<unsigned long long>(r.privacy.publish_checks),
                static_cast<unsigned long long>(t.priv_hits),

@@ -7,7 +7,6 @@
 // unchanged under every contention-reduction scheme.
 #include <cstdio>
 
-#include "common/check.hpp"
 #include "ir/builder.hpp"
 #include "workloads/harness.hpp"
 
@@ -86,12 +85,13 @@ class BankWorkload final : public workloads::Workload {
     return op;
   }
 
-  void verify(runtime::TxSystem& sys) override {
+  std::string check_invariants(runtime::TxSystem& sys) override {
     std::uint64_t total = 0;
     for (unsigned i = 0; i < kAccounts; ++i)
       total += sys.heap().load(accounts_ + std::size_t{i} * 8, 8);
-    ST_CHECK_MSG(total == std::uint64_t{kAccounts} * kInitialBalance,
-                 "bank balance not conserved");
+    if (total != std::uint64_t{kAccounts} * kInitialBalance)
+      return "bank balance not conserved: " + std::to_string(total);
+    return "";
   }
 
  private:

@@ -85,7 +85,6 @@ class MemorySystem : public LineEscapeSink {
   /// configuration: every path behaves exactly as before). The map must be
   /// registered as this object's escape sink by the owner.
   void set_privacy(PrivacyMap* priv) { priv_ = priv; }
-  const PrivacyMap* privacy() const { return priv_; }
   void set_observer(obs::Observer* o) { obs_ = o; }
   void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
   /// Debug cross-check hook: returns true while the machine is running a

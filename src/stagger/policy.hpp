@@ -26,7 +26,6 @@ struct PolicyConfig {
   unsigned prom_thr = 4;  // PROM_THR: coarse aborts before promotion
   unsigned clean_decay = 4;  // retry-free commits per decayed history entry
   bool addr_only = false; // "AddrOnly" scheme: fixed entry ALP, precise only
-  std::uint32_t entry_alp = 0;  // AddrOnly: the fixed ALP of this block
 };
 
 enum class PolicyDecision : std::uint8_t {

@@ -45,10 +45,8 @@ void StmSystem::reset(TxState& tx) {
   tx.redo.clear();
   tx.write_bloom.clear();
   tx.write_orecs.clear();
-  tx.orec_bloom.clear();
   tx.held.clear();
   tx.lock_cursor = 0;
-  tx.locks_sorted = false;
 }
 
 Cycle StmSystem::begin(CoreId c) {
@@ -106,13 +104,6 @@ Cycle StmSystem::write(CoreId c, Addr a, std::uint64_t v, unsigned size) {
   ST_CHECK_MSG(tx.active, "STM write outside an attempt");
   tx.redo.put(a, v, size);
   tx.write_bloom.add(static_cast<std::uint32_t>(a >> 3));
-  const std::uint32_t idx = orec_index(a);
-  if (!tx.orec_bloom.maybe(idx) ||
-      std::find(tx.write_orecs.begin(), tx.write_orecs.end(), idx) ==
-          tx.write_orecs.end()) {
-    tx.write_orecs.push_back(idx);
-    tx.orec_bloom.add(idx);
-  }
   ++stats(c).tx_mem_ops;
   return kStmWriteCost;
 }
@@ -121,13 +112,14 @@ StmSystem::LockStep StmSystem::lock_next(CoreId c) {
   TxState& tx = tx_[c];
   ST_CHECK_MSG(tx.active, "STM lock step outside an attempt");
   LockStep r;
-  if (!tx.locks_sorted) {
-    // Sorted index order: two STM writers acquiring overlapping sets meet
-    // at the same first contested orec, so one always makes progress (no
-    // STM-STM deadlock).
-    std::sort(tx.write_orecs.begin(), tx.write_orecs.end());
-    tx.locks_sorted = true;
-    tx.lock_cursor = 0;
+  if (tx.write_orecs.empty()) {
+    // The write set's distinct orecs, in sorted index order: two STM
+    // writers acquiring overlapping sets meet at the same first contested
+    // orec, so one always makes progress (no STM-STM deadlock). Copied out
+    // of orec_scratch_, which HTM commits on other cores reuse between
+    // this attempt's lock steps.
+    tx.redo.lines(line_scratch_);
+    tx.write_orecs = orecs_for_lines(line_scratch_);
   }
   if (tx.lock_cursor >= tx.write_orecs.size()) {
     r.status = LockStatus::kAllHeld;

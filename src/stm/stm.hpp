@@ -200,11 +200,9 @@ class StmSystem {
     Bloom64 read_bloom;
     sim::WriteBuffer redo;
     Bloom64 write_bloom;
-    std::vector<std::uint32_t> write_orecs;  // distinct; sorted at lock time
-    Bloom64 orec_bloom;                      // summarizes write_orecs
+    std::vector<std::uint32_t> write_orecs;  // filled at the first lock step
     std::vector<Held> held;
     std::size_t lock_cursor = 0;
-    bool locks_sorted = false;
     Addr conflict_addr = 0;
     // Irrevocable-stamp dedup (valid between begin_irrev and glock release).
     std::uint64_t irrev_wv = 0;
@@ -223,6 +221,7 @@ class StmSystem {
   Addr orec_base_ = 0;
   std::vector<TxState> tx_;
   std::vector<std::uint32_t> orec_scratch_;
+  std::vector<Addr> line_scratch_;
 };
 
 }  // namespace st::stm

@@ -230,30 +230,6 @@ std::int64_t host_bst_lookup(const sim::Heap& heap, const BstLib& lib,
   return 0;
 }
 
-std::int64_t host_bst_sum_and_check(const sim::Heap& heap, const BstLib& lib,
-                                    sim::Addr tree) {
-  const Offs o = offs(lib);
-  std::int64_t sum = 0;
-  // Iterative in-order walk with explicit bounds checking.
-  std::vector<std::tuple<sim::Addr, std::int64_t, std::int64_t>> stack;
-  const sim::Addr root = heap.load(tree + o.root, 8);
-  if (root != 0) stack.emplace_back(root, INT64_MIN, INT64_MAX);
-  std::size_t visited = 0;
-  while (!stack.empty()) {
-    auto [n, lo, hi] = stack.back();
-    stack.pop_back();
-    ST_CHECK_MSG(++visited < 10'000'000, "tree cycle detected");
-    const auto k = static_cast<std::int64_t>(heap.load(n + o.key, 8));
-    ST_CHECK_MSG(k > lo && k < hi, "BST order violated");
-    sum += static_cast<std::int64_t>(heap.load(n + o.val, 8));
-    const sim::Addr l = heap.load(n + o.left, 8);
-    const sim::Addr r = heap.load(n + o.right, 8);
-    if (l != 0) stack.emplace_back(l, lo, k);
-    if (r != 0) stack.emplace_back(r, k, hi);
-  }
-  return sum;
-}
-
 std::string host_bst_validate(const sim::Heap& heap, const BstLib& lib,
                               sim::Addr tree, std::int64_t* sum_out,
                               std::size_t max_nodes) {

@@ -28,9 +28,6 @@ void host_bst_insert(sim::Heap& heap, unsigned arena, const BstLib& lib,
                      sim::Addr tree, std::int64_t key, std::int64_t val);
 std::int64_t host_bst_lookup(const sim::Heap& heap, const BstLib& lib,
                              sim::Addr tree, std::int64_t key);
-/// Sum of all values (capacity conservation checks) and BST-order check.
-std::int64_t host_bst_sum_and_check(const sim::Heap& heap, const BstLib& lib,
-                                    sim::Addr tree);
 /// Non-aborting structural check (Workload::check_invariants): "" when the
 /// tree is a well-formed BST, else a description of the first violation.
 /// Safe on corrupted state (wild pointers, cycles). When `sum_out` is

@@ -262,14 +262,6 @@ std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
   return out;
 }
 
-std::size_t host_list_check_sorted(const sim::Heap& heap, const ListLib& lib,
-                                   sim::Addr list) {
-  const auto items = host_list_items(heap, lib, list);
-  for (std::size_t i = 1; i < items.size(); ++i)
-    ST_CHECK_MSG(items[i - 1].first < items[i].first, "list order violated");
-  return items.size();
-}
-
 std::string host_list_validate(const sim::Heap& heap, const ListLib& lib,
                                sim::Addr list, bool require_sorted,
                                std::size_t max_nodes) {

@@ -43,9 +43,6 @@ sim::Addr host_list_append(sim::Heap& heap, unsigned arena, const ListLib& lib,
                            std::int64_t val);
 std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
     const sim::Heap& heap, const ListLib& lib, sim::Addr list);
-/// Checks strict key ordering; returns the length.
-std::size_t host_list_check_sorted(const sim::Heap& heap, const ListLib& lib,
-                                   sim::Addr list);
 /// Non-aborting structural check for the correctness checker
 /// (Workload::check_invariants): returns "" when the list is well-formed,
 /// else a description of the first violation. Safe on corrupted state —

@@ -101,14 +101,24 @@ void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
   host_list_push_sorted(heap, arena, lib.list, lp, prio, val);
 }
 
-std::size_t host_pq_size(const sim::Heap& heap, const PqLib& lib,
-                         sim::Addr pq) {
-  std::size_t total = 0;
+std::string host_pq_validate(const sim::Heap& heap, const PqLib& lib,
+                             sim::Addr pq, std::size_t* size_out) {
+  if (!heap.contains(pq) || pq % 8 != 0) return "pq header is wild";
   const auto n = heap.load(pq + lib.pq_t->field(0).offset, 8);
   const sim::Addr barr = heap.load(pq + lib.pq_t->field(2).offset, 8);
-  for (std::uint64_t i = 0; i < n; ++i)
-    total += host_list_items(heap, lib.list, heap.load(barr + i * 8, 8)).size();
-  return total;
+  if (n == 0 || n > (1u << 24) || !heap.contains(barr) || barr % 8 != 0 ||
+      !heap.contains(barr + n * 8 - 1))
+    return "pq bucket array is wild";
+  std::size_t total = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const sim::Addr lp = heap.load(barr + i * 8, 8);
+    const std::string err =
+        host_list_validate(heap, lib.list, lp, /*require_sorted=*/false);
+    if (!err.empty()) return "bucket " + std::to_string(i) + ": " + err;
+    total += host_list_items(heap, lib.list, lp).size();
+  }
+  if (size_out != nullptr) *size_out = total;
+  return "";
 }
 
 }  // namespace st::workloads::dslib

@@ -25,8 +25,10 @@ sim::Addr host_pq_new(sim::Heap& heap, unsigned arena, const PqLib& lib,
                       unsigned nbuckets, unsigned shift);
 void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
                   sim::Addr pq, std::int64_t prio, std::int64_t val);
-/// Total queued entries (verification).
-std::size_t host_pq_size(const sim::Heap& heap, const PqLib& lib,
-                         sim::Addr pq);
+/// Non-aborting structural check (Workload::check_invariants): "" when the
+/// header and every bucket list are well-formed, else the first violation.
+/// Safe on corrupted state. `size_out`, if set, receives the entry count.
+std::string host_pq_validate(const sim::Heap& heap, const PqLib& lib,
+                             sim::Addr pq, std::size_t* size_out = nullptr);
 
 }  // namespace st::workloads::dslib

@@ -5,7 +5,6 @@
 // the whole table (paper §6.2).
 #include <algorithm>
 
-#include "common/check.hpp"
 #include "workloads/all.hpp"
 #include "workloads/dslib/hashtable.hpp"
 
@@ -85,22 +84,24 @@ class Genome final : public Workload {
     return op;
   }
 
-  void verify(runtime::TxSystem& sys) override {
-    // The table must hold exactly the distinct segments that were inserted.
+  std::string check_invariants(runtime::TxSystem& sys) override {
+    const std::string err = dslib::host_ht_validate(sys.heap(), lib_, ht_);
+    if (!err.empty()) return "segment table: " + err;
+    std::vector<std::int64_t> got;
+    for (const auto& [k, v] : dslib::host_ht_items(sys.heap(), lib_, ht_)) {
+      if (k != v) return "segment " + std::to_string(k) + " value corrupted";
+      got.push_back(k);
+    }
+    // The table holds exactly the distinct inserted segments (replay guard:
+    // only the issuing instance knows them).
     std::vector<std::int64_t> want;
     for (unsigned i = 0; i < kSegments; ++i)
       if (issued_[i]) want.push_back(segs_[i]);
+    if (want.empty()) return "";
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
-    std::vector<std::int64_t> got;
-    for (const auto& [k, v] : dslib::host_ht_items(sys.heap(), lib_, ht_)) {
-      ST_CHECK_MSG(k == v, "genome segment value corrupted");
-      got.push_back(k);
-    }
     std::sort(got.begin(), got.end());
-    ST_CHECK_MSG(std::adjacent_find(got.begin(), got.end()) == got.end(),
-                 "duplicate segment in table");
-    ST_CHECK_MSG(got == want, "genome table does not match inserted set");
+    return got == want ? "" : "table does not match the inserted segments";
   }
 
  private:

@@ -208,8 +208,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
     r.cycles = sys.run();
   }
   if (opt.checked) {
-    // Checker mode: the aborting verify() would kill the process on exactly
-    // the corrupted states we want to report, so use the non-aborting hook.
+    // Checker mode reports the violations that verify() would abort on.
     r.invariant_failure =
         stalled ? "no commit progress in 4000000 cycles (likely a "
                   "non-terminating corrupted execution)"

@@ -57,8 +57,9 @@ struct RunOptions {
   /// STAGTM_SCHED_* env knobs. An explicit value overrides the environment;
   /// a config with mode kNone forces the default deterministic schedule.
   std::optional<check::SchedConfig> sched;
-  /// Checker mode: record the commit log, compute state_digest(), and run
-  /// the non-aborting check_invariants() instead of the aborting verify().
+  /// Checker mode: record the commit log, compute state_digest(), and
+  /// report check_invariants() in RunResult::invariant_failure instead of
+  /// aborting on it (verify()).
   bool checked = false;
   /// Deliberately compile out the speculative path's commit-time glock
   /// subscription (a real published-HTM-runtime bug class). Exists only so

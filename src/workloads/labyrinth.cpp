@@ -3,7 +3,6 @@
 // path's grid cells are free and claims them. Overlapping paths conflict on
 // varying cell addresses with a recurring PC — coarse-grain locking
 // territory.
-#include "common/check.hpp"
 #include "workloads/all.hpp"
 #include "ir/builder.hpp"
 #include "workloads/workload.hpp"
@@ -141,12 +140,15 @@ class Labyrinth final : public Workload {
     last_was_claim_[thread] = false;
   }
 
-  void verify(runtime::TxSystem& sys) override {
+  std::string check_invariants(runtime::TxSystem& sys) override {
     const unsigned cores = sys.config().cores;
     for (unsigned c = 0; c < kCells; ++c) {
       const std::uint64_t v = sys.heap().load(grid_ + std::size_t{c} * 8, 8);
-      ST_CHECK_MSG(v <= cores, "grid cell claimed by an unknown owner");
+      if (v > cores)
+        return "grid cell " + std::to_string(c) + " claimed by unknown owner " +
+               std::to_string(v);
     }
+    return "";
   }
 
  private:

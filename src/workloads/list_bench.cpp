@@ -1,7 +1,6 @@
 // list-lo / list-hi: the RSTM IntSet microbenchmark. Threads search and
 // update one shared, sorted 64-node list. list-lo: 90/5/5
 // lookup/insert/delete; list-hi: 60/20/20 (Table 4).
-#include "common/check.hpp"
 #include "workloads/all.hpp"
 #include "workloads/dslib/list.hpp"
 
@@ -70,25 +69,18 @@ class ListBench final : public Workload {
     return op;
   }
 
-  void verify(runtime::TxSystem& sys) override {
-    dslib::host_list_check_sorted(sys.heap(), lib_, list_);
-  }
-
   std::string check_invariants(runtime::TxSystem& sys) override {
     std::string err = dslib::host_list_validate(
         sys.heap(), lib_, list_, /*require_sorted=*/true, 4 * kNodes);
     if (!err.empty()) return err;
-    std::size_t n = 0;
     for (const auto& [key, val] : dslib::host_list_items(sys.heap(), lib_,
                                                          list_)) {
-      ++n;
       if (key < 1 || key > 2 * kNodes)
         return "key " + std::to_string(key) + " out of range";
       if (val != key)
         return "node key " + std::to_string(key) + " has val " +
                std::to_string(val);
     }
-    (void)n;
     return "";
   }
 

@@ -2,7 +2,8 @@
 // bump plus an adjacency write) over a large vertex set, so conflicts are
 // rare — the paper's low-contention control case that staggered
 // transactions must not slow down.
-#include "common/check.hpp"
+#include <algorithm>
+
 #include "workloads/all.hpp"
 #include "ir/builder.hpp"
 #include "workloads/workload.hpp"
@@ -76,12 +77,16 @@ class Ssca2 final : public Workload {
     return op;
   }
 
-  void verify(runtime::TxSystem& sys) override {
-    // Degree counters are per-vertex sums of committed add_edge txns.
+  std::string check_invariants(runtime::TxSystem& sys) override {
+    // Degree counters are per-vertex sums of committed add_edge txns
+    // (replay guard: only the issuing instance counted them).
+    if (std::all_of(edges_added_.begin(), edges_added_.end(),
+                    [](std::uint64_t n) { return n == 0; }))
+      return "";
     for (unsigned v = 0; v < kVertices; ++v)
-      ST_CHECK_MSG(sys.heap().load(deg_ + std::size_t{v} * 8, 8) ==
-                       edges_added_[v],
-                   "ssca2 lost a degree increment");
+      if (sys.heap().load(deg_ + std::size_t{v} * 8, 8) != edges_added_[v])
+        return "vertex " + std::to_string(v) + " lost a degree increment";
+    return "";
   }
 
  private:

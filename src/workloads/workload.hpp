@@ -1,12 +1,13 @@
 // Workload abstraction: a benchmark = IR (types, functions, atomic blocks)
-// + heap setup + a deterministic per-thread operation schedule + invariant
-// verification.
+// + heap setup + a deterministic per-thread operation schedule + one
+// invariant check.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "runtime/tx_system.hpp"
 
 namespace st::workloads {
@@ -44,18 +45,21 @@ class Workload {
   /// Operations each thread performs (before ops_scale).
   virtual std::uint64_t ops_per_thread() const = 0;
 
-  /// Step 4 — check data-structure invariants after the run (aborts the
-  /// process on violation).
-  virtual void verify(runtime::TxSystem& sys) { (void)sys; }
+  /// Step 4 — the one invariant check, run on the final heap after every
+  /// run (verify() in default runs, RunResult::invariant_failure in
+  /// checked runs, and on the oracle's serial replay). Returns "" or the
+  /// first violation. Must survive corrupted shared state: walk structures
+  /// only after the dslib host_*_validate helpers accept them.
+  /// Replay guard: the replay instance never calls next_op()/on_result(),
+  /// so checks against host-side counts of issued ops run only when some
+  /// op was issued (e.g. `if (processed_ > 0)`); structural checks always.
+  virtual std::string check_invariants(runtime::TxSystem& sys) = 0;
 
-  /// Non-aborting invariant check for the schedule-exploration checker
-  /// (src/check). Returns "" when every invariant holds, else a description
-  /// of the first violation. Unlike verify(), implementations must survive
-  /// arbitrarily corrupted shared state (wild pointers, cycles) — use the
-  /// dslib host_*_validate helpers, never ST_CHECK on simulated data.
-  virtual std::string check_invariants(runtime::TxSystem& sys) {
-    (void)sys;
-    return "";
+  /// check_invariants() as a hard check: prints the violation and aborts
+  /// the process.
+  void verify(runtime::TxSystem& sys) {
+    const std::string err = check_invariants(sys);
+    ST_CHECK_MSG(err.empty(), (std::string(name()) + ": " + err).c_str());
   }
 
   /// Address-independent digest of the final shared state (order- and

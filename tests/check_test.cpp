@@ -12,6 +12,7 @@
 #include "ir/builder.hpp"
 #include "workloads/dslib/bst.hpp"
 #include "workloads/dslib/hashtable.hpp"
+#include "workloads/dslib/pqueue.hpp"
 #include "workloads/harness.hpp"
 
 namespace st::check {
@@ -364,9 +365,35 @@ TEST(Validators, HashTableReportsBucketCorruption) {
             std::string::npos);
 }
 
+TEST(Validators, PqReportsWildBucketAndCountsEntries) {
+  namespace ds = workloads::dslib;
+  ir::Module m;
+  const ds::PqLib lib = ds::build_pq_lib(m, 4);
+  sim::Heap heap(1, 1 << 20);
+  const unsigned arena = heap.setup_arena();
+  const sim::Addr pq = ds::host_pq_new(heap, arena, lib, 4, 4);
+  for (std::int64_t p = 0; p < 6; ++p)
+    ds::host_pq_push(heap, arena, lib, pq, 16 * p, p + 1);
+  std::size_t size = 0;
+  EXPECT_EQ(ds::host_pq_validate(heap, lib, pq, &size), "");
+  EXPECT_EQ(size, 6u);
+
+  const sim::Addr barr = heap.load(pq + lib.pq_t->field(2).offset, 8);
+  const sim::Addr bucket2 = heap.load(barr + 2 * 8, 8);
+  const unsigned head_off = field_off(lib.list.list_t, "head");
+  const sim::Addr head = heap.load(bucket2 + head_off, 8);
+  heap.store(bucket2 + head_off, 0xDEAD'BEE8, 8);
+  EXPECT_NE(ds::host_pq_validate(heap, lib, pq).find("bucket 2: node 0: wild"),
+            std::string::npos);
+  heap.store(bucket2 + head_off, head, 8);  // restore
+  heap.store(barr + 8, 0x3, 8);             // wild bucket list header
+  EXPECT_NE(ds::host_pq_validate(heap, lib, pq).find("bucket 1: list header"),
+            std::string::npos);
+}
+
 // End-to-end invariant-hook plumbing: a workload whose schedule corrupts
 // its own list mid-run must surface the violation through
-// RunResult::invariant_failure (the aborting verify() is skipped).
+// RunResult::invariant_failure instead of aborting through verify().
 class SelfCorruptingList final : public workloads::Workload {
  public:
   const char* name() const override { return "self-corrupting-list"; }

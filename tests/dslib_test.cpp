@@ -60,7 +60,10 @@ TEST(List, StaysSortedUnderRandomOps) {
         break;
     }
     if (i % 50 == 0) {
-      EXPECT_EQ(host_list_check_sorted(f.ms.sys->heap(), f.lib, f.list),
+      EXPECT_EQ(host_list_validate(f.ms.sys->heap(), f.lib, f.list,
+                                   /*require_sorted=*/true),
+                "");
+      EXPECT_EQ(host_list_items(f.ms.sys->heap(), f.lib, f.list).size(),
                 model.size());
     }
   }
@@ -85,7 +88,10 @@ TEST(List, BoundaryInsertionsFrontAndBack) {
   // Remove head and tail.
   EXPECT_EQ(f.ms.run_ab(2, {f.list, 5}), 1u);
   EXPECT_EQ(f.ms.run_ab(2, {f.list, 20}), 1u);
-  EXPECT_EQ(host_list_check_sorted(f.ms.sys->heap(), f.lib, f.list), 1u);
+  EXPECT_EQ(host_list_validate(f.ms.sys->heap(), f.lib, f.list,
+                               /*require_sorted=*/true),
+            "");
+  EXPECT_EQ(host_list_items(f.ms.sys->heap(), f.lib, f.list).size(), 1u);
 }
 
 TEST(List, PushPopFrontBehavesLikeAStack) {
@@ -202,7 +208,9 @@ TEST(Bst, InsertAndLookup) {
   EXPECT_EQ(f.ms.run_ab(0, {f.tree, 25}), 250u);
   EXPECT_EQ(f.ms.run_ab(0, {f.tree, 75}), 750u);
   EXPECT_EQ(f.ms.run_ab(0, {f.tree, 60}), 0u);
-  host_bst_sum_and_check(f.ms.sys->heap(), f.lib, f.tree);
+  std::int64_t sum = 0;
+  EXPECT_EQ(host_bst_validate(f.ms.sys->heap(), f.lib, f.tree, &sum), "");
+  EXPECT_EQ(sum, 1500);
 }
 
 TEST(Bst, ReserveDecrementsUntilZeroRestoreGivesBack) {
@@ -226,9 +234,14 @@ TEST(Bst, AgreesWithModelUnderRandomInserts) {
     const bool fresh = model.emplace(k, v).second;
     EXPECT_EQ(f.ms.run_ab(1, {f.tree, k, v}), fresh ? 1u : 0u);
   }
-  for (const auto& [k, v] : model)
+  std::int64_t want = 0;
+  for (const auto& [k, v] : model) {
     EXPECT_EQ(f.ms.run_ab(0, {f.tree, k}), v);
-  host_bst_sum_and_check(f.ms.sys->heap(), f.lib, f.tree);
+    want += static_cast<std::int64_t>(v);
+  }
+  std::int64_t sum = 0;
+  EXPECT_EQ(host_bst_validate(f.ms.sys->heap(), f.lib, f.tree, &sum), "");
+  EXPECT_EQ(sum, want);
 }
 
 struct PqFixture {
@@ -243,6 +256,12 @@ struct PqFixture {
     ms.boot();
     // shift 4: priorities 0..127 map to buckets 0..7.
     pq = host_pq_new(ms.sys->heap(), ms.sys->heap().setup_arena(), lib, 8, 4);
+  }
+
+  std::size_t size() {
+    std::size_t n = 0;
+    EXPECT_EQ(host_pq_validate(ms.sys->heap(), lib, pq, &n), "");
+    return n;
   }
 };
 
@@ -260,7 +279,7 @@ TEST(PQueue, PopsFromTheMinimumBucketFirst) {
 TEST(PQueue, OverflowPrioritiesClampToLastBucket) {
   PqFixture f;
   f.ms.run_ab(0, {f.pq, 5000, 7u});
-  EXPECT_EQ(host_pq_size(f.ms.sys->heap(), f.lib, f.pq), 1u);
+  EXPECT_EQ(f.size(), 1u);
   EXPECT_EQ(f.ms.run_ab(1, {f.pq}), 7u);
 }
 
@@ -276,7 +295,7 @@ TEST(PQueue, ConservesEntries) {
       ++popped;
     }
   }
-  EXPECT_EQ(host_pq_size(f.ms.sys->heap(), f.lib, f.pq), pushed - popped);
+  EXPECT_EQ(f.size(), pushed - popped);
 }
 
 TEST(PQueue, HostAndIrPushesInteroperate) {

@@ -147,7 +147,10 @@ TEST(Executor, StaggeredReleasesAdvisoryLockOnCommit) {
       ms.sys->heap(), ms.sys->heap().setup_arena(), lib);
   for (std::uint64_t k = 1; k <= 40; ++k) ms.run_ab(0, {list, 2 * k, 2 * k});
   EXPECT_FALSE(ms.sys->locks().holds_lock(0));
-  EXPECT_EQ(workloads::dslib::host_list_check_sorted(ms.sys->heap(), lib, list),
+  EXPECT_EQ(workloads::dslib::host_list_validate(ms.sys->heap(), lib, list,
+                                                /*require_sorted=*/true),
+            "");
+  EXPECT_EQ(workloads::dslib::host_list_items(ms.sys->heap(), lib, list).size(),
             40u);
 }
 

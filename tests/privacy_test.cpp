@@ -263,7 +263,7 @@ void expect_fused_matches_single_step(const std::string& wl, bool lazy,
       << wl << (lazy ? " lazy" : " eager") << " seed " << seed;
 }
 
-TEST(PrivacyDifferential, KnobOffOnIdenticalAcrossFusionAndModes) {
+TEST(PrivacyDifferential, FusedMatchesSingleStepAcrossModes) {
   // Eager and lazy, fused against single-stepped. list-hi has heavy shared
   // traffic, labyrinth heavy private traffic: opposite corners of the
   // classification that lets private-line hits run ahead.

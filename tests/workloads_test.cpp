@@ -1,8 +1,14 @@
 // Per-workload behaviour: registry completeness, metric sanity, contention
-// classes, and invariant verification under concurrency (each run_workload
-// call already executes the workload's own verify()).
+// classes, and invariant checks under concurrency (each default
+// run_workload call already aborts through the workload's verify()).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
+#include "check/oracle.hpp"
+#include "workloads/dslib/hashtable.hpp"
+#include "workloads/dslib/pqueue.hpp"
 #include "workloads/harness.hpp"
 
 namespace st::workloads {
@@ -39,10 +45,29 @@ TEST_P(PerWorkload, SingleThreadRunIsAbortFreeAndVerifies) {
 }
 
 TEST_P(PerWorkload, ConcurrentStaggeredRunVerifiesInvariants) {
-  // verify() inside run_workload aborts the process on any corruption.
+  // run_workload aborts through verify() on any invariant violation.
   const RunResult r =
       run_workload(GetParam(), opts(runtime::Scheme::kStaggered, 8, 0.05));
   EXPECT_EQ(r.totals.commits, r.total_ops);
+}
+
+TEST_P(PerWorkload, CheckedRunAndSerialReplayHoldInvariants) {
+  RunOptions o = opts(runtime::Scheme::kStaggered, 8, 0.05);
+  o.checked = true;
+  o.sched = check::SchedConfig{};
+  o.trace_path = std::string();
+  const RunResult r = run_workload(GetParam(), o);
+  EXPECT_EQ(r.invariant_failure, "");
+  const check::OracleReport rep = check::replay_serial(GetParam(), o, r);
+  EXPECT_EQ(rep.divergence.find("replayed state violates invariants"),
+            std::string::npos)
+      << rep.divergence;
+  // Labyrinth's replay can stop earlier, at a result mismatch: its claims
+  // read a path buffer that next_op() fills with host stores, which the
+  // commit log does not carry (ROADMAP item 1).
+  if (std::string(GetParam()) != "labyrinth") {
+    EXPECT_TRUE(rep.ok) << rep.divergence;
+  }
 }
 
 TEST_P(PerWorkload, MetricsAreWellFormed) {
@@ -65,6 +90,136 @@ INSTANTIATE_TEST_SUITE_P(
     All, PerWorkload,
     ::testing::Values("genome", "intruder", "kmeans", "labyrinth", "ssca2",
                       "vacation", "list-lo", "list-hi", "tsp", "memcached"));
+
+// Delegates to a registry workload, records the ops it issues, and lets a
+// test corrupt the final heap just before the invariant check runs.
+class Corrupted final : public Workload {
+ public:
+  using Corrupt =
+      std::function<void(sim::Heap&, ir::Module&, const std::vector<Op>&)>;
+  Corrupted(const char* wl, Corrupt corrupt)
+      : inner_(make_workload(wl)), corrupt_(std::move(corrupt)) {}
+
+  const char* name() const override { return inner_->name(); }
+  std::uint64_t ops_per_thread() const override {
+    return inner_->ops_per_thread();
+  }
+  void build_ir(ir::Module& m) override {
+    m_ = &m;
+    inner_->build_ir(m);
+  }
+  void setup(runtime::TxSystem& sys) override { inner_->setup(sys); }
+  Op next_op(runtime::TxSystem& sys, unsigned t, std::uint64_t i) override {
+    ops_.push_back(inner_->next_op(sys, t, i));
+    return ops_.back();
+  }
+  void on_result(unsigned t, std::uint64_t i, std::uint64_t r) override {
+    inner_->on_result(t, i, r);
+  }
+  std::string check_invariants(runtime::TxSystem& sys) override {
+    corrupt_(sys.heap(), *m_, ops_);
+    return inner_->check_invariants(sys);
+  }
+
+ private:
+  std::unique_ptr<Workload> inner_;
+  Corrupt corrupt_;
+  ir::Module* m_ = nullptr;
+  std::vector<Op> ops_;
+};
+
+/// First issued op running atomic block `ab`.
+const Workload::Op& first_op(const std::vector<Workload::Op>& ops,
+                             unsigned ab) {
+  for (const Workload::Op& op : ops)
+    if (op.ab_id == ab) return op;
+  ADD_FAILURE() << "no op of atomic block " << ab;
+  return ops.front();
+}
+
+void bump(sim::Heap& heap, sim::Addr a) { heap.store(a, heap.load(a, 8) + 1, 8); }
+
+struct Corruption {
+  const char* names;  // substring check_invariants must report
+  Corrupted::Corrupt corrupt;
+};
+
+/// One heap word to corrupt per workload whose check was ported from an
+/// aborting verify().
+const Corruption& corruption_for(const std::string& wl) {
+  static const std::map<std::string, Corruption> cases = {
+      {"ssca2",
+       {"degree increment",
+        [](sim::Heap& h, ir::Module&, const auto& ops) {
+          const auto& a = first_op(ops, 0).args;  // deg, adj, v, w
+          bump(h, a[0] + a[2] * 8);
+        }}},
+      {"kmeans",
+       {"count update",
+        [](sim::Heap& h, ir::Module&, const auto& ops) {
+          const auto& a = first_op(ops, 0).args;  // .., counts, .., cluster
+          bump(h, a[1] + a[3] * 64);
+        }}},
+      {"labyrinth",
+       {"unknown owner",
+        [](sim::Heap& h, ir::Module&, const auto& ops) {
+          h.store(first_op(ops, 0).args[0], 999, 8);  // grid cell 0
+        }}},
+      {"memcached",
+       {"hit/miss",
+        [](sim::Heap& h, ir::Module&, const auto& ops) {
+          bump(h, first_op(ops, 0).args[1]);  // stats.cmd_get
+        }}},
+      {"genome",
+       {"value corrupted",
+        [](sim::Heap& h, ir::Module& m, const auto& ops) {
+          // Bump the value of some bucket's head segment.
+          const auto lib = dslib::build_hash_lib(m, 1024);
+          const unsigned head_off = lib.list.list_t->field(0).offset;
+          const sim::Addr ht = first_op(ops, 0).args[0];
+          for (sim::Addr b = h.load(ht + lib.htab_t->field(1).offset, 8);;
+               b += 8) {
+            const sim::Addr head = h.load(h.load(b, 8) + head_off, 8);
+            if (head == 0) continue;
+            bump(h, head + lib.list.node_t->field(1).offset);
+            return;
+          }
+        }}},
+      {"tsp",
+       {"wild pointer",
+        [](sim::Heap& h, ir::Module& m, const auto& ops) {
+          // Point bucket 0's list head into unmapped space.
+          const auto lib = dslib::build_pq_lib(m, 64);
+          const sim::Addr pq = first_op(ops, 0).args[0];
+          const sim::Addr barr = h.load(pq + lib.pq_t->field(2).offset, 8);
+          h.store(h.load(barr, 8) + lib.list.list_t->field(0).offset,
+                  0xDEAD'BEE8, 8);
+        }}},
+  };
+  return cases.at(wl);
+}
+
+class InvariantCatches : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InvariantCatches, CheckNamesCorruptionAndVerifyDies) {
+  const Corruption& c = corruption_for(GetParam());
+  RunOptions o = opts(runtime::Scheme::kStaggered, 4, 0.05);
+  o.checked = true;
+  Corrupted checked(GetParam(), c.corrupt);
+  const std::string failure = run_workload(checked, o).invariant_failure;
+  EXPECT_NE(failure.find(c.names), std::string::npos) << failure;
+  o.checked = false;
+  EXPECT_DEATH(
+      {
+        Corrupted wl(GetParam(), c.corrupt);
+        run_workload(wl, o);
+      },
+      c.names);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ported, InvariantCatches,
+                         ::testing::Values("genome", "kmeans", "labyrinth",
+                                           "ssca2", "tsp", "memcached"));
 
 TEST(Workloads, ListHiContendsMoreThanListLo) {
   const auto lo =

@@ -14,10 +14,13 @@
 //   STAGTM_JOBS    — host worker threads, one per simulation (default:
 //     hardware concurrency)
 //   STAGTM_JSON    — if set, write machine-readable results to this path
-//   STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP — the observer
-//     (obs/observer.hpp): event trace plus per-abort blame records and
-//     advisory-lock episodes, written per job for tools/stagtm-trace;
-//     never changes stdout or simulated results
+//   STAGTM_MAX_RETRIES / STAGTM_STM / STAGTM_STM_RETRIES / STAGTM_STM_ORECS
+//     — the HTM retry budget and the STM fallback tier
+//     (workloads::options_from_env)
+//   STAGTM_TRACE / STAGTM_TRACE_CAP — the observer (obs/observer.hpp):
+//     event trace plus per-abort blame records and advisory-lock episodes,
+//     written per job for tools/stagtm-trace; never changes stdout or
+//     simulated results
 #pragma once
 
 #include <chrono>
@@ -64,7 +67,7 @@ inline unsigned env_jobs() {
 
 inline workloads::RunOptions base_options(runtime::Scheme scheme,
                                           unsigned threads) {
-  workloads::RunOptions o;
+  workloads::RunOptions o = workloads::options_from_env();
   o.scheme = scheme;
   o.threads = threads;
   o.seed = env_seed();
@@ -115,8 +118,13 @@ class Sweep {
 
   ~Sweep() { write_json(); }
 
-  std::size_t add(const std::string& workload,
-                  const workloads::RunOptions& o) {
+  std::size_t add(const std::string& workload, workloads::RunOptions o) {
+    // Concurrent jobs must not clobber one shared STAGTM_TRACE file, so each
+    // job's path carries its id. Ids are submission order, making output
+    // names stable regardless of which worker picks the job up.
+    if (o.trace.enabled())
+      o.trace.path =
+          obs::uniquify_trace_path(o.trace.path, runner_.submitted());
     return runner_.submit(workload, o);
   }
 
@@ -151,7 +159,7 @@ class Sweep {
     double serial_ms = 0;
     std::fprintf(f, "{\n  \"bench\": \"");
     json_escape(f, name_);
-    const stm::StmConfig stm = stm::StmConfig::from_env();
+    const workloads::RunOptions env = workloads::options_from_env();
     std::fprintf(f,
                  "\",\n  \"jobs\": %u,\n  \"threads\": %u,\n"
                  "  \"scale\": %.17g,\n  \"seed\": %llu,\n"
@@ -160,8 +168,8 @@ class Sweep {
                  "\"orecs\": %u},\n  \"runs\": [",
                  jobs(), env_cores(), env_scale(),
                  static_cast<unsigned long long>(env_seed()),
-                 workloads::default_max_retries(),
-                 stm.enabled ? "true" : "false", stm.retries, stm.orecs);
+                 env.max_retries, env.stm.enabled ? "true" : "false",
+                 env.stm.retries, env.stm.orecs);
     const std::size_t n = runner_.submitted();
     bool first = true;
     for (std::size_t i = 0; i < n; ++i) {
@@ -184,8 +192,7 @@ class Sweep {
           "\"aborts_per_commit\": %.17g, \"wall_ms\": %.3f, "
           "\"sched_events\": %llu, \"sched_steps\": %llu, \"instrs\": %llu, "
           "\"minstr_per_s\": %.3f, "
-          "\"abort_trace_dropped\": %llu, "
-          "\"sched_mode\": \"%s\", \"sched_seed\": %llu,",
+          "\"abort_trace_dropped\": %llu,",
           r->threads, static_cast<unsigned long long>(r->cycles),
           static_cast<unsigned long long>(r->total_ops), r->throughput(),
           static_cast<unsigned long long>(r->totals.commits),
@@ -195,9 +202,7 @@ class Sweep {
           static_cast<unsigned long long>(r->sched_steps),
           static_cast<unsigned long long>(r->totals.interp_instrs),
           r->host_minstr_per_s(),
-          static_cast<unsigned long long>(r->abort_trace_dropped),
-          r->sched_mode.c_str(),
-          static_cast<unsigned long long>(r->sched_seed));
+          static_cast<unsigned long long>(r->abort_trace_dropped));
       std::fprintf(f, "\n     \"privacy\": ");
       obs::write_privacy_json(f, r->privacy);
       // Provenance summary + the per-job observer file path (only when

@@ -51,12 +51,11 @@ OracleReport replay_serial(const std::string& workload,
     return rep;
   }
 
-  // Reference configuration: same machine, no perturbation, no recording,
-  // no backdoors, no tracing.
+  // Reference configuration: same machine, no recording, no backdoors. The
+  // replay drives its own single-core tasks and installs no perturbation.
   workloads::RunOptions ref = opt;
   ref.checked = false;
   ref.unsafe_skip_subscription = false;
-  ref.sched = SchedConfig{};  // mode kNone
 
   auto wl = workloads::make_workload(workload);
   if (wl == nullptr) {
@@ -68,8 +67,7 @@ OracleReport replay_serial(const std::string& workload,
   const auto mode = ref.instrument_override.value_or(
       runtime::instrument_mode_for(ref.scheme));
   auto prog = stagger::compile(m, mode, ref.pc_tag_bits);
-  runtime::RuntimeConfig rt = workloads::make_runtime_config(ref);
-  rt.trace = obs::TraceConfig{};
+  const runtime::RuntimeConfig rt = workloads::make_runtime_config(ref);
   runtime::TxSystem sys(rt, prog);
   wl->setup(sys);
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/rng.hpp"
 
 namespace st::check {
@@ -19,52 +18,6 @@ const char* sched_mode_name(SchedMode m) {
     case SchedMode::kJitter: return "jitter";
   }
   return "?";
-}
-
-SchedConfig SchedConfig::from_env() {
-  SchedConfig cfg;
-  const std::string mode = env_str("STAGTM_SCHED_MODE");
-  if (mode.empty()) return cfg;  // other knobs are ignored when off
-  if (mode == "pct")
-    cfg.mode = SchedMode::kPct;
-  else if (mode == "jitter")
-    cfg.mode = SchedMode::kJitter;
-  else
-    env_fail("STAGTM_SCHED_MODE", mode.c_str(),
-             "\"pct\", \"jitter\", or unset");
-  cfg.seed = env_u64("STAGTM_SCHED_SEED", 1, 0, ~std::uint64_t{0},
-                     "a non-negative integer");
-  cfg.jitter = env_u64("STAGTM_SCHED_JITTER", 64, 1, 1'000'000'000,
-                       "an integer in [1,1000000000]");
-  cfg.period = env_u64("STAGTM_SCHED_PERIOD", 8, 1, 1'000'000'000,
-                       "an integer in [1,1000000000]");
-  cfg.depth = static_cast<unsigned>(
-      env_u64("STAGTM_SCHED_DEPTH", 3, 0, 1024, "an integer in [0,1024]"));
-  cfg.skew = env_u64("STAGTM_SCHED_SKEW", 4096, 1, 1'000'000'000,
-                     "an integer in [1,1000000000]");
-  const std::string win = env_str("STAGTM_SCHED_WINDOW");
-  if (!win.empty()) {
-    const auto colon = win.find(':');
-    bool ok = colon != std::string::npos;
-    std::uint64_t lo = 0, hi = 0;
-    if (ok) {
-      char* end = nullptr;
-      const std::string a = win.substr(0, colon), b = win.substr(colon + 1);
-      lo = std::strtoull(a.c_str(), &end, 10);
-      ok = !a.empty() && *end == '\0';
-      if (ok) {
-        hi = std::strtoull(b.c_str(), &end, 10);
-        ok = !b.empty() && *end == '\0';
-      }
-      ok = ok && lo < hi;
-    }
-    if (!ok)
-      env_fail("STAGTM_SCHED_WINDOW", win.c_str(),
-               "\"lo:hi\" with lo < hi (cycles)");
-    cfg.window_lo = lo;
-    cfg.window_hi = hi;
-  }
-  return cfg;
 }
 
 std::string SchedConfig::describe() const {

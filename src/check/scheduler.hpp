@@ -17,15 +17,9 @@
 //     seeded random delay. Injection can be confined to a cycle window
 //     [lo, hi), which is what the failure reducer bisects.
 //
-// Environment knobs (strictly validated through common/env, exit 2 on bad
-// values; all ignored unless STAGTM_SCHED_MODE is set):
-//   STAGTM_SCHED_MODE   — "pct" | "jitter" (unset/empty = off)
-//   STAGTM_SCHED_SEED   — perturbation seed (default 1)
-//   STAGTM_SCHED_JITTER — max injected delay per injection (default 64)
-//   STAGTM_SCHED_PERIOD — mean steps between injections (default 8)
-//   STAGTM_SCHED_WINDOW — "lo:hi" injection cycle window (default all)
-//   STAGTM_SCHED_DEPTH  — pct demotion weight, p = depth/65536 (default 3)
-//   STAGTM_SCHED_SKEW   — pct clock-skew band in cycles (default 4096)
+// A run is perturbed only by setting RunOptions::sched; stagtm-check's
+// flags (--mode, --seed0, --jitter, --period, --window, --depth, --skew)
+// are the command-line interface.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +45,6 @@ struct SchedConfig {
   sim::Cycle skew = 4096;        // pct: max clock skew band
 
   bool enabled() const { return mode != SchedMode::kNone; }
-
-  /// Reads the STAGTM_SCHED_* knobs; exits 2 on malformed values. Parsed
-  /// fresh on each call (no latch) so tests can exercise the validation.
-  static SchedConfig from_env();
 
   /// Human/CLI form, e.g. "jitter seed=7 amp=64 period=8 window=0:4096".
   /// "off" when disabled. Stable: reruns of the same config print the same.

@@ -24,6 +24,14 @@ std::uint64_t env_u64(const char* name, std::uint64_t dflt, std::uint64_t lo,
 /// Strictly positive floating-point knob.
 double env_positive_double(const char* name, double dflt);
 
+/// The parsers behind env_u64 / env_positive_double, for values that come
+/// from elsewhere (command-line flags): `value` must be present, and `name`
+/// is what the exit-2 diagnostic names.
+std::uint64_t parse_u64_or_exit(const char* name, const char* value,
+                                std::uint64_t lo, std::uint64_t hi,
+                                const char* expected);
+double parse_positive_double_or_exit(const char* name, const char* value);
+
 /// Boolean knob: unset -> dflt, "1" -> true, "0" -> false, else exit 2.
 bool env_flag01(const char* name, bool dflt);
 

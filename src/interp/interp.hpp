@@ -12,9 +12,9 @@
 // instruction, as the original single-stepping interpreter did.
 //
 // All memory effects go through an ExecEnv, which the transaction executor
-// implements in three flavours: speculative (HTM), irrevocable (plain
-// accesses under the global lock), and setup (single-threaded
-// initialization).
+// implements in three flavours: SpecEnv (speculative HTM accesses), StmEnv
+// (TL2 read/write-set accesses of the STM tier) and PlainEnv (irrevocable
+// plain accesses under the global lock).
 #pragma once
 
 #include <cstdint>

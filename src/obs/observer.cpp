@@ -30,73 +30,12 @@ const char* lock_class_name(LockClass c) {
   return unsigned(c) < std::size(kNames) ? kNames[unsigned(c)] : "?";
 }
 
-namespace {
-constexpr EventMask bit(EventKind k) {
-  return EventMask{1} << static_cast<unsigned>(k);
-}
-
-struct Group {
-  const char* name;
-  EventMask mask;
-};
-
-// Groups, not individual kinds: filtering exists to bound file size by
-// subsystem, and begin without commit (say) would only break span pairing.
-constexpr Group kGroups[] = {
-    {"tx", bit(EventKind::kTxBegin) | bit(EventKind::kTxCommit) |
-               bit(EventKind::kTxAbort) | bit(EventKind::kBlame)},
-    {"alp", bit(EventKind::kAlpFired)},
-    {"lock", bit(EventKind::kLockAcquire) | bit(EventKind::kLockRelease) |
-                 bit(EventKind::kLockTimeout) | bit(EventKind::kEpisode)},
-    {"policy", bit(EventKind::kPolicyDecision)},
-    {"irrevocable", bit(EventKind::kIrrevocable)},
-    {"backoff", bit(EventKind::kBackoff)},
-    {"sched", bit(EventKind::kCoreDone)},
-    {"priv", bit(EventKind::kLineEscape)},
-    {"all", kAllEvents},
-};
-}  // namespace
-
-bool parse_event_mask(const std::string& spec, EventMask* out,
-                      std::string* err) {
-  EventMask m = 0;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string tok = spec.substr(pos, comma - pos);
-    bool found = false;
-    for (const Group& g : kGroups) {
-      if (tok == g.name) {
-        m |= g.mask;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      if (err != nullptr) *err = tok;
-      return false;
-    }
-    pos = comma + 1;
-  }
-  *out = m;
-  return true;
-}
-
 TraceConfig TraceConfig::from_env() {
   TraceConfig cfg;
   cfg.path = env_str("STAGTM_TRACE");
   cfg.cap_per_core = static_cast<std::size_t>(
       env_u64("STAGTM_TRACE_CAP", 1u << 16, 16, 1u << 24,
               "an integer in [16,16777216]"));
-  const std::string events = env_str("STAGTM_TRACE_EVENTS");
-  if (!events.empty()) {
-    std::string bad;
-    if (!parse_event_mask(events, &cfg.mask, &bad))
-      env_fail("STAGTM_TRACE_EVENTS", events.c_str(),
-               "a comma-separated list of "
-               "tx|alp|lock|policy|irrevocable|backoff|sched|priv|all");
-  }
   return cfg;
 }
 
@@ -111,8 +50,8 @@ std::string uniquify_trace_path(const std::string& path, std::size_t job) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-Observer::Observer(unsigned cores, std::size_t cap_per_core, EventMask mask)
-    : cap_(cap_per_core), mask_(mask) {
+Observer::Observer(unsigned cores, std::size_t cap_per_core)
+    : cap_(cap_per_core) {
   ST_CHECK_MSG(cores >= 1, "Observer needs at least one core");
   ST_CHECK_MSG(cap_ >= 1, "Observer needs capacity >= 1");
   percore_.resize(cores);

@@ -3,7 +3,7 @@
 // provenance ("who is to blame, and did the advisory locks earn their
 // serialization").
 //
-// Event sites hold one `Observer*` (null unless STAGTM_TRACE is set) and
+// Event sites hold one `Observer*` (null unless TraceConfig::path is set) and
 // make one null-checked call per event, e.g. `o->tx_commit(core, now, tier,
 // ab, attempts)`. The call writes the event record and advances the
 // provenance state machine, which adds kBlame records (one per finalized
@@ -13,12 +13,11 @@
 // synchronizing steps, so nothing simulated changes with the observer on and
 // the file does not change with step fusion on.
 //
-// Knobs (all exit 2 on malformed values, like every STAGTM_* knob):
+// Knobs, read by workloads::options_from_env (exit 2 on malformed values,
+// like every STAGTM_* knob):
 //   STAGTM_TRACE=<path>         enable; ".json" writes a Chrome trace_event
 //                               file (Perfetto), any other suffix the binary
 //                               container read by `stagtm-trace`
-//   STAGTM_TRACE_EVENTS=<list>  comma-separated groups: tx, alp, lock,
-//                               policy, irrevocable, backoff, sched, priv, all
 //   STAGTM_TRACE_CAP=<n>        per-core ring capacity (default 65536)
 #pragma once
 
@@ -162,29 +161,19 @@ static_assert(std::has_unique_object_representations_v<Event> &&
                   std::has_unique_object_representations_v<Episode>,
               "padding bytes would make files nondeterministic");
 
-/// Bit i enables EventKind(i).
-using EventMask = std::uint32_t;
-inline constexpr EventMask kAllEvents = (EventMask{1} << kNumEventKinds) - 1;
-
-/// Parses a comma-separated group list ("tx,lock", "all", ...). Returns
-/// false and fills *err with the offending token on failure.
-bool parse_event_mask(const std::string& spec, EventMask* out,
-                      std::string* err);
-
 struct TraceConfig {
   std::string path;                    // empty = observer disabled
-  EventMask mask = kAllEvents;
   std::size_t cap_per_core = 1u << 16; // STAGTM_TRACE_CAP
 
   bool enabled() const { return !path.empty(); }
 
-  /// Reads STAGTM_TRACE / STAGTM_TRACE_EVENTS / STAGTM_TRACE_CAP; exits 2
-  /// on malformed values. Parsed fresh on each call (no latch) so tests
-  /// can exercise the validation.
+  /// Reads STAGTM_TRACE / STAGTM_TRACE_CAP; exits 2 on malformed values.
+  /// Parsed fresh on each call (no latch) so tests can exercise the
+  /// validation.
   static TraceConfig from_env();
 };
 
-/// "out.json" + id 3 -> "out.3.json"; used by the experiment runner so
+/// "out.json" + id 3 -> "out.3.json"; used by the bench sweeps so
 /// concurrent jobs under one STAGTM_TRACE setting never clobber each other.
 std::string uniquify_trace_path(const std::string& path, std::size_t job);
 
@@ -208,14 +197,10 @@ struct AbortReport {
 
 class Observer {
  public:
-  Observer(unsigned cores, std::size_t cap_per_core,
-           EventMask mask = kAllEvents);
+  Observer(unsigned cores, std::size_t cap_per_core);
 
   unsigned cores() const { return static_cast<unsigned>(percore_.size()); }
   std::size_t capacity() const { return cap_; }
-  bool wants(EventKind k) const {
-    return (mask_ >> static_cast<unsigned>(k)) & 1u;
-  }
 
   // ---- executor (runtime/tx_executor.cpp) ----
   void tx_begin(sim::CoreId c, sim::Cycle at, std::uint8_t tier,
@@ -322,7 +307,6 @@ class Observer {
   };
 
   void push(sim::CoreId c, const Record& r) {
-    if (!wants(r.kind())) return;
     PerCore& p = percore_[c];
     p.ring[static_cast<std::size_t>(p.total % cap_)] = r;
     ++p.total;
@@ -339,7 +323,6 @@ class Observer {
 
   std::vector<PerCore> percore_;
   std::size_t cap_;
-  EventMask mask_;
   std::vector<sim::Addr> overlap_scratch_;
 };
 

@@ -39,8 +39,8 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
   cfg_.mem.cores = cfg_.cores;
   machine_.set_step_fusion(cfg_.macrostep);
   if (cfg_.trace.enabled())
-    obs_ = std::make_unique<obs::Observer>(
-        cfg_.cores, cfg_.trace.cap_per_core, cfg_.trace.mask);
+    obs_ = std::make_unique<obs::Observer>(cfg_.cores,
+                                           cfg_.trace.cap_per_core);
   if (cfg_.record_commits) commit_log_ = std::make_unique<CommitLog>();
   machine_.set_observer(obs_.get());
   mem_ = std::make_unique<sim::MemorySystem>(cfg_.mem, stats_);

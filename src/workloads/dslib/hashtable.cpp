@@ -128,8 +128,9 @@ std::vector<std::pair<std::int64_t, std::int64_t>> host_ht_items(
   return out;
 }
 
-std::string host_ht_validate(const sim::Heap& heap, const HashLib& lib,
-                             sim::Addr ht, std::size_t max_nodes) {
+std::string host_ht_validate(
+    const sim::Heap& heap, const HashLib& lib, sim::Addr ht,
+    std::vector<std::pair<std::int64_t, std::int64_t>>* items_out) {
   char buf[160];
   if (!heap.contains(ht) || ht % 8 != 0) {
     std::snprintf(buf, sizeof buf, "htab header 0x%llx is wild",
@@ -150,18 +151,20 @@ std::string host_ht_validate(const sim::Heap& heap, const HashLib& lib,
                   static_cast<unsigned long long>(barr));
     return buf;
   }
+  std::vector<std::pair<std::int64_t, std::int64_t>> local;
+  auto& items = items_out != nullptr ? *items_out : local;
   for (std::int64_t i = 0; i < n; ++i) {
     const sim::Addr lp = heap.load(barr + static_cast<sim::Addr>(i) * 8, 8);
+    const std::size_t first = items.size();
     const std::string err =
-        host_list_validate(heap, lib.list, lp, /*require_sorted=*/true,
-                           max_nodes);
+        host_list_validate(heap, lib.list, lp, /*require_sorted=*/true, &items);
     if (!err.empty()) {
       std::snprintf(buf, sizeof buf, "bucket %lld: %s",
                     static_cast<long long>(i), err.c_str());
       return buf;
     }
-    for (const auto& [key, val] : host_list_items(heap, lib.list, lp)) {
-      (void)val;
+    for (std::size_t j = first; j < items.size(); ++j) {
+      const std::int64_t key = items[j].first;
       if (key < 0 || key % n != i) {
         std::snprintf(buf, sizeof buf, "bucket %lld: key %lld hashes to %lld",
                       static_cast<long long>(i), static_cast<long long>(key),

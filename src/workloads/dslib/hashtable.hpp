@@ -37,8 +37,10 @@ unsigned host_ht_bucket(const sim::Heap& heap, const HashLib& lib,
 /// Non-aborting structural check (Workload::check_invariants): "" when the
 /// table header and every bucket list are well-formed (sorted, no wild
 /// pointers or cycles, every key hashing to its bucket), else a description
-/// of the first violation.
-std::string host_ht_validate(const sim::Heap& heap, const HashLib& lib,
-                             sim::Addr ht, std::size_t max_nodes = 1u << 20);
+/// of the first violation. One walk: `items_out`, if set, receives what
+/// host_ht_items would return (complete only when the table is valid).
+std::string host_ht_validate(
+    const sim::Heap& heap, const HashLib& lib, sim::Addr ht,
+    std::vector<std::pair<std::int64_t, std::int64_t>>* items_out = nullptr);
 
 }  // namespace st::workloads::dslib

@@ -262,9 +262,11 @@ std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
   return out;
 }
 
-std::string host_list_validate(const sim::Heap& heap, const ListLib& lib,
-                               sim::Addr list, bool require_sorted,
-                               std::size_t max_nodes) {
+std::string host_list_validate(
+    const sim::Heap& heap, const ListLib& lib, sim::Addr list,
+    bool require_sorted,
+    std::vector<std::pair<std::int64_t, std::int64_t>>* items_out,
+    std::size_t max_nodes) {
   const Offs o = offs(lib);
   char buf[128];
   const auto node_ok = [&](sim::Addr n) {
@@ -297,6 +299,9 @@ std::string host_list_validate(const sim::Heap& heap, const ListLib& lib,
                     static_cast<long long>(prev_key));
       return buf;
     }
+    if (items_out != nullptr)
+      items_out->emplace_back(
+          key, static_cast<std::int64_t>(heap.load(cur + o.val, 8)));
     prev_key = key;
     cur = heap.load(cur + o.next, 8);
   }

@@ -47,8 +47,12 @@ std::vector<std::pair<std::int64_t, std::int64_t>> host_list_items(
 /// (Workload::check_invariants): returns "" when the list is well-formed,
 /// else a description of the first violation. Safe on corrupted state —
 /// wild pointers and cycles are reported, never chased past `max_nodes`.
-std::string host_list_validate(const sim::Heap& heap, const ListLib& lib,
-                               sim::Addr list, bool require_sorted,
-                               std::size_t max_nodes = 1u << 20);
+/// `items_out`, if set, receives each visited (key, val) pair appended in
+/// list order — host_list_items without a second walk.
+std::string host_list_validate(
+    const sim::Heap& heap, const ListLib& lib, sim::Addr list,
+    bool require_sorted,
+    std::vector<std::pair<std::int64_t, std::int64_t>>* items_out = nullptr,
+    std::size_t max_nodes = 1u << 20);
 
 }  // namespace st::workloads::dslib

@@ -109,15 +109,14 @@ std::string host_pq_validate(const sim::Heap& heap, const PqLib& lib,
   if (n == 0 || n > (1u << 24) || !heap.contains(barr) || barr % 8 != 0 ||
       !heap.contains(barr + n * 8 - 1))
     return "pq bucket array is wild";
-  std::size_t total = 0;
+  std::vector<std::pair<std::int64_t, std::int64_t>> items;
   for (std::uint64_t i = 0; i < n; ++i) {
     const sim::Addr lp = heap.load(barr + i * 8, 8);
-    const std::string err =
-        host_list_validate(heap, lib.list, lp, /*require_sorted=*/false);
+    const std::string err = host_list_validate(
+        heap, lib.list, lp, /*require_sorted=*/false, &items);
     if (!err.empty()) return "bucket " + std::to_string(i) + ": " + err;
-    total += host_list_items(heap, lib.list, lp).size();
   }
-  if (size_out != nullptr) *size_out = total;
+  if (size_out != nullptr) *size_out = items.size();
   return "";
 }
 

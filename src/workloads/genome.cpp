@@ -85,10 +85,12 @@ class Genome final : public Workload {
   }
 
   std::string check_invariants(runtime::TxSystem& sys) override {
-    const std::string err = dslib::host_ht_validate(sys.heap(), lib_, ht_);
+    std::vector<std::pair<std::int64_t, std::int64_t>> items;
+    const std::string err =
+        dslib::host_ht_validate(sys.heap(), lib_, ht_, &items);
     if (!err.empty()) return "segment table: " + err;
     std::vector<std::int64_t> got;
-    for (const auto& [k, v] : dslib::host_ht_items(sys.heap(), lib_, ht_)) {
+    for (const auto& [k, v] : items) {
       if (k != v) return "segment " + std::to_string(k) + " value corrupted";
       got.push_back(k);
     }

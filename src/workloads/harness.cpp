@@ -10,11 +10,6 @@
 
 namespace st::workloads {
 
-unsigned default_max_retries() {
-  return static_cast<unsigned>(env_u64("STAGTM_MAX_RETRIES", 10, 0, 100000,
-                                       "an integer in [0,100000]"));
-}
-
 namespace {
 
 /// One simulated worker thread: interleaves non-transactional "think" work
@@ -154,9 +149,18 @@ runtime::RuntimeConfig make_runtime_config(const RunOptions& opt) {
   rt.macrostep = opt.macrostep;
   rt.record_commits = opt.checked;
   rt.unsafe_skip_subscription = opt.unsafe_skip_subscription;
-  rt.trace = obs::TraceConfig::from_env();
-  if (opt.trace_path.has_value()) rt.trace.path = *opt.trace_path;
+  rt.trace = opt.trace;
   return rt;
+}
+
+RunOptions options_from_env() {
+  RunOptions o;
+  o.max_retries = static_cast<unsigned>(
+      env_u64("STAGTM_MAX_RETRIES", o.max_retries, 0, 100000,
+              "an integer in [0,100000]"));
+  o.stm = stm::StmConfig::from_env();
+  o.trace = obs::TraceConfig::from_env();
+  return o;
 }
 
 RunResult run_workload(Workload& wl, const RunOptions& opt) {
@@ -169,9 +173,8 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   auto prog = stagger::compile(m, mode, opt.pc_tag_bits);
 
   const runtime::RuntimeConfig rt = make_runtime_config(opt);
-  const check::SchedConfig sched =
-      opt.sched.has_value() ? *opt.sched : check::SchedConfig::from_env();
-  const std::unique_ptr<sim::SchedPerturb> perturb = check::make_perturb(sched);
+  const std::unique_ptr<sim::SchedPerturb> perturb =
+      check::make_perturb(opt.sched);
 
   runtime::TxSystem sys(rt, prog);
   if (perturb != nullptr) sys.machine().set_perturb(perturb.get());
@@ -224,8 +227,6 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   } else {
     wl.verify(sys);
   }
-  r.sched_mode = check::sched_mode_name(sched.mode);
-  r.sched_seed = sched.enabled() ? sched.seed : 0;
 
   if (const obs::Observer* o = sys.observer()) {
     // Observer output is strictly a side channel: the notice goes to

@@ -13,11 +13,9 @@
 
 namespace st::workloads {
 
-/// STAGTM_MAX_RETRIES default (unset = 10, the paper's setting); exits 2 on
-/// malformed values. Parsed fresh on each call so tests can exercise the
-/// validation.
-unsigned default_max_retries();
-
+/// Everything that shapes one run. A RunOptions means exactly what its
+/// fields say: nothing here reads the environment (options_from_env does,
+/// for the binaries that offer the STAGTM_* knobs).
 struct RunOptions {
   runtime::Scheme scheme = runtime::Scheme::kBaseline;
   unsigned threads = 16;
@@ -27,15 +25,14 @@ struct RunOptions {
   unsigned num_advisory_locks = 256;
   sim::Cycle lock_timeout = 2'000;
   /// HTM attempts before falling to the next tier (the STM tier when
-  /// STAGTM_STM=on, else the global lock); 0 skips hardware transactions
-  /// entirely. Defaults to the STAGTM_MAX_RETRIES env knob.
-  unsigned max_retries = default_max_retries();
+  /// stm.enabled, else the global lock); 0 skips hardware transactions
+  /// entirely. 10 is the paper's setting.
+  unsigned max_retries = 10;
   unsigned history_len = 8;
-  /// TL2 STM fallback tier (src/stm, DESIGN.md §16). Defaults to the
-  /// STAGTM_STM / STAGTM_STM_RETRIES / STAGTM_STM_ORECS env knobs; off by
-  /// default, in which case simulated results are byte-identical to builds
-  /// without the tier.
-  stm::StmConfig stm = stm::StmConfig::from_env();
+  /// TL2 STM fallback tier (src/stm, DESIGN.md §16). Off by default, in
+  /// which case simulated results are byte-identical to builds without the
+  /// tier.
+  stm::StmConfig stm;
   bool lazy_htm = false;  // commit-time conflict detection (paper §8)
   /// Host-side step fusion: run-ahead through local steps (sim/machine.hpp,
   /// DESIGN.md §13). Never changes simulated results — exists so
@@ -47,16 +44,12 @@ struct RunOptions {
   /// kAll + kStaggered reproduces Table 3's naive instrument-everything
   /// comparison.
   std::optional<stagger::InstrumentMode> instrument_override;
-  /// Observer file (event trace + provenance). nullopt (the default):
-  /// follow the STAGTM_TRACE env knob. An explicit value overrides the
-  /// environment — an empty string forces the observer off (differential
-  /// tests), a path forces it on (the runner points concurrent jobs at
-  /// distinct files). The observer never changes simulated results.
-  std::optional<std::string> trace_path;
-  /// Schedule perturbation (src/check). nullopt (the default): follow the
-  /// STAGTM_SCHED_* env knobs. An explicit value overrides the environment;
-  /// a config with mode kNone forces the default deterministic schedule.
-  std::optional<check::SchedConfig> sched;
+  /// The observer (event trace + provenance), off unless trace.path is
+  /// set. It never changes simulated results.
+  obs::TraceConfig trace;
+  /// Schedule perturbation (src/check); mode kNone (the default) keeps the
+  /// deterministic schedule.
+  check::SchedConfig sched;
   /// Checker mode: record the commit log, compute state_digest(), and
   /// report check_invariants() in RunResult::invariant_failure instead of
   /// aborting on it (verify()).
@@ -97,9 +90,6 @@ struct RunResult {
   /// Privacy-map snapshot at end of run (escaped lines, publish checks,
   /// per-arena escapes).
   sim::PrivacyStats privacy;
-  /// Schedule-perturbation provenance ("off" when no perturbation ran).
-  std::string sched_mode = "off";
-  std::uint64_t sched_seed = 0;
   /// The observer file this run wrote (empty: observer off) and its
   /// provenance summary (host-side observer output, excluded from
   /// differential comparisons like wall_ms).
@@ -149,5 +139,12 @@ RunResult run_workload(const std::string& name, const RunOptions& opt);
 /// serializability oracle can construct an identically-configured reference
 /// machine for serial replay).
 runtime::RuntimeConfig make_runtime_config(const RunOptions& opt);
+
+/// RunOptions{} with the run knobs applied: STAGTM_MAX_RETRIES,
+/// STAGTM_STM / STAGTM_STM_RETRIES / STAGTM_STM_ORECS and STAGTM_TRACE /
+/// STAGTM_TRACE_CAP. Exits 2 on a malformed value. Only the binaries call
+/// it (the bench sweeps, stagtm, stagtm-check), so a library run is a
+/// function of its RunOptions alone.
+RunOptions options_from_env();
 
 }  // namespace st::workloads

@@ -89,24 +89,24 @@ class Intruder final : public Workload {
   }
 
   std::string check_invariants(runtime::TxSystem& sys) override {
-    std::string err = dslib::host_ht_validate(sys.heap(), lib_, map_);
+    std::vector<std::pair<std::int64_t, std::int64_t>> frags;
+    std::string err = dslib::host_ht_validate(sys.heap(), lib_, map_, &frags);
     if (!err.empty()) return "reassembly map: " + err;
     err = dslib::host_list_validate(sys.heap(), lib_.list, inq_,
                                     /*require_sorted=*/true);
     if (!err.empty()) return "work queue: " + err;
+    std::vector<std::pair<std::int64_t, std::int64_t>> flows;
     err = dslib::host_list_validate(sys.heap(), lib_.list, outq_,
-                                    /*require_sorted=*/false);
+                                    /*require_sorted=*/false, &flows);
     if (!err.empty()) return "completion queue: " + err;
     // Count conservation only holds on the instance that generated the ops
     // (oracle replay instances see processed_ == 0 until they re-run them).
     if (processed_ > 0) {
-      const auto out = dslib::host_list_items(sys.heap(), lib_.list, outq_);
-      if (out.size() != processed_)
-        return "completion queue has " + std::to_string(out.size()) +
+      if (flows.size() != processed_)
+        return "completion queue has " + std::to_string(flows.size()) +
                " flows, expected " + std::to_string(processed_);
-      const auto items = dslib::host_ht_items(sys.heap(), lib_, map_);
-      if (items.size() != processed_ * kFrags)
-        return "reassembly map has " + std::to_string(items.size()) +
+      if (frags.size() != processed_ * kFrags)
+        return "reassembly map has " + std::to_string(frags.size()) +
                " fragments, expected " + std::to_string(processed_ * kFrags);
     }
     return "";

@@ -70,11 +70,11 @@ class ListBench final : public Workload {
   }
 
   std::string check_invariants(runtime::TxSystem& sys) override {
+    std::vector<std::pair<std::int64_t, std::int64_t>> items;
     std::string err = dslib::host_list_validate(
-        sys.heap(), lib_, list_, /*require_sorted=*/true, 4 * kNodes);
+        sys.heap(), lib_, list_, /*require_sorted=*/true, &items, 4 * kNodes);
     if (!err.empty()) return err;
-    for (const auto& [key, val] : dslib::host_list_items(sys.heap(), lib_,
-                                                         list_)) {
+    for (const auto& [key, val] : items) {
       if (key < 1 || key > 2 * kNodes)
         return "key " + std::to_string(key) + " out of range";
       if (val != key)

@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/env.hpp"
-#include "obs/observer.hpp"
 
 namespace st::workloads {
 
@@ -15,8 +14,7 @@ unsigned ExperimentRunner::default_jobs() {
               "an integer in [1,256]"));
 }
 
-ExperimentRunner::ExperimentRunner(unsigned jobs)
-    : env_trace_path_(obs::TraceConfig::from_env().path) {
+ExperimentRunner::ExperimentRunner(unsigned jobs) {
   const unsigned n = jobs == 0 ? default_jobs() : jobs;
   ST_CHECK_MSG(n >= 1 && n <= 256, "worker count out of range");
   workers_.reserve(n);
@@ -43,13 +41,6 @@ std::size_t ExperimentRunner::submit(ExperimentJob job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ST_CHECK_MSG(!stopping_, "submit on a shut-down ExperimentRunner");
-    // Concurrent jobs must not clobber one shared STAGTM_TRACE file, so a
-    // job that would follow the env knob gets the path uniquified by its
-    // id. Ids are submission order, making output names stable regardless
-    // of which worker picks the job up.
-    if (!job.options.trace_path.has_value() && !env_trace_path_.empty())
-      job.options.trace_path =
-          obs::uniquify_trace_path(env_trace_path_, slots_.size());
     auto slot = std::make_unique<Slot>();
     slot->job = std::move(job);
     slots_.push_back(std::move(slot));

@@ -73,8 +73,6 @@ class ExperimentRunner {
 
   void worker_loop();
 
-  const std::string env_trace_path_;  // STAGTM_TRACE, read at construction
-
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
   std::condition_variable slot_done_;

@@ -3,8 +3,6 @@
 // Workload::check_invariants.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "check/check.hpp"
 #include "check/oracle.hpp"
 #include "check/reducer.hpp"
@@ -18,79 +16,10 @@
 namespace st::check {
 namespace {
 
-void clear_sched_env() {
-  for (const char* k :
-       {"STAGTM_SCHED_MODE", "STAGTM_SCHED_SEED", "STAGTM_SCHED_JITTER",
-        "STAGTM_SCHED_PERIOD", "STAGTM_SCHED_WINDOW", "STAGTM_SCHED_DEPTH",
-        "STAGTM_SCHED_SKEW"})
-    unsetenv(k);
-}
-
-TEST(SchedEnv, DefaultsOffAndOtherKnobsIgnored) {
-  clear_sched_env();
-  ASSERT_EQ(setenv("STAGTM_SCHED_SEED", "banana", 1), 0);  // not validated
-  const SchedConfig cfg = SchedConfig::from_env();
-  EXPECT_FALSE(cfg.enabled());
-  EXPECT_EQ(cfg.describe(), "off");
-  EXPECT_EQ(make_perturb(cfg), nullptr);
-  clear_sched_env();
-}
-
-TEST(SchedEnv, ParsesEveryKnob) {
-  clear_sched_env();
-  ASSERT_EQ(setenv("STAGTM_SCHED_MODE", "jitter", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_SEED", "7", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_JITTER", "32", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_PERIOD", "4", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_WINDOW", "100:200", 1), 0);
-  const SchedConfig cfg = SchedConfig::from_env();
-  EXPECT_EQ(cfg.mode, SchedMode::kJitter);
-  EXPECT_EQ(cfg.seed, 7u);
-  EXPECT_EQ(cfg.jitter, 32u);
-  EXPECT_EQ(cfg.period, 4u);
-  EXPECT_EQ(cfg.window_lo, 100u);
-  EXPECT_EQ(cfg.window_hi, 200u);
-  EXPECT_EQ(cfg.describe(), "jitter seed=7 amp=32 period=4 window=100:200");
-  ASSERT_EQ(setenv("STAGTM_SCHED_MODE", "pct", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_DEPTH", "9", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_SKEW", "512", 1), 0);
-  const SchedConfig pct = SchedConfig::from_env();
-  EXPECT_EQ(pct.mode, SchedMode::kPct);
-  EXPECT_EQ(pct.depth, 9u);
-  EXPECT_EQ(pct.skew, 512u);
-  EXPECT_EQ(pct.describe(), "pct seed=7 depth=9 skew=512");
-  clear_sched_env();
-}
-
-using SchedEnvDeath = ::testing::Test;
-
-TEST(SchedEnvDeath, RejectsBadModeSeedAndWindow) {
-  clear_sched_env();
-  ASSERT_EQ(setenv("STAGTM_SCHED_MODE", "chaos", 1), 0);
-  EXPECT_EXIT(SchedConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_SCHED_MODE");
-  ASSERT_EQ(setenv("STAGTM_SCHED_MODE", "jitter", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_SEED", "banana", 1), 0);
-  EXPECT_EXIT(SchedConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_SCHED_SEED");
-  ASSERT_EQ(setenv("STAGTM_SCHED_SEED", "1", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_SCHED_JITTER", "0", 1), 0);  // below minimum
-  EXPECT_EXIT(SchedConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_SCHED_JITTER");
-  ASSERT_EQ(setenv("STAGTM_SCHED_JITTER", "64", 1), 0);
-  for (const char* bad : {"200:100", "100:100", ":5", "5:", "1:2:3", "x:y"}) {
-    ASSERT_EQ(setenv("STAGTM_SCHED_WINDOW", bad, 1), 0);
-    EXPECT_EXIT(SchedConfig::from_env(), ::testing::ExitedWithCode(2),
-                "STAGTM_SCHED_WINDOW");
-  }
-  clear_sched_env();
-}
-
 workloads::RunOptions small_opts(unsigned threads = 8) {
   workloads::RunOptions o;
   o.threads = threads;
   o.ops_scale = 0.05;
-  o.trace_path = std::string();  // keep probes observer-free
   return o;
 }
 
@@ -113,28 +42,23 @@ TEST(Perturb, SameSeedBitReproducibleDifferentSeedDiverges) {
   }
 }
 
-TEST(Perturb, ExplicitOffMatchesEnvUnset) {
-  clear_sched_env();
-  workloads::RunOptions o = small_opts();
-  o.sched.reset();  // follow env (unset -> off)
-  const auto env_off = workloads::run_workload("list-lo", o);
-  o.sched = SchedConfig{};  // explicit kNone
-  const auto forced_off = workloads::run_workload("list-lo", o);
-  EXPECT_EQ(env_off.cycles, forced_off.cycles);
-  EXPECT_EQ(env_off.totals.total_aborts(), forced_off.totals.total_aborts());
-  EXPECT_EQ(env_off.sched_mode, "off");
-  EXPECT_EQ(env_off.sched_seed, 0u);
-}
-
-TEST(Perturb, ProvenanceReportedInResult) {
-  workloads::RunOptions o = small_opts();
-  SchedConfig s;
-  s.mode = SchedMode::kPct;
-  s.seed = 42;
-  o.sched = s;
-  const auto r = workloads::run_workload("list-lo", o);
-  EXPECT_EQ(r.sched_mode, "pct");
-  EXPECT_EQ(r.sched_seed, 42u);
+TEST(Perturb, DescribeNamesEveryKnob) {
+  SchedConfig cfg;
+  EXPECT_FALSE(cfg.enabled());
+  EXPECT_EQ(cfg.describe(), "off");
+  EXPECT_EQ(make_perturb(cfg), nullptr);
+  cfg.mode = SchedMode::kJitter;
+  cfg.seed = 7;
+  cfg.jitter = 32;
+  cfg.period = 4;
+  EXPECT_EQ(cfg.describe(), "jitter seed=7 amp=32 period=4");
+  cfg.window_lo = 100;
+  cfg.window_hi = 200;
+  EXPECT_EQ(cfg.describe(), "jitter seed=7 amp=32 period=4 window=100:200");
+  cfg.mode = SchedMode::kPct;
+  cfg.depth = 9;
+  cfg.skew = 512;
+  EXPECT_EQ(cfg.describe(), "pct seed=7 depth=9 skew=512");
 }
 
 TEST(Checked, RecordsCommitLogDigestAndInvariants) {
@@ -311,7 +235,8 @@ TEST(Validators, ListReportsDisorderWildPointerAndCycle) {
   EXPECT_NE(ds::host_list_validate(heap, lib, list, true).find(
                 "order violated"),
             std::string::npos);
-  EXPECT_NE(ds::host_list_validate(heap, lib, list, false, 64).find("cycle"),
+  EXPECT_NE(ds::host_list_validate(heap, lib, list, false, nullptr, 64)
+                .find("cycle"),
             std::string::npos);
   heap.store(n1 + next_off, n2, 8);  // restore
   EXPECT_EQ(ds::host_list_validate(heap, lib, list, true), "");

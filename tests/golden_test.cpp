@@ -58,8 +58,8 @@ constexpr GoldenCase kGoldenCases[] = {
      0x7d14eea03ba3691dull},
 };
 
-/// Every option that can change a simulated result is set explicitly, so
-/// no STAGTM_* variable in the environment moves the digest.
+/// RunOptions reads no environment, so no STAGTM_* variable moves the
+/// digest (golden_env_invariance reruns these with every knob set).
 workloads::RunOptions golden_options(const GoldenCase& c) {
   workloads::RunOptions opt;
   opt.scheme = c.scheme;
@@ -68,11 +68,8 @@ workloads::RunOptions golden_options(const GoldenCase& c) {
   opt.ops_scale = 0.05;
   opt.lazy_htm = c.lazy_htm;
   opt.max_retries = c.stm ? 2 : 10;
-  opt.stm = stm::StmConfig{};
   opt.stm.enabled = c.stm;
   opt.checked = true;  // commit log + state digest
-  opt.trace_path = "";
-  opt.sched = check::SchedConfig{};
   return opt;
 }
 

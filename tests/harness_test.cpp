@@ -1,7 +1,11 @@
 // Harness-level behaviour: scheme wiring, instrumentation overrides, op
-// scaling, and derived metrics.
+// scaling, derived metrics, and the run knobs (options_from_env).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "test_util.hpp"
 #include "workloads/harness.hpp"
 
 namespace st::workloads {
@@ -23,6 +27,68 @@ TEST(Harness, SchemeNamesAndInstrumentModes) {
             stagger::InstrumentMode::kAnchors);
 }
 
+constexpr const char* kRunKnobs[] = {
+    "STAGTM_MAX_RETRIES", "STAGTM_STM",   "STAGTM_STM_RETRIES",
+    "STAGTM_STM_ORECS",   "STAGTM_TRACE", "STAGTM_TRACE_CAP",
+    "STAGTM_SCHED_MODE"};
+
+void clear_run_knobs() {
+  for (const char* k : kRunKnobs) unsetenv(k);
+}
+
+/// The RunOptions fields a run knob could reach, as one comparable string.
+std::string knob_fields(const RunOptions& o) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "retries=%u stm=%d/%u/%u trace=%s/%zu %s",
+                o.max_retries, o.stm.enabled, o.stm.retries, o.stm.orecs,
+                o.trace.path.c_str(), o.trace.cap_per_core,
+                o.sched.describe().c_str());
+  return buf;
+}
+
+TEST(RunOptions, DefaultsIgnoreEnvironment) {
+  clear_run_knobs();
+  const RunOptions unset;
+  RunOptions o;
+  o.threads = 4;
+  o.ops_scale = 0.05;
+  const RunResult plain = run_workload("list-lo", o);
+
+  const std::string path = testutil::tmp_path("defaults_ignore_env.trc");
+  std::remove(path.c_str());
+  ASSERT_EQ(setenv("STAGTM_MAX_RETRIES", "3", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_STM", "on", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_TRACE", path.c_str(), 1), 0);
+  ASSERT_EQ(setenv("STAGTM_SCHED_MODE", "jitter", 1), 0);
+  const RunOptions set;
+  EXPECT_EQ(knob_fields(set), knob_fields(unset));
+  RunOptions o2;  // constructed with every knob set
+  o2.threads = 4;
+  o2.ops_scale = 0.05;
+  const RunResult r = run_workload("list-lo", o2);
+  clear_run_knobs();
+  EXPECT_EQ(testutil::sim_fingerprint(r), testutil::sim_fingerprint(plain));
+  EXPECT_TRUE(r.trace_path.empty());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << "a default run wrote " << path;
+  if (f != nullptr) std::fclose(f);
+}
+
+TEST(RunOptions, OptionsFromEnvAppliesEachKnob) {
+  clear_run_knobs();
+  EXPECT_EQ(knob_fields(options_from_env()), knob_fields(RunOptions{}));
+  ASSERT_EQ(setenv("STAGTM_MAX_RETRIES", "3", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_STM", "on", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_STM_RETRIES", "2", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_STM_ORECS", "64", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_TRACE", "/tmp/knobs.trc", 1), 0);
+  ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "1024", 1), 0);
+  const RunOptions o = options_from_env();
+  clear_run_knobs();
+  EXPECT_EQ(knob_fields(o),
+            "retries=3 stm=1/2/64 trace=/tmp/knobs.trc/1024 off");
+}
+
 TEST(Harness, OpsScaleControlsTotalOps) {
   RunOptions o;
   o.threads = 2;
@@ -38,8 +104,6 @@ TEST(Harness, ReportsSchedulerEvents) {
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 4;
   o.ops_scale = 0.05;
-  o.trace_path = "";
-  o.sched = check::SchedConfig{};  // the default schedule, whatever the env
   const auto fused = run_workload("list-hi", o);
   o.macrostep = false;
   const auto single = run_workload("list-hi", o);

@@ -553,9 +553,7 @@ workloads::RunOptions differential_options(runtime::Scheme scheme) {
   opt.scheme = scheme;
   opt.threads = 16;
   opt.ops_scale = 0.05;
-  opt.checked = true;                // record commit log + digest
-  opt.trace_path = "";               // tracing off regardless of environment
-  opt.sched = check::SchedConfig{};  // deterministic schedule
+  opt.checked = true;  // record commit log + digest
   return opt;
 }
 

@@ -50,33 +50,6 @@ TEST(ObserverRing, WrapKeepsNewestAndCountsDrops) {
   for (unsigned i = 0; i < 4; ++i) EXPECT_EQ(records[i].event.a64, 7 + i);
 }
 
-TEST(ObserverRing, MaskFiltersAtEmitTime) {
-  EventMask mask = 0;
-  std::string err;
-  ASSERT_TRUE(parse_event_mask("lock", &mask, &err)) << err;
-  Observer o(1, 8, mask);
-  o.tx_begin(0, 1, 0, 0, 1);
-  o.lock_acquire(0, 2, 5, 0x40);
-  o.lock_release(0, 3, 5, 1);
-  o.policy_decision(0, 4, 1, 7, 0x40);
-  EXPECT_EQ(o.emitted(0), 2u);
-  EXPECT_EQ(o.chronological(0).front().kind(), EventKind::kLockAcquire);
-}
-
-TEST(TraceMask, GroupsParseAndBadTokensFail) {
-  EventMask mask = 0;
-  std::string err;
-  EXPECT_TRUE(parse_event_mask("all", &mask, &err));
-  EXPECT_EQ(mask, kAllEvents);
-  EXPECT_TRUE(parse_event_mask("tx,lock,policy", &mask, &err));
-  EXPECT_TRUE(mask & (EventMask{1} << unsigned(EventKind::kTxAbort)));
-  EXPECT_TRUE(mask & (EventMask{1} << unsigned(EventKind::kLockTimeout)));
-  EXPECT_FALSE(mask & (EventMask{1} << unsigned(EventKind::kAlpFired)));
-  EXPECT_FALSE(parse_event_mask("tx,bogus", &mask, &err));
-  EXPECT_EQ(err, "bogus");
-  EXPECT_FALSE(parse_event_mask("", &mask, &err));
-}
-
 TEST(TracePath, UniquifyInsertsJobIdBeforeExtension) {
   EXPECT_EQ(uniquify_trace_path("out.json", 3), "out.3.json");
   EXPECT_EQ(uniquify_trace_path("a/b/trace.bin", 0), "a/b/trace.0.bin");
@@ -406,11 +379,10 @@ TEST(TraceDifferential, TracingDoesNotPerturbSimulatedResults) {
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 4;
   o.ops_scale = 0.05;
-  o.trace_path = std::string();  // force tracing off
   const auto off = workloads::run_workload("list-hi", o);
 
   const std::string path = tmp_path("obs_differential.trc");
-  o.trace_path = path;
+  o.trace.path = path;
   const auto on = workloads::run_workload("list-hi", o);
   EXPECT_EQ(testutil::sim_fingerprint(off), testutil::sim_fingerprint(on));
   EXPECT_GT(on.totals.commits, 0u);
@@ -434,17 +406,15 @@ TEST(TraceDifferential, TinyRingStillDoesNotPerturbResults) {
   o.threads = 2;
   o.ops_scale = 0.05;
   o.scheme = runtime::Scheme::kStaggered;
-  o.trace_path = std::string();
   const auto off = workloads::run_workload("list-hi", o);
 
   // A 16-record ring guarantees heavy wraparound; drops must stay
   // invisible to the simulation and be counted in the file. The blame
   // side of the same wrap is checked in prov_test.cpp.
-  ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "16", 1), 0);
   const std::string path = tmp_path("obs_tiny_ring.trc");
-  o.trace_path = path;
+  o.trace.path = path;
+  o.trace.cap_per_core = 16;
   const auto on = workloads::run_workload("list-hi", o);
-  unsetenv("STAGTM_TRACE_CAP");
   EXPECT_EQ(testutil::sim_fingerprint(off), testutil::sim_fingerprint(on));
 
   TraceData t;
@@ -463,40 +433,27 @@ using ObsEnvDeath = ::testing::Test;
 TEST(ObsEnvDeath, BadTraceCapExits2) {
   ASSERT_EQ(setenv("STAGTM_TRACE", "/tmp/x.trc", 1), 0);
   ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "banana", 1), 0);
-  EXPECT_EXIT(TraceConfig::from_env(), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(workloads::options_from_env(), ::testing::ExitedWithCode(2),
               "STAGTM_TRACE_CAP must be");
   ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "0", 1), 0);  // below minimum
-  EXPECT_EXIT(TraceConfig::from_env(), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(workloads::options_from_env(), ::testing::ExitedWithCode(2),
               "STAGTM_TRACE_CAP must be");
   unsetenv("STAGTM_TRACE_CAP");
-  unsetenv("STAGTM_TRACE");
-}
-
-TEST(ObsEnvDeath, BadTraceEventsExits2) {
-  ASSERT_EQ(setenv("STAGTM_TRACE", "/tmp/x.trc", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_TRACE_EVENTS", "tx,nonsense", 1), 0);
-  EXPECT_EXIT(TraceConfig::from_env(), ::testing::ExitedWithCode(2),
-              "STAGTM_TRACE_EVENTS must be");
-  unsetenv("STAGTM_TRACE_EVENTS");
   unsetenv("STAGTM_TRACE");
 }
 
 TEST(ObsEnv, TraceKnobsParse) {
   ASSERT_EQ(setenv("STAGTM_TRACE", "/tmp/knobs.json", 1), 0);
   ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "1024", 1), 0);
-  ASSERT_EQ(setenv("STAGTM_TRACE_EVENTS", "tx,lock", 1), 0);
-  const TraceConfig cfg = TraceConfig::from_env();
+  const TraceConfig cfg = workloads::options_from_env().trace;
   EXPECT_TRUE(cfg.enabled());
   EXPECT_EQ(cfg.path, "/tmp/knobs.json");
   EXPECT_EQ(cfg.cap_per_core, 1024u);
-  EXPECT_TRUE(cfg.mask & (EventMask{1} << unsigned(EventKind::kTxCommit)));
-  EXPECT_FALSE(cfg.mask & (EventMask{1} << unsigned(EventKind::kBackoff)));
-  unsetenv("STAGTM_TRACE_EVENTS");
   unsetenv("STAGTM_TRACE_CAP");
   unsetenv("STAGTM_TRACE");
-  const TraceConfig off = TraceConfig::from_env();
+  const TraceConfig off = workloads::options_from_env().trace;
   EXPECT_FALSE(off.enabled());
-  EXPECT_EQ(off.mask, kAllEvents);
+  EXPECT_EQ(off.cap_per_core, TraceConfig{}.cap_per_core);
 }
 
 TEST(ObsEnvDeath, EnvFlag01RejectsJunk) {

@@ -247,7 +247,6 @@ workloads::RunResult run_cell(const std::string& wl, bool lazy, bool fused,
   o.lazy_htm = lazy;
   o.macrostep = fused;
   o.checked = true;  // record the commit log for exact comparison
-  o.trace_path = std::string();
   return workloads::run_workload(wl, o);
 }
 

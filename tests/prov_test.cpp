@@ -24,10 +24,6 @@ namespace {
 using testutil::slurp;
 using testutil::tmp_path;
 
-constexpr EventMask only(EventKind k) {
-  return EventMask{1} << static_cast<unsigned>(k);
-}
-
 std::vector<Blame> blames(const Observer& o, sim::CoreId c) {
   std::vector<Blame> out;
   for (const Record& r : o.chronological(c))
@@ -82,14 +78,16 @@ void run_conflict_abort(Observer& s, sim::CoreId victim, sim::CoreId aggressor,
 }
 
 TEST(ObserverRing, BlameWrapKeepsNewestAndCountsDrops) {
-  Observer s(2, /*cap=*/4, only(EventKind::kBlame));
+  // Each iteration records tx_begin, tx_abort and blame: a 12-record ring
+  // keeps the newest four iterations.
+  Observer s(2, /*cap=*/12);
   s.tx_begin(1, 0, 0, 7, 1);
   for (unsigned i = 0; i < 11; ++i) {
     s.tx_begin(0, 90 + i, 0, 3, 1);
     run_conflict_abort(s, 0, 1, 0x1000 + 64u * i, 0x42, 100 + i);
   }
   EXPECT_EQ(s.emitted(0, EventKind::kBlame), 11u);
-  EXPECT_EQ(snapshot(s).dropped(), 7u);
+  EXPECT_EQ(snapshot(s).dropped(EventKind::kBlame), 7u);
   const auto b = blames(s, 0);
   ASSERT_EQ(b.size(), 4u);  // newest four survive, oldest first
   for (unsigned i = 0; i < 4; ++i) {
@@ -458,9 +456,9 @@ TEST(ProvLocks, EffectivenessAggregatesPerLock) {
 }
 
 TEST(ProvBinary, RoundTripPreservesRecordsAndDropCounts) {
-  Observer s(2, /*cap=*/2, only(EventKind::kBlame));
+  Observer s(2, /*cap=*/6);  // two iterations of tx_begin, tx_abort, blame
   s.tx_begin(1, 0, 0, 7, 1);
-  for (unsigned i = 0; i < 3; ++i) {  // 3 > cap: one drop
+  for (unsigned i = 0; i < 3; ++i) {  // 3 > 2: one blame dropped
     s.tx_begin(0, 90, 0, 3, 1);
     run_conflict_abort(s, 0, 1, 0x1000 + 64u * i, 0x42, 100 + i);
   }
@@ -471,12 +469,14 @@ TEST(ProvBinary, RoundTripPreservesRecordsAndDropCounts) {
   ASSERT_TRUE(read_trace_file(path, &d, &err)) << err;
   std::remove(path.c_str());
   ASSERT_EQ(d.cores(), 2u);
-  EXPECT_EQ(d.cap_per_core, 2u);
+  EXPECT_EQ(d.cap_per_core, 6u);
   EXPECT_EQ(d.per_core[0].emitted[unsigned(EventKind::kBlame)], 3u);
   EXPECT_EQ(d.dropped(EventKind::kBlame), 1u);
-  ASSERT_EQ(d.per_core[0].records.size(), 2u);
-  EXPECT_EQ(d.per_core[0].records[0].blame.at, 101u);
-  EXPECT_EQ(d.per_core[0].records[1].blame.line, 0x1000u + 128u);
+  ASSERT_EQ(d.per_core[0].records.size(), 6u);
+  ASSERT_EQ(d.per_core[0].records[2].kind(), EventKind::kBlame);
+  EXPECT_EQ(d.per_core[0].records[2].blame.at, 101u);
+  ASSERT_EQ(d.per_core[0].records[5].kind(), EventKind::kBlame);
+  EXPECT_EQ(d.per_core[0].records[5].blame.line, 0x1000u + 128u);
 }
 
 TEST(ProvBinary, RejectsGarbage) {
@@ -558,12 +558,11 @@ TEST(ProvDifferential, ProvenanceDoesNotPerturbSimulatedResults) {
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 4;
   o.ops_scale = 0.05;
-  o.trace_path = std::string();  // force the observer off
   const auto off = workloads::run_workload("list-hi", o);
   EXPECT_TRUE(off.trace_path.empty());
 
   const std::string path = tmp_path("prov_differential.trc");
-  o.trace_path = path;
+  o.trace.path = path;
   const auto on = workloads::run_workload("list-hi", o);
   EXPECT_EQ(testutil::sim_fingerprint(off), testutil::sim_fingerprint(on));
   EXPECT_GT(on.totals.commits, 0u);
@@ -588,14 +587,12 @@ TEST(ProvDifferential, TinyRingStillDoesNotPerturbResults) {
   o.scheme = runtime::Scheme::kStaggered;
   o.threads = 2;
   o.ops_scale = 0.05;
-  o.trace_path = std::string();
   const auto off = workloads::run_workload("list-hi", o);
 
-  ASSERT_EQ(setenv("STAGTM_TRACE_CAP", "16", 1), 0);  // heavy wraparound
   const std::string path = tmp_path("prov_tiny_ring.trc");
-  o.trace_path = path;
+  o.trace.path = path;
+  o.trace.cap_per_core = 16;  // heavy wraparound
   const auto on = workloads::run_workload("list-hi", o);
-  unsetenv("STAGTM_TRACE_CAP");
   EXPECT_EQ(testutil::sim_fingerprint(off), testutil::sim_fingerprint(on));
 
   TraceData d;
@@ -627,15 +624,14 @@ TEST_P(TraceFusion, FileIdenticalWithStepFusionOnAndOff) {
   o.ops_scale = 0.05;
   o.stm.enabled = true;
   o.max_retries = 2;  // reach the STM tier
-  o.sched = check::SchedConfig{};
   const std::string tag = std::string("fusion_") + GetParam();
   const std::string p1 = tmp_path((tag + "_single.trc").c_str());
   const std::string p2 = tmp_path((tag + "_fused.trc").c_str());
   o.macrostep = false;
-  o.trace_path = p1;
+  o.trace.path = p1;
   const auto single = workloads::run_workload(GetParam(), o);
   o.macrostep = true;
-  o.trace_path = p2;
+  o.trace.path = p2;
   const auto fused = workloads::run_workload(GetParam(), o);
   EXPECT_EQ(testutil::sim_fingerprint(single), testutil::sim_fingerprint(fused));
   const std::string b1 = slurp(p1), b2 = slurp(p2);
@@ -655,7 +651,7 @@ TEST(ProvDifferential, LockEpisodesClassifiedInStaggeredRun) {
   o.threads = 4;
   o.ops_scale = 0.05;
   const std::string path = tmp_path("prov_staggered.trc");
-  o.trace_path = path;
+  o.trace.path = path;
   const auto r = workloads::run_workload("list-hi", o);
   TraceData d;
   std::string err;
@@ -679,9 +675,9 @@ TEST(ProvRunner, PerJobProfPathsProduceDistinctFiles) {
   o.scheme = runtime::Scheme::kBaseline;
   o.threads = 2;
   o.ops_scale = 0.02;
-  o.trace_path = p0;
+  o.trace.path = p0;
   const std::size_t j0 = runner.submit("list-hi", o);
-  o.trace_path = p1;
+  o.trace.path = p1;
   const std::size_t j1 = runner.submit("list-hi", o);
   const auto& r0 = runner.wait(j0);
   const auto& r1 = runner.wait(j1);

@@ -183,11 +183,11 @@ void clear_stm_env() {
 
 TEST(StmEnv, DefaultsOffWithPaperRetryBudget) {
   clear_stm_env();
-  const StmConfig cfg = StmConfig::from_env();
-  EXPECT_FALSE(cfg.enabled);
-  EXPECT_EQ(cfg.retries, 8u);
-  EXPECT_EQ(cfg.orecs, 4096u);
-  EXPECT_EQ(workloads::default_max_retries(), 10u);
+  const workloads::RunOptions o = workloads::options_from_env();
+  EXPECT_FALSE(o.stm.enabled);
+  EXPECT_EQ(o.stm.retries, 8u);
+  EXPECT_EQ(o.stm.orecs, 4096u);
+  EXPECT_EQ(o.max_retries, 10u);
 }
 
 TEST(StmEnv, ParsesEveryKnob) {
@@ -196,11 +196,11 @@ TEST(StmEnv, ParsesEveryKnob) {
   ASSERT_EQ(setenv("STAGTM_STM_RETRIES", "3", 1), 0);
   ASSERT_EQ(setenv("STAGTM_STM_ORECS", "256", 1), 0);
   ASSERT_EQ(setenv("STAGTM_MAX_RETRIES", "0", 1), 0);
-  const StmConfig cfg = StmConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.retries, 3u);
-  EXPECT_EQ(cfg.orecs, 256u);
-  EXPECT_EQ(workloads::default_max_retries(), 0u);
+  const workloads::RunOptions o = workloads::options_from_env();
+  EXPECT_TRUE(o.stm.enabled);
+  EXPECT_EQ(o.stm.retries, 3u);
+  EXPECT_EQ(o.stm.orecs, 256u);
+  EXPECT_EQ(o.max_retries, 0u);
   clear_stm_env();
 }
 
@@ -209,16 +209,16 @@ using StmEnvDeath = ::testing::Test;
 TEST(StmEnvDeath, RejectsMalformedValuesWithExit2) {
   clear_stm_env();
   ASSERT_EQ(setenv("STAGTM_STM", "banana", 1), 0);
-  EXPECT_EXIT(StmConfig::from_env(), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(workloads::options_from_env(), ::testing::ExitedWithCode(2),
               "STAGTM_STM");
   ASSERT_EQ(setenv("STAGTM_STM", "on", 1), 0);
   ASSERT_EQ(setenv("STAGTM_STM_RETRIES", "1001", 1), 0);
-  EXPECT_EXIT(StmConfig::from_env(), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(workloads::options_from_env(), ::testing::ExitedWithCode(2),
               "STAGTM_STM_RETRIES");
   ASSERT_EQ(setenv("STAGTM_STM_RETRIES", "8", 1), 0);
   for (const char* bad : {"100", "0", "8", "2097152", "x"}) {
     ASSERT_EQ(setenv("STAGTM_STM_ORECS", bad, 1), 0);
-    EXPECT_EXIT(StmConfig::from_env(), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(workloads::options_from_env(), ::testing::ExitedWithCode(2),
                 "STAGTM_STM_ORECS")
         << bad;
   }
@@ -229,8 +229,8 @@ TEST(StmEnvDeath, MaxRetriesKnobValidates) {
   clear_stm_env();
   for (const char* bad : {"banana", "-1", "100001"}) {
     ASSERT_EQ(setenv("STAGTM_MAX_RETRIES", bad, 1), 0);
-    EXPECT_EXIT(workloads::default_max_retries(),
-                ::testing::ExitedWithCode(2), "STAGTM_MAX_RETRIES")
+    EXPECT_EXIT(workloads::options_from_env(), ::testing::ExitedWithCode(2),
+                "STAGTM_MAX_RETRIES")
         << bad;
   }
   clear_stm_env();
@@ -378,10 +378,7 @@ workloads::RunOptions hybrid_opts(bool stm_on, unsigned threads = 4,
   o.threads = threads;
   o.ops_scale = scale;
   o.max_retries = 2;  // reach the fallback quickly
-  o.stm = StmConfig{};
   o.stm.enabled = stm_on;
-  o.trace_path = std::string();  // observer-free
-  o.sched = check::SchedConfig{};  // deterministic default schedule
   return o;
 }
 

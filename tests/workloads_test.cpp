@@ -54,8 +54,6 @@ TEST_P(PerWorkload, ConcurrentStaggeredRunVerifiesInvariants) {
 TEST_P(PerWorkload, CheckedRunAndSerialReplayHoldInvariants) {
   RunOptions o = opts(runtime::Scheme::kStaggered, 8, 0.05);
   o.checked = true;
-  o.sched = check::SchedConfig{};
-  o.trace_path = std::string();
   const RunResult r = run_workload(GetParam(), o);
   EXPECT_EQ(r.invariant_failure, "");
   const check::OracleReport rep = check::replay_serial(GetParam(), o, r);

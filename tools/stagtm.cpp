@@ -7,11 +7,14 @@
 //              [--max-retries N] [--history N] [--pc-thr N] [--addr-thr N]
 //              [--prom-thr N]
 //
-// Prints the full RunResult breakdown; exits nonzero on bad usage.
+// Prints the full RunResult breakdown; exits 2 on bad usage (a malformed or
+// out-of-range flag value names the flag). The run knobs STAGTM_MAX_RETRIES,
+// STAGTM_STM* and STAGTM_TRACE* apply (workloads::options_from_env); flags
+// override them.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "run_flags.hpp"
 #include "workloads/harness.hpp"
 
 namespace {
@@ -27,15 +30,6 @@ int usage() {
       "                  [--timeout C] [--max-retries N] [--history N]\n"
       "                  [--pc-thr N] [--addr-thr N] [--prom-thr N]\n");
   return 2;
-}
-
-bool parse_scheme(const std::string& s, runtime::Scheme* out) {
-  if (s == "htm") *out = runtime::Scheme::kBaseline;
-  else if (s == "addronly") *out = runtime::Scheme::kAddrOnly;
-  else if (s == "staggered") *out = runtime::Scheme::kStaggered;
-  else if (s == "staggered-sw") *out = runtime::Scheme::kStaggeredSW;
-  else return false;
-  return true;
 }
 
 }  // namespace
@@ -56,75 +50,41 @@ int main(int argc, char** argv) {
   if (cmd != "run" || argc < 3) return usage();
 
   const std::string name = argv[2];
-  workloads::RunOptions o;
+  workloads::RunOptions o = workloads::options_from_env();
   o.ops_scale = 0.25;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (a == "--lazy") {
-      o.lazy_htm = true;
-    } else if (a == "--scheme") {
-      const char* v = next();
-      if (!v || !parse_scheme(v, &o.scheme)) return usage();
-    } else if (a == "--threads") {
-      const char* v = next();
-      if (!v) return usage();
-      o.threads = std::atoi(v);
-    } else if (a == "--scale") {
-      const char* v = next();
-      if (!v) return usage();
-      o.ops_scale = std::atof(v);
-    } else if (a == "--seed") {
-      const char* v = next();
-      if (!v) return usage();
-      o.seed = std::atoll(v);
-    } else if (a == "--pc-tag-bits") {
-      const char* v = next();
-      if (!v) return usage();
-      o.pc_tag_bits = std::atoi(v);
+  tools::FlagReader f(argc, argv, 3);
+  while (f.next()) {
+    if (tools::apply_run_flag(f, &o)) continue;
+    const std::string& a = f.flag();
+    if (a == "--pc-tag-bits") {
+      o.pc_tag_bits = f.u32(1, 16);
     } else if (a == "--locks") {
-      const char* v = next();
-      if (!v) return usage();
-      o.num_advisory_locks = std::atoi(v);
+      o.num_advisory_locks = f.u32(1, 65536);
     } else if (a == "--timeout") {
-      const char* v = next();
-      if (!v) return usage();
-      o.lock_timeout = std::atoll(v);
-    } else if (a == "--max-retries") {
-      const char* v = next();
-      if (!v) return usage();
-      o.max_retries = std::atoi(v);
+      o.lock_timeout = f.u64(0, 1'000'000'000);
     } else if (a == "--history") {
-      const char* v = next();
-      if (!v) return usage();
-      o.history_len = std::atoi(v);
+      o.history_len = f.u32(1, 1024);
     } else if (a == "--pc-thr") {
-      const char* v = next();
-      if (!v) return usage();
-      o.policy.pc_thr = std::atoi(v);
+      o.policy.pc_thr = f.u32(0, 1'000'000);
     } else if (a == "--addr-thr") {
-      const char* v = next();
-      if (!v) return usage();
-      o.policy.addr_thr = std::atoi(v);
+      o.policy.addr_thr = f.u32(0, 1'000'000);
     } else if (a == "--prom-thr") {
-      const char* v = next();
-      if (!v) return usage();
-      o.policy.prom_thr = std::atoi(v);
+      o.policy.prom_thr = f.u32(0, 1'000'000);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", a.c_str());
       return usage();
     }
   }
 
-  if (!workloads::make_workload(name)) {
+  const auto wl = workloads::make_workload(name);
+  if (wl == nullptr) {
     std::fprintf(stderr, "unknown workload '%s' (try: stagtm list)\n",
                  name.c_str());
     return 1;
   }
+  tools::check_scale(*wl, o);
 
-  const auto r = workloads::run_workload(name, o);
+  const auto r = workloads::run_workload(*wl, o);
   const auto& t = r.totals;
   std::printf("workload   %s\nscheme     %s%s\nthreads    %u\n", name.c_str(),
               r.scheme.c_str(), o.lazy_htm ? " (lazy HTM)" : "", r.threads);

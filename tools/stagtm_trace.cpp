@@ -303,8 +303,7 @@ int summary(const char* path, unsigned top) {
   std::printf("\nprivate-line escapes (%zu lines left their arena)\n",
               escapes.size());
   if (escapes.empty()) {
-    std::printf("  (none — all worker-arena lines stayed private; enable the"
-                " \"priv\" trace group if it was filtered out)\n");
+    std::printf("  (none — all worker-arena lines stayed private)\n");
   } else {
     std::printf("  per-arena: ");
     bool firsta = true;

@@ -119,6 +119,9 @@ class Sweep {
   ~Sweep() { write_json(); }
 
   std::size_t add(const std::string& workload, workloads::RunOptions o) {
+    // The sweeps take their scale from STAGTM_SCALE (base_options).
+    if (const auto wl = workloads::make_workload(workload))
+      workloads::check_scale(*wl, o.ops_scale, "STAGTM_SCALE");
     // Concurrent jobs must not clobber one shared STAGTM_TRACE file, so each
     // job's path carries its id. Ids are submission order, making output
     // names stable regardless of which worker picks the job up.
@@ -192,7 +195,7 @@ class Sweep {
           "\"aborts_per_commit\": %.17g, \"wall_ms\": %.3f, "
           "\"sched_events\": %llu, \"sched_steps\": %llu, \"instrs\": %llu, "
           "\"minstr_per_s\": %.3f, "
-          "\"abort_trace_dropped\": %llu,",
+          "\"abort_trace_dropped\": %llu",
           r->threads, static_cast<unsigned long long>(r->cycles),
           static_cast<unsigned long long>(r->total_ops), r->throughput(),
           static_cast<unsigned long long>(r->totals.commits),
@@ -203,8 +206,6 @@ class Sweep {
           static_cast<unsigned long long>(r->totals.interp_instrs),
           r->host_minstr_per_s(),
           static_cast<unsigned long long>(r->abort_trace_dropped));
-      std::fprintf(f, "\n     \"privacy\": ");
-      obs::write_privacy_json(f, r->privacy);
       // Provenance summary + the per-job observer file path (only when
       // STAGTM_TRACE was set: keys absent in a plain run so the off-vs-on
       // differential strips them like the host-side fields).

@@ -12,6 +12,8 @@ int main() {
   const unsigned counts[] = {16, 32, 64, 128, 256};
   const char* names[] = {"ssca2", "kmeans", "genome"};
   for (const char* name : names) {
+    workloads::check_scale(*workloads::make_workload(name), env_scale(),
+                           "STAGTM_SCALE");
     std::printf("\n--- %s (Staggered) ---\n", name);
     std::printf("%6s %14s %12s %12s %10s %10s\n", "cores", "cycles",
                 "total_ops", "throughput", "commits", "aborts");

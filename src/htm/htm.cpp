@@ -4,9 +4,14 @@
 
 namespace st::htm {
 
-HtmSystem::HtmSystem(sim::Heap& heap, sim::MemorySystem& mem,
-                     sim::MachineStats& stats)
-    : heap_(heap), mem_(mem), stats_(stats), tx_(mem.config().cores) {
+HtmSystem::HtmSystem(sim::Machine& machine, sim::Heap& heap,
+                     sim::MemorySystem& mem, sim::MachineStats& stats)
+    : machine_(machine),
+      heap_(heap),
+      priv_(heap.privacy()),
+      mem_(mem),
+      stats_(stats),
+      tx_(mem.config().cores) {
   mem_.set_conflict_sink(this);
 }
 
@@ -35,8 +40,7 @@ void HtmSystem::on_conflict_abort(CoreId victim, Addr line, bool pc_valid,
     tx.info.pc_tag = pc_tag;
     tx.info.true_first_pc = first_pc;
     tx.info.aborter = requester;
-    stats_.record_abort({victim, line, first_pc, pc_tag,
-                         clock_ ? clock_() : 0});
+    stats_.record_abort({victim, line, first_pc, pc_tag, clock_now()});
     // Aggressor context must be sampled now (the stamp), not at the
     // victim's abort finalization: by then the aggressor may have committed
     // and begun a different atomic block.
@@ -76,9 +80,7 @@ AbortInfo HtmSystem::abort(CoreId c, AbortCause self_cause) {
          .first_pc = i.true_first_pc,
          .aborter = i.cause == AbortCause::Conflict ? int(i.aborter) : -1,
          .alloc_site = heap_.alloc_site_for(i.conflict_line),
-         .priv_owner = priv_ != nullptr
-                           ? priv_->private_owner(i.conflict_line)
-                           : -1},
+         .priv_owner = priv_.private_owner(i.conflict_line)},
         footprint(c));
   }
   // This runs at the victim's own synchronizing step, so the full drain is

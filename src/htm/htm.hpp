@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -53,11 +52,15 @@ struct AbortInfo {
 
 class HtmSystem final : public sim::ConflictSink {
  public:
-  HtmSystem(sim::Heap& heap, sim::MemorySystem& mem, sim::MachineStats& stats);
+  /// Built last, over the memory system (whose conflict sink it becomes)
+  /// and the heap whose privacy map it feeds publications to; every
+  /// argument must outlive it.
+  HtmSystem(sim::Machine& machine, sim::Heap& heap, sim::MemorySystem& mem,
+            sim::MachineStats& stats);
 
-  /// Installs a time source used to timestamp abort records (optional).
-  void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
-  Cycle clock_now() const { return clock_ ? clock_() : 0; }
+  /// Global simulated time (Machine::now), which timestamps abort records
+  /// and advisory-lock hold times.
+  Cycle clock_now() const { return machine_.now(); }
 
   /// Optional observer (obs/observer.hpp). The HTM owns the blame
   /// pipeline's hardware half: conflict/capacity stamps, footprint capture
@@ -66,19 +69,17 @@ class HtmSystem final : public sim::ConflictSink {
   /// simulated results are unchanged either way.
   void set_observer(obs::Observer* o) { obs_ = o; }
 
-  /// Wire the privacy map (sim/privacy.hpp). The HTM owns every publication
-  /// point through which an address can leave a core's private domain:
-  /// plain/nontransactional stores to shared memory, commit write-buffer
-  /// drains, and the host result/argument channel below. Null (default)
-  /// disables tracking.
-  void set_privacy(sim::PrivacyMap* priv) { priv_ = priv; }
-
+  /// The HTM owns every publication point through which an address can
+  /// leave a core's private domain (sim/privacy.hpp): plain and
+  /// nontransactional stores to shared memory, commit write-buffer drains,
+  /// and the host result/argument channel below.
+  ///
   /// Host-channel publication: `v` is a committed atomic-block result or a
   /// host-dispatched op argument, visible outside core c's private domain
   /// (the host can hand it to any core). Escapes the block it addresses, if
   /// any.
   void publish_host_value(CoreId c, std::uint64_t v) {
-    if (priv_ != nullptr) priv_->publish_value(c, v, 0);
+    priv_.publish_value(c, v, 0);
   }
 
   // ---- transaction lifecycle ----
@@ -188,16 +189,16 @@ class HtmSystem final : public sim::ConflictSink {
   /// other cores.
   void publish_stored_value(CoreId c, Addr dest, std::uint64_t v,
                             std::uint32_t pc) {
-    if (priv_ == nullptr || priv_->private_to(c, dest)) return;
-    priv_->publish_value(c, v, pc);
+    if (priv_.private_to(c, dest)) return;
+    priv_.publish_value(c, v, pc);
   }
 
+  const sim::Machine& machine_;
   sim::Heap& heap_;
+  sim::PrivacyMap& priv_;
   sim::MemorySystem& mem_;
   sim::MachineStats& stats_;
-  std::function<Cycle()> clock_;
   obs::Observer* obs_ = nullptr;
-  sim::PrivacyMap* priv_ = nullptr;
   std::vector<TxState> tx_;
   std::vector<Addr> publish_scratch_;  // reused across lazy commits
   std::vector<Addr> fp_scratch_;       // reused across footprint captures

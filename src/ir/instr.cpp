@@ -45,9 +45,4 @@ bool op_is_terminator(Op op) {
   return op == Op::Br || op == Op::CondBr || op == Op::Ret;
 }
 
-bool op_is_mem_access(Op op) {
-  return op == Op::Load || op == Op::Store || op == Op::NtLoad ||
-         op == Op::NtStore;
-}
-
 }  // namespace st::ir

@@ -54,7 +54,6 @@ enum class Op : std::uint8_t {
 
 const char* op_name(Op op);
 bool op_is_terminator(Op op);
-bool op_is_mem_access(Op op);  // Load/Store/NtLoad/NtStore
 
 struct Instr {
   Op op = Op::Nop;
@@ -77,7 +76,6 @@ struct Instr {
   std::uint32_t alp_id = 0;   // AlPoint only
 
   bool is_terminator() const { return op_is_terminator(op); }
-  bool is_mem_access() const { return op_is_mem_access(op); }
 };
 
 }  // namespace st::ir

@@ -4,7 +4,6 @@
 #include <cinttypes>
 
 #include "sim/machine.hpp"
-#include "sim/privacy.hpp"
 
 namespace st::obs {
 
@@ -105,16 +104,6 @@ void write_core_stats_json(std::FILE* f, const CoreStats& cs) {
     write_hist_json(f, cs.*d.member);
   }
   std::fprintf(f, "}");
-}
-
-void write_privacy_json(std::FILE* f, const sim::PrivacyStats& priv) {
-  std::fprintf(f,
-               "{\"escaped_lines\": %" PRIu64 ", \"publish_checks\": %" PRIu64
-               ", \"arena_escapes\": [",
-               priv.escaped_lines, priv.publish_checks);
-  for (std::size_t a = 0; a < priv.arena_escapes.size(); ++a)
-    std::fprintf(f, "%s%" PRIu64, a == 0 ? "" : ", ", priv.arena_escapes[a]);
-  std::fprintf(f, "]}");
 }
 
 }  // namespace st::obs

@@ -13,10 +13,6 @@
 
 #include "sim/stats.hpp"
 
-namespace st::sim {
-struct PrivacyStats;
-}
-
 namespace st::obs {
 
 enum class Merge : std::uint8_t {
@@ -46,11 +42,5 @@ void merge_core_stats(sim::CoreStats& into, const sim::CoreStats& c);
 /// every registered counter, then a "hists" object with count/sum/max/mean
 /// and the log2 bucket array (trailing zero buckets trimmed) per histogram.
 void write_core_stats_json(std::FILE* f, const sim::CoreStats& cs);
-
-/// Serializes the privacy-map snapshot (sim/privacy.hpp PrivacyStats) as
-/// one JSON object (with braces): escaped-line / publish-check totals, and
-/// per-worker-arena escape counts. They stay outside the registry so the
-/// byte-compared counter set does not depend on the privacy map.
-void write_privacy_json(std::FILE* f, const sim::PrivacyStats& priv);
 
 }  // namespace st::obs

@@ -625,7 +625,12 @@ void TxExecutor::resolve_and_train(const htm::AbortInfo& info) {
     }
   }
 
-  sys_.policy().on_abort(*ctx_, identified, info.conflict_line);
+  const stagger::PolicyDecision d =
+      sys_.policy().on_abort(*ctx_, identified, info.conflict_line);
+  if (auto* o = sys_.observer())
+    o->policy_decision(core_, sys_.machine().now(),
+                       static_cast<std::uint8_t>(d), identified,
+                       info.conflict_line);
 }
 
 sim::Cycle TxExecutor::handle_abort(AbortCause self_cause) {

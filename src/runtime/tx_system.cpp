@@ -26,48 +26,41 @@ stagger::InstrumentMode instrument_mode_for(Scheme s) {
   return stagger::InstrumentMode::kNone;
 }
 
+namespace {
+RuntimeConfig with_mem_cores(RuntimeConfig cfg) {
+  cfg.mem.cores = cfg.cores;
+  return cfg;
+}
+}  // namespace
+
 TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
-    : cfg_(cfg),
+    : cfg_(with_mem_cores(cfg)),
       prog_(prog),
+      obs_(cfg.trace.enabled()
+               ? std::make_unique<obs::Observer>(cfg.cores,
+                                                 cfg.trace.cap_per_core)
+               : nullptr),
+      commit_log_(cfg.record_commits ? std::make_unique<CommitLog>()
+                                     : nullptr),
       stats_(cfg.cores),
       machine_(cfg.cores),
       heap_(cfg.cores + 1, cfg.arena_bytes),
-      priv_(heap_),
+      mem_(cfg_.mem, stats_, machine_, heap_.privacy()),
+      htm_(machine_, heap_, mem_, stats_),
+      locks_(htm_, cfg.num_advisory_locks),
+      cpc_(htm_),
       policy_(cfg.policy) {
   ST_CHECK_MSG(prog.module != nullptr && prog.module->finalized(),
                "TxSystem needs a compiled, finalized program");
-  cfg_.mem.cores = cfg_.cores;
   machine_.set_step_fusion(cfg_.macrostep);
-  if (cfg_.trace.enabled())
-    obs_ = std::make_unique<obs::Observer>(cfg_.cores,
-                                           cfg_.trace.cap_per_core);
-  if (cfg_.record_commits) commit_log_ = std::make_unique<CommitLog>();
   machine_.set_observer(obs_.get());
-  mem_ = std::make_unique<sim::MemorySystem>(cfg_.mem, stats_);
-  htm_ = std::make_unique<htm::HtmSystem>(heap_, *mem_, stats_);
-  htm_->set_clock([this] { return machine_.now(); });
-  htm_->set_observer(obs_.get());
+  mem_.set_observer(obs_.get());
+  htm_.set_observer(obs_.get());
+  locks_.set_observer(obs_.get());
   // Allocation-site tracking feeds abort attribution; pure observer (the
   // site map is never read by anything simulated), so it is gated with the
   // observer rather than always on.
   if (obs_ != nullptr) heap_.set_site_tracking(true);
-  // Privacy wiring, before any allocation (the glock below must be seeded
-  // through on_alloc like everything else): the heap reports block extents,
-  // the HTM reports publications, and the memory system consumes both —
-  // escape counting and local-step classification.
-  heap_.set_privacy(&priv_);
-  priv_.set_sink(mem_.get());
-  mem_->set_privacy(&priv_);
-  mem_->set_observer(obs_.get());
-  mem_->set_clock([this] { return machine_.now(); });
-  mem_->set_run_ahead_probe([this] { return machine_.in_run_ahead(); });
-  mem_->set_machine(&machine_);
-  htm_->set_privacy(&priv_);
-  locks_ = std::make_unique<stagger::AdvisoryLockTable>(
-      *htm_, cfg_.num_advisory_locks);
-  locks_->set_observer(obs_.get());
-  policy_.set_observer(obs_.get(), [this] { return machine_.now(); });
-  cpc_ = std::make_unique<stagger::CpcMap>(*htm_);
   glock_ = heap_.alloc_line_aligned(heap_.setup_arena(), 8);
   if (cfg_.stm.enabled) {
     // STM metadata lives after the glock in the setup arena; with the tier
@@ -78,7 +71,7 @@ TxSystem::TxSystem(const RuntimeConfig& cfg, stagger::CompiledProgram& prog)
         heap_.alloc_line_aligned(heap_.setup_arena(), 8);
     const sim::Addr orec_base = heap_.alloc_line_aligned(
         heap_.setup_arena(), std::uint64_t{cfg_.stm.orecs} * 8);
-    stm_ = std::make_unique<stm::StmSystem>(*htm_, cfg_.stm, cfg_.cores,
+    stm_ = std::make_unique<stm::StmSystem>(htm_, cfg_.stm, cfg_.cores,
                                             clock_addr, orec_base);
   }
 

@@ -100,12 +100,12 @@ class TxSystem {
 
   sim::Machine& machine() { return machine_; }
   sim::Heap& heap() { return heap_; }
-  sim::PrivacyMap& privacy() { return priv_; }
-  sim::MemorySystem& mem() { return *mem_; }
-  htm::HtmSystem& htm() { return *htm_; }
+  sim::PrivacyMap& privacy() { return heap_.privacy(); }
+  sim::MemorySystem& mem() { return mem_; }
+  htm::HtmSystem& htm() { return htm_; }
   sim::MachineStats& stats() { return stats_; }
-  stagger::AdvisoryLockTable& locks() { return *locks_; }
-  stagger::CpcMap& cpc() { return *cpc_; }
+  stagger::AdvisoryLockTable& locks() { return locks_; }
+  stagger::CpcMap& cpc() { return cpc_; }
   stagger::LockingPolicy& policy() { return policy_; }
   stagger::CompiledProgram& program() { return prog_; }
   const RuntimeConfig& config() const { return cfg_; }
@@ -131,6 +131,9 @@ class TxSystem {
   sim::Cycle run(sim::Cycle max_cycles = ~sim::Cycle{0});
 
  private:
+  // Declaration order is construction order: each collaborator takes the
+  // ones before it by reference, and the heap layout (lock words, CPC
+  // tables, then the glock) follows from it.
   RuntimeConfig cfg_;
   stagger::CompiledProgram& prog_;
   std::unique_ptr<obs::Observer> obs_;
@@ -138,11 +141,10 @@ class TxSystem {
   sim::MachineStats stats_;
   sim::Machine machine_;
   sim::Heap heap_;
-  sim::PrivacyMap priv_;  // after heap_: its geometry comes from there
-  std::unique_ptr<sim::MemorySystem> mem_;
-  std::unique_ptr<htm::HtmSystem> htm_;
-  std::unique_ptr<stagger::AdvisoryLockTable> locks_;
-  std::unique_ptr<stagger::CpcMap> cpc_;
+  sim::MemorySystem mem_;
+  htm::HtmSystem htm_;
+  stagger::AdvisoryLockTable locks_;
+  stagger::CpcMap cpc_;
   stagger::LockingPolicy policy_;
   std::vector<Xoshiro256ss> rngs_;
   // abctx_[core * num_abs + ab]

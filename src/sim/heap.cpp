@@ -6,15 +6,16 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "sim/privacy.hpp"
 
 namespace st::sim {
 
 Heap::Heap(unsigned arenas, std::size_t arena_bytes)
-    : arena_count_(arenas), arena_bytes_(arena_bytes) {
+    : arena_count_(arenas),
+      arena_bytes_(arena_bytes),
+      mem_size_(static_cast<std::size_t>(arenas) * (arena_bytes + kStagger)),
+      priv_(*this) {
   ST_CHECK(arenas >= 1);
   ST_CHECK(arena_bytes >= kLineBytes);
-  mem_size_ = static_cast<std::size_t>(arenas) * (arena_bytes + kStagger);
   mem_.reset(new std::byte[mem_size_]);
   arenas_.resize(arenas);
   for (unsigned i = 0; i < arenas; ++i) {
@@ -81,7 +82,7 @@ Addr Heap::alloc(unsigned arena, std::size_t size, std::size_t align,
          l += kLineBytes, ++lines)
       line_sites_.get_or_insert(l) = site;
   }
-  if (priv_ != nullptr) priv_->on_alloc(a, cls, arena);
+  priv_.on_alloc(a, cls, arena);
   return a;
 }
 

@@ -7,9 +7,10 @@
 // Each core allocates from its own arena, mirroring the per-thread behaviour
 // of the Lockless allocator used in the paper (so unrelated threads'
 // allocations do not share cache lines by accident).  That same arena
-// discipline is what makes per-line privacy tracking (sim/privacy.hpp)
-// possible: a worker arena's lines belong to exactly one core until their
-// addresses are published.
+// discipline is what defines per-line privacy (sim/privacy.hpp): a worker
+// arena's lines belong to exactly one core until their addresses are
+// published. The heap therefore owns the PrivacyMap and seeds it on every
+// allocation; nothing else creates one.
 #pragma once
 
 #include <array>
@@ -18,11 +19,10 @@
 #include <vector>
 
 #include "sim/dir_map.hpp"
+#include "sim/privacy.hpp"
 #include "sim/types.hpp"
 
 namespace st::sim {
-
-class PrivacyMap;
 
 class Heap {
  public:
@@ -30,9 +30,9 @@ class Heap {
   /// integers never look like heap pointers).
   static constexpr Addr kBase = 0x10000;
 
-  /// `arenas` is the number of independent allocation arenas (normally the
-  /// core count plus one shared setup arena); `arena_bytes` the capacity of
-  /// each.
+  /// `arenas` is the number of independent allocation arenas: one per core
+  /// (arena i belongs to core i) plus the shared setup arena, always the
+  /// last. `arena_bytes`, the capacity of each, is a multiple of the line.
   Heap(unsigned arenas, std::size_t arena_bytes);
 
   /// Allocate `size` bytes in `arena`, aligned to `align` (power of two,
@@ -88,10 +88,10 @@ class Heap {
     return true;
   }
 
-  /// Wire the privacy map; every subsequent alloc reports its block extent
-  /// via PrivacyMap::on_alloc. Null (the default) is the standalone-heap
-  /// configuration with no tracking.
-  void set_privacy(PrivacyMap* priv) { priv_ = priv; }
+  /// The per-line privacy map of this heap's worker arenas; alloc() reports
+  /// every block's extent to it (PrivacyMap::on_alloc).
+  PrivacyMap& privacy() { return priv_; }
+  const PrivacyMap& privacy() const { return priv_; }
 
   // --- Allocation-site tracking (conflict provenance, obs/observer.hpp) ---
   /// When on, alloc() records its `site` PC for every line of the block
@@ -99,7 +99,6 @@ class Heap {
   /// allocation site of a conflicting line. Off by default: the map costs
   /// memory and is a pure observability aid — nothing simulated reads it.
   void set_site_tracking(bool on) { track_sites_ = on; }
-  bool site_tracking() const { return track_sites_; }
   /// Allocation-site PC recorded for the line containing `a`, or 0 when
   /// unknown (tracking off, line past the per-block cap, or a block freed
   /// and re-carved — entries are overwritten at re-allocation, not erased).
@@ -150,7 +149,7 @@ class Heap {
   // Uninitialized on purpose: every block is zeroed when allocated, so the
   // backing store never needs the (expensive) whole-arena clear.
   std::unique_ptr<std::byte[]> mem_;
-  std::size_t mem_size_ = 0;
+  std::size_t mem_size_;
   // addr -> arena<<24 | log2(class); open-addressed (alloc/dealloc is on
   // every workload's hot path). Block addresses are 8-aligned, hence the
   // shift-3 key. The packed value is never 0 (log2(class) >= 3), so a
@@ -161,8 +160,8 @@ class Heap {
   LineMap<std::uint32_t, 6> line_sites_;
   std::size_t bytes_allocated_ = 0;
   std::uint64_t invalid_frees_ = 0;
-  PrivacyMap* priv_ = nullptr;
   bool track_sites_ = false;
+  PrivacyMap priv_;  // last: built from the geometry above
 };
 
 }  // namespace st::sim

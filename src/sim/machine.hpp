@@ -146,7 +146,6 @@ class Machine {
   /// instruction and every poll is its own step — the single-stepping
   /// reference. On by default.
   void set_step_fusion(bool on) { fusion_ = on; }
-  bool step_fusion() const { return fusion_; }
 
   /// Optional observer (obs/observer.hpp): the scheduler records core_done
   /// when a task finishes, giving exported timelines an end marker per

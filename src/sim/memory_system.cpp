@@ -7,10 +7,18 @@
 
 namespace st::sim {
 
-MemorySystem::MemorySystem(const MemConfig& cfg, MachineStats& stats)
-    : cfg_(cfg), stats_(stats), watch_(cfg.cores, 0), l3_(cfg.l3) {
+MemorySystem::MemorySystem(const MemConfig& cfg, MachineStats& stats,
+                           Machine& machine, PrivacyMap& priv)
+    : cfg_(cfg),
+      stats_(stats),
+      machine_(machine),
+      priv_(priv),
+      watch_(cfg.cores, 0),
+      l3_(cfg.l3) {
   ST_CHECK(cfg.cores >= 1 && cfg.cores <= kMaxCores);
+  ST_CHECK(machine.cores() == cfg.cores);
   ST_CHECK(cfg.pc_tag_bits >= 1 && cfg.pc_tag_bits <= 16);
+  priv_.set_sink(this);
   l1_.reserve(cfg.cores);
   l2_.reserve(cfg.cores);
   for (unsigned i = 0; i < cfg.cores; ++i) {
@@ -65,8 +73,7 @@ void MemorySystem::invalidate_remote(CoreId remote, Addr line, DirEntry& d) {
 }
 
 bool MemorySystem::watch(CoreId c, Addr line) {
-  if (machine_ == nullptr || l1_[c]->find(line) == nullptr ||
-      (priv_ != nullptr && priv_->private_owner(line) >= 0))
+  if (l1_[c]->find(line) == nullptr || priv_.private_owner(line) >= 0)
     return false;
   watch_[c] = line;
   return true;
@@ -74,7 +81,7 @@ bool MemorySystem::watch(CoreId c, Addr line) {
 
 void MemorySystem::wake(CoreId c) {
   watch_[c] = 0;
-  if (machine_ != nullptr) machine_->wake(c);
+  machine_.wake(c);
 }
 
 void MemorySystem::settle_hits(CoreId c, Addr line, std::uint64_t n) {
@@ -103,15 +110,10 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
   // still-private line should be impossible — addresses only cross cores
   // through the publication channels the privacy map watches — but if one
   // ever does (defensive), the access *is* the publication: escape first.
-  bool is_private = false;
-  if (priv_ != nullptr) {
-    const int owner = priv_->private_owner(line);
-    if (owner >= 0 && owner != static_cast<int>(c)) {
-      priv_->publish_value(c, line, pc);
-    } else {
-      is_private = owner >= 0;
-    }
-  }
+  const int priv_owner = priv_.private_owner(line);
+  if (priv_owner >= 0 && priv_owner != static_cast<int>(c))
+    priv_.publish_value(c, line, pc);
+  const bool is_private = priv_owner == static_cast<int>(c);
 
   AccessOutcome out;
   out.latency = cfg_.l1_lat;
@@ -124,7 +126,7 @@ AccessOutcome MemorySystem::access(CoreId c, Addr addr, unsigned size,
   // Cross-check of the local-step classification: during run-ahead every
   // access must be exactly what next_step_local promised — an L1 hit on a
   // line private to this core.
-  if (run_ahead_probe_ && run_ahead_probe_())
+  if (machine_.in_run_ahead())
     ST_CHECK_MSG(is_private && hit,
                  "run-ahead access was not a private-line L1 hit");
 #endif
@@ -319,7 +321,7 @@ void MemorySystem::invalidate_speculative_writes(CoreId c) {
     // foreign access reaches the conflict check), and the victim's
     // local-step classification depends on their residency staying put
     // until its own abort step.
-    if (priv_ != nullptr && priv_->private_to(c, l.line)) return;
+    if (priv_.private_to(c, l.line)) return;
     l1.invalidate(l);
     dir_drop(c, l.line);
   });
@@ -329,7 +331,7 @@ void MemorySystem::on_line_escape(CoreId publisher, Addr line, CoreId owner,
                                   std::uint32_t pc) {
   ++stats_.core(publisher).priv_escapes;
   if (obs_ != nullptr)
-    obs_->line_escape(publisher, clock_ ? clock_() : 0, owner, pc, line);
+    obs_->line_escape(publisher, machine_.now(), owner, pc, line);
 }
 
 unsigned MemorySystem::speculative_lines(CoreId c) const {

@@ -10,10 +10,15 @@
 // transaction is aborted through the ConflictSink (implemented by the HTM
 // layer, which records abort info and clears the victim's speculative
 // state).
+//
+// One construction order builds the machine (runtime/tx_system.cpp): stats,
+// Machine, Heap (which owns the PrivacyMap), then this memory system, which
+// reads time, run-ahead state and parked-core wakeups from the Machine and
+// registers itself as the privacy map's escape sink, then the HTM, which
+// registers itself as the conflict sink.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -77,22 +82,16 @@ struct AccessOutcome {
 
 class MemorySystem : public LineEscapeSink {
  public:
-  MemorySystem(const MemConfig& cfg, MachineStats& stats);
+  /// `machine` and `priv` (the heap's privacy map) must outlive this
+  /// object, which registers itself as `priv`'s escape sink.
+  MemorySystem(const MemConfig& cfg, MachineStats& stats, Machine& machine,
+               PrivacyMap& priv);
 
+  /// The HTM registers itself here; tests may substitute a recording fake.
   void set_conflict_sink(ConflictSink* sink) { sink_ = sink; }
 
-  /// Wire the per-line privacy map (null = no tracking, the standalone-test
-  /// configuration: every path behaves exactly as before). The map must be
-  /// registered as this object's escape sink by the owner.
-  void set_privacy(PrivacyMap* priv) { priv_ = priv; }
+  /// Optional observer (null: off, the default).
   void set_observer(obs::Observer* o) { obs_ = o; }
-  void set_clock(std::function<Cycle()> clock) { clock_ = std::move(clock); }
-  /// Debug cross-check hook: returns true while the machine is running a
-  /// core ahead through local steps, where every access must be a
-  /// private-line L1 hit (that is what the local classification promised).
-  void set_run_ahead_probe(std::function<bool()> probe) {
-    run_ahead_probe_ = std::move(probe);
-  }
 
   /// True when `addr`'s line is still private to core `c` *and* resident in
   /// c's L1. Private resident lines are always E or M (no other core can
@@ -100,12 +99,11 @@ class MemorySystem : public LineEscapeSink {
   /// or store — that reads and writes no shared simulator state. This is
   /// the local-step classification predicate.
   bool private_hit(CoreId c, Addr addr) const {
-    if (priv_ == nullptr) return false;
     const Addr line = line_addr(addr);
     // Const find reads the tag row only and leaves the MRU hint alone, so
     // classifying a step never changes what the step then does.
     const L1Cache& l1 = *l1_[c];
-    return priv_->private_to(c, line) && l1.find(line) != nullptr;
+    return priv_.private_to(c, line) && l1.find(line) != nullptr;
   }
 
   /// LineEscapeSink: a line just went private->shared. Counts the escape
@@ -114,11 +112,7 @@ class MemorySystem : public LineEscapeSink {
   void on_line_escape(CoreId publisher, Addr line, CoreId owner,
                       std::uint32_t pc) override;
 
-  /// Parked waits (DESIGN.md §13): the machine to wake watchers through.
-  /// Null (the default) means no core ever parks.
-  void set_machine(Machine* machine) { machine_ = machine; }
-
-  /// Watches `line` for core c, which is about to park on polls of it. True
+  /// Parked waits (DESIGN.md §13). Watches `line` for core c, which is about to park on polls of it. True
   /// when the line is resident in c's L1 and shared, so every further poll
   /// is an identical L1 hit until an invalidation of that line, which wakes
   /// c (Machine::wake). False, and no watch, otherwise.
@@ -223,12 +217,10 @@ class MemorySystem : public LineEscapeSink {
 
   MemConfig cfg_;
   MachineStats& stats_;
+  Machine& machine_;
+  PrivacyMap& priv_;
   ConflictSink* sink_ = nullptr;
-  PrivacyMap* priv_ = nullptr;
   obs::Observer* obs_ = nullptr;
-  std::function<Cycle()> clock_;
-  std::function<bool()> run_ahead_probe_;
-  Machine* machine_ = nullptr;
   std::vector<Addr> watch_;  // per core; 0 = none (never a heap line)
   std::vector<std::unique_ptr<L1Cache>> l1_;
   std::vector<std::unique_ptr<TagCache>> l2_;

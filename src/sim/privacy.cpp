@@ -26,7 +26,6 @@ PrivacyMap::PrivacyMap(const Heap& heap)
   meta_ = static_cast<std::uint16_t*>(
       std::calloc(total_lines_, sizeof(std::uint16_t)));
   ST_CHECK_MSG(meta_ != nullptr, "privacy metadata allocation failed");
-  arena_escapes_.assign(worker_arenas_, 0);
 }
 
 PrivacyMap::~PrivacyMap() { std::free(meta_); }
@@ -102,8 +101,6 @@ void PrivacyMap::escape_block(CoreId publisher, std::size_t li,
     const std::size_t lj = head + j;
     if (meta_[lj] & kEscaped) continue;
     meta_[lj] |= kEscaped;
-    ++escaped_lines_;
-    ++arena_escapes_[static_cast<std::size_t>(owner)];
     if (sink_ != nullptr)
       sink_->on_line_escape(publisher,
                             base_ + (static_cast<Addr>(lj) << kLineShift),
@@ -114,7 +111,6 @@ void PrivacyMap::escape_block(CoreId publisher, std::size_t li,
 
 void PrivacyMap::publish_value(CoreId publisher, std::uint64_t v,
                                std::uint32_t pc) {
-  ++publish_checks_;
   if (private_owner(v) < 0) return;  // cheap common case: not a private ptr
   work_.clear();
   work_.push_back(v);

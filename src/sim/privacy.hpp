@@ -34,7 +34,9 @@ namespace st::sim {
 class Heap;
 
 /// Observer of private->shared transitions, implemented by the memory
-/// system: it counts the escape and emits the trace event.
+/// system (it counts the escape in CoreStats::priv_escapes and emits the
+/// trace event), which registers itself in its constructor. Tests may
+/// substitute a recording fake.
 class LineEscapeSink {
  public:
   virtual ~LineEscapeSink() = default;
@@ -46,23 +48,14 @@ class LineEscapeSink {
                               std::uint32_t pc) = 0;
 };
 
-/// Snapshot of privacy counters for end-of-run reporting (the STAGTM_JSON
-/// "privacy" object).
-struct PrivacyStats {
-  std::uint64_t escaped_lines = 0;
-  std::uint64_t publish_checks = 0;
-  std::vector<std::uint64_t> arena_escapes;  // per worker arena
-};
-
 class PrivacyMap {
  public:
-  /// Geometry is taken from `heap` (which must outlive the map); the heap
-  /// also serves the committed-content reads of transitive escapes.
-  explicit PrivacyMap(const Heap& heap);
   ~PrivacyMap();
   PrivacyMap(const PrivacyMap&) = delete;
   PrivacyMap& operator=(const PrivacyMap&) = delete;
 
+  /// The memory system registers itself here; tests may substitute a fake.
+  /// Null (a heap without a memory system) only marks the escapes.
   void set_sink(LineEscapeSink* sink) { sink_ = sink; }
 
   /// Owning core of the still-private line containing `a`, or -1 when the
@@ -109,20 +102,16 @@ class PrivacyMap {
   /// contents point to, transitively.
   void publish_value(CoreId publisher, std::uint64_t v, std::uint32_t pc);
 
-  std::uint64_t escaped_lines() const { return escaped_lines_; }
-  std::uint64_t publish_checks() const { return publish_checks_; }
-  const std::vector<std::uint64_t>& arena_escapes() const {
-    return arena_escapes_;
-  }
-  PrivacyStats snapshot() const {
-    return {escaped_lines_, publish_checks_, arena_escapes_};
-  }
-
   /// Largest block (in lines) whose extent is tracked; bigger blocks are
   /// born shared (the metadata field is 14 bits).
   static constexpr std::size_t kMaxBlockLines = (1u << 14) - 1;
 
  private:
+  friend class Heap;
+  /// Only `heap` builds its map: geometry is taken from it, and it serves
+  /// the committed-content reads of transitive escapes.
+  explicit PrivacyMap(const Heap& heap);
+
   // Per-line metadata word: escape flag + block-extent encoding.
   //   kEscaped                  irrevocable shared bit
   //   kHead | (len << 2)        first line of a line-crossing block
@@ -145,9 +134,6 @@ class PrivacyMap {
   Addr stride_recip_ = 0;          // floor((2^64 - 1) / stride_)
   std::size_t total_lines_ = 0;
   std::uint16_t* meta_ = nullptr;  // calloc'd: lazily-faulted zero pages
-  std::uint64_t escaped_lines_ = 0;
-  std::uint64_t publish_checks_ = 0;
-  std::vector<std::uint64_t> arena_escapes_;
   std::vector<Addr> work_;  // reused transitive-escape worklist
 };
 

@@ -48,9 +48,6 @@ class ABContext {
   unsigned count_addr(sim::Addr conf_line) const;
   unsigned count_pc(std::uint32_t anchor_alp) const;
   unsigned history_len() const { return len_; }
-  unsigned history_capacity() const {
-    return static_cast<unsigned>(ring_.size());
-  }
   const AbortHistoryEntry& history_at(unsigned i) const;  // 0 = oldest
 
  private:

@@ -2,17 +2,6 @@
 
 namespace st::stagger {
 
-namespace {
-void emit_decision(obs::Observer* o,
-                   const std::function<sim::Cycle()>& clock,
-                   const ABContext& ctx, PolicyDecision d,
-                   std::uint32_t anchor_alp, sim::Addr conf_line) {
-  if (o == nullptr) return;
-  o->policy_decision(ctx.core, clock ? clock() : 0,
-                     static_cast<std::uint8_t>(d), anchor_alp, conf_line);
-}
-}  // namespace
-
 const char* decision_name(PolicyDecision d) {
   switch (d) {
     case PolicyDecision::kTraining: return "training";
@@ -54,7 +43,6 @@ PolicyDecision LockingPolicy::on_abort(ABContext& ctx,
       decision = PolicyDecision::kTraining;
     }
     ctx.append_history(anchor_alp, conf_line);
-    emit_decision(obs_, clock_, ctx, decision, anchor_alp, conf_line);
     return decision;
   }
 
@@ -92,7 +80,6 @@ PolicyDecision LockingPolicy::on_abort(ABContext& ctx,
   }
 
   ctx.append_history(anchor_alp, conf_line);
-  emit_decision(obs_, clock_, ctx, decision, anchor_alp, conf_line);
   return decision;
 }
 

@@ -13,9 +13,6 @@
 //   training   — no pattern yet: keep gathering statistics.
 #pragma once
 
-#include <functional>
-
-#include "obs/observer.hpp"
 #include "stagger/abcontext.hpp"
 
 namespace st::stagger {
@@ -43,7 +40,8 @@ class LockingPolicy {
 
   /// ActivateALPoint (Fig. 6). `anchor_alp` is the ALP of the anchor that
   /// first accessed the conflicting line (already resolved through the
-  /// anchor table's pioneer link; 0 when unidentifiable).
+  /// anchor table's pioneer link; 0 when unidentifiable). The caller
+  /// records the returned decision in the observer (TxExecutor).
   PolicyDecision on_abort(ABContext& ctx, std::uint32_t anchor_alp,
                           sim::Addr conf_line);
 
@@ -61,13 +59,6 @@ class LockingPolicy {
 
   const PolicyConfig& config() const { return cfg_; }
 
-  /// Optional observer + time source: every on_abort classification is
-  /// recorded as a policy_decision event on the context's core.
-  void set_observer(obs::Observer* o, std::function<sim::Cycle()> clock) {
-    obs_ = o;
-    clock_ = std::move(clock);
-  }
-
  private:
   void decay(ABContext& ctx);
 
@@ -76,8 +67,6 @@ class LockingPolicy {
                         unsigned level) const;
 
   PolicyConfig cfg_;
-  obs::Observer* obs_ = nullptr;
-  std::function<sim::Cycle()> clock_;
 };
 
 }  // namespace st::stagger

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
@@ -153,6 +154,20 @@ runtime::RuntimeConfig make_runtime_config(const RunOptions& opt) {
   return rt;
 }
 
+void check_scale(const Workload& wl, double ops_scale, const char* knob) {
+  if (static_cast<double>(wl.ops_per_thread()) * ops_scale >= 1) return;
+  std::fprintf(stderr,
+               "%s must be at least 1/%llu for %s (one op per thread), "
+               "got %g\n",
+               knob, static_cast<unsigned long long>(wl.ops_per_thread()),
+               wl.name(), ops_scale);
+  // _Exit, not exit: a bench sweep checks each job as it submits it, while
+  // earlier jobs may still be running on the runner's threads, which must
+  // not see static destructors run under them.
+  std::fflush(nullptr);
+  std::_Exit(2);
+}
+
 RunOptions options_from_env() {
   RunOptions o;
   o.max_retries = static_cast<unsigned>(
@@ -263,7 +278,6 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
                   .count();
   r.sched_events = sys.machine().events();
   r.sched_steps = sys.machine().steps();
-  r.privacy = sys.privacy().snapshot();
   return r;
 }
 

@@ -87,9 +87,6 @@ struct RunResult {
   std::uint64_t sched_events = 0;
   /// CoreTask::step calls the run took (sim::Machine::steps), host-side.
   std::uint64_t sched_steps = 0;
-  /// Privacy-map snapshot at end of run (escaped lines, publish checks,
-  /// per-arena escapes).
-  sim::PrivacyStats privacy;
   /// The observer file this run wrote (empty: observer off) and its
   /// provenance summary (host-side observer output, excluded from
   /// differential comparisons like wall_ms).
@@ -134,6 +131,11 @@ struct RunResult {
 /// verify -> aggregate.
 RunResult run_workload(Workload& wl, const RunOptions& opt);
 RunResult run_workload(const std::string& name, const RunOptions& opt);
+
+/// Exits 2 with "<knob> must be at least 1/N ..." when `ops_scale` leaves
+/// `wl` no op per thread (run_workload runs at least one). `knob` names
+/// where the scale came from: "--scale" or "STAGTM_SCALE".
+void check_scale(const Workload& wl, double ops_scale, const char* knob);
 
 /// The RuntimeConfig run_workload builds from `opt` (exposed so the
 /// serializability oracle can construct an identically-configured reference

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "sim/memory_system.hpp"
+#include "test_util.hpp"
 
 namespace st::sim {
 namespace {
@@ -26,74 +26,72 @@ struct RecordingSink final : ConflictSink {
   }
 };
 
-struct Fixture {
-  MemConfig cfg;
-  MachineStats stats{4};
+/// The production machine with a recording sink in place of the HTM's
+/// conflict handling, and two shared lines a and b in the setup arena.
+struct Fixture : testutil::MachineRig {
   RecordingSink sink;
-  std::unique_ptr<MemorySystem> mem;
+  Addr a, b;
 
-  explicit Fixture(unsigned cores = 4) {
-    cfg.cores = cores;
-    mem = std::make_unique<MemorySystem>(cfg, stats);
-    mem->set_conflict_sink(&sink);
-    sink.mem = mem.get();
+  explicit Fixture(const MemConfig& cfg = testutil::mem_config(4))
+      : MachineRig(cfg) {
+    mem.set_conflict_sink(&sink);
+    sink.mem = &mem;
+    a = shared_lines(1);
+    b = shared_lines(1);
   }
 };
 
-constexpr Addr A = 0x100000;  // arbitrary line-aligned addresses
-constexpr Addr B = 0x200040;
-
 TEST(MemorySystem, ColdLoadMissesThenHits) {
   Fixture f;
-  const auto miss = f.mem->access(0, A, 8, AccessKind::Load, false, 0);
-  EXPECT_GE(miss.latency, f.cfg.l3_lat);  // cold: at least L3 + memory path
-  const auto hit = f.mem->access(0, A, 8, AccessKind::Load, false, 0);
-  EXPECT_EQ(hit.latency, f.cfg.l1_lat);
+  const auto miss = f.mem.access(0, f.a, 8, AccessKind::Load, false, 0);
+  EXPECT_GE(miss.latency, f.mem.config().l3_lat);  // cold: at least L3 + memory path
+  const auto hit = f.mem.access(0, f.a, 8, AccessKind::Load, false, 0);
+  EXPECT_EQ(hit.latency, f.mem.config().l1_lat);
   EXPECT_EQ(f.stats.core(0).l1_hits, 1u);
   EXPECT_EQ(f.stats.core(0).l1_misses, 1u);
 }
 
 TEST(MemorySystem, SoleLoaderGetsExclusive) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, false, 0);
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(A))->state, Coh::E);
-  EXPECT_EQ(f.mem->dir_owner(A), 0);
+  f.mem.access(0, f.a, 8, AccessKind::Load, false, 0);
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.a))->state, Coh::E);
+  EXPECT_EQ(f.mem.dir_owner(f.a), 0);
 }
 
 TEST(MemorySystem, SecondLoaderDemotesToShared) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, false, 0);
-  f.mem->access(1, A, 8, AccessKind::Load, false, 0);
-  EXPECT_EQ(f.mem->peek_l1(1, line_addr(A))->state, Coh::S);
+  f.mem.access(0, f.a, 8, AccessKind::Load, false, 0);
+  f.mem.access(1, f.a, 8, AccessKind::Load, false, 0);
+  EXPECT_EQ(f.mem.peek_l1(1, line_addr(f.a))->state, Coh::S);
   // The former exclusive owner forwards and keeps an owner-ish copy.
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(A))->state, Coh::O);
-  EXPECT_EQ(f.mem->dir_sharers(A).low64(), 0b11u);
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.a))->state, Coh::O);
+  EXPECT_EQ(f.mem.dir_sharers(f.a).low64(), 0b11u);
 }
 
 TEST(MemorySystem, StoreInvalidatesOtherSharers) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, false, 0);
-  f.mem->access(1, A, 8, AccessKind::Load, false, 0);
-  f.mem->access(2, A, 8, AccessKind::Store, false, 0);
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(A)), nullptr);
-  EXPECT_EQ(f.mem->peek_l1(1, line_addr(A)), nullptr);
-  EXPECT_EQ(f.mem->peek_l1(2, line_addr(A))->state, Coh::M);
-  EXPECT_EQ(f.mem->dir_owner(A), 2);
-  f.mem->check_invariants();
+  f.mem.access(0, f.a, 8, AccessKind::Load, false, 0);
+  f.mem.access(1, f.a, 8, AccessKind::Load, false, 0);
+  f.mem.access(2, f.a, 8, AccessKind::Store, false, 0);
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.a)), nullptr);
+  EXPECT_EQ(f.mem.peek_l1(1, line_addr(f.a)), nullptr);
+  EXPECT_EQ(f.mem.peek_l1(2, line_addr(f.a))->state, Coh::M);
+  EXPECT_EQ(f.mem.dir_owner(f.a), 2);
+  f.mem.check_invariants();
 }
 
 TEST(MemorySystem, StoreHitOnExclusiveUpgradesSilently) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, false, 0);
-  const auto st = f.mem->access(0, A, 8, AccessKind::Store, false, 0);
-  EXPECT_EQ(st.latency, f.cfg.l1_lat);
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(A))->state, Coh::M);
+  f.mem.access(0, f.a, 8, AccessKind::Load, false, 0);
+  const auto st = f.mem.access(0, f.a, 8, AccessKind::Store, false, 0);
+  EXPECT_EQ(st.latency, f.mem.config().l1_lat);
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.a))->state, Coh::M);
 }
 
 TEST(MemorySystem, TransactionalBitsAndPcTag) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, true, 0xABCDE);
-  const L1Line* l = f.mem->peek_l1(0, line_addr(A));
+  f.mem.access(0, f.a, 8, AccessKind::Load, true, 0xABCDE);
+  const L1Line* l = f.mem.peek_l1(0, line_addr(f.a));
   ASSERT_NE(l, nullptr);
   EXPECT_TRUE(l->tx_read);
   EXPECT_FALSE(l->tx_write);
@@ -104,84 +102,80 @@ TEST(MemorySystem, TransactionalBitsAndPcTag) {
 
 TEST(MemorySystem, FirstPcIsNotOverwrittenBySecondAccess) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, true, 111);
-  f.mem->access(0, A, 8, AccessKind::Store, true, 222);
-  const L1Line* l = f.mem->peek_l1(0, line_addr(A));
+  f.mem.access(0, f.a, 8, AccessKind::Load, true, 111);
+  f.mem.access(0, f.a, 8, AccessKind::Store, true, 222);
+  const L1Line* l = f.mem.peek_l1(0, line_addr(f.a));
   EXPECT_EQ(l->first_pc, 111u);
   EXPECT_TRUE(l->tx_write);
 }
 
 TEST(MemorySystem, RemoteStoreAbortsTransactionalReader) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, true, 77);
-  f.mem->access(1, A, 8, AccessKind::Store, false, 0);
+  f.mem.access(0, f.a, 8, AccessKind::Load, true, 77);
+  f.mem.access(1, f.a, 8, AccessKind::Store, false, 0);
   ASSERT_EQ(f.sink.events.size(), 1u);
   EXPECT_EQ(f.sink.events[0].victim, 0u);
   EXPECT_EQ(f.sink.events[0].requester, 1u);
   EXPECT_EQ(f.sink.events[0].first_pc, 77u);
   // The store invalidates every remote copy, including the victim's.
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(A)), nullptr);
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.a)), nullptr);
 }
 
 TEST(MemorySystem, RemoteLoadAbortsTransactionalWriter) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Store, true, 55);
-  f.mem->access(1, A, 8, AccessKind::Load, false, 0);
+  f.mem.access(0, f.a, 8, AccessKind::Store, true, 55);
+  f.mem.access(1, f.a, 8, AccessKind::Load, false, 0);
   ASSERT_EQ(f.sink.events.size(), 1u);
   EXPECT_EQ(f.sink.events[0].victim, 0u);
   // The victim's speculatively written line must be gone.
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(A)), nullptr);
-  f.mem->check_invariants();
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.a)), nullptr);
+  f.mem.check_invariants();
 }
 
 TEST(MemorySystem, RemoteLoadDoesNotAbortTransactionalReader) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, true, 1);
-  f.mem->access(1, A, 8, AccessKind::Load, false, 0);
+  f.mem.access(0, f.a, 8, AccessKind::Load, true, 1);
+  f.mem.access(1, f.a, 8, AccessKind::Load, false, 0);
   EXPECT_TRUE(f.sink.events.empty());
 }
 
 TEST(MemorySystem, ClearSpeculativeKeepsReadLinesDropsWrittenLines) {
   Fixture f;
-  f.mem->access(0, A, 8, AccessKind::Load, true, 1);
-  f.mem->access(0, B, 8, AccessKind::Store, true, 2);
-  f.mem->clear_speculative(0, /*invalidate_written=*/true);
-  const L1Line* ra = f.mem->peek_l1(0, line_addr(A));
+  f.mem.access(0, f.a, 8, AccessKind::Load, true, 1);
+  f.mem.access(0, f.b, 8, AccessKind::Store, true, 2);
+  f.mem.clear_speculative(0, /*invalidate_written=*/true);
+  const L1Line* ra = f.mem.peek_l1(0, line_addr(f.a));
   ASSERT_NE(ra, nullptr);
   EXPECT_FALSE(ra->speculative());
-  EXPECT_EQ(f.mem->peek_l1(0, line_addr(B)), nullptr);
-  f.mem->check_invariants();
+  EXPECT_EQ(f.mem.peek_l1(0, line_addr(f.b)), nullptr);
+  f.mem.check_invariants();
 }
 
 TEST(MemorySystem, CommitKeepsWrittenLines) {
   Fixture f;
-  f.mem->access(0, B, 8, AccessKind::Store, true, 2);
-  f.mem->clear_speculative(0, /*invalidate_written=*/false);
-  const L1Line* l = f.mem->peek_l1(0, line_addr(B));
+  f.mem.access(0, f.b, 8, AccessKind::Store, true, 2);
+  f.mem.clear_speculative(0, /*invalidate_written=*/false);
+  const L1Line* l = f.mem.peek_l1(0, line_addr(f.b));
   ASSERT_NE(l, nullptr);
   EXPECT_FALSE(l->speculative());
   EXPECT_EQ(l->state, Coh::M);
 }
 
 TEST(MemorySystem, CapacityAbortWhenSetFullOfSpeculativeLines) {
-  MemConfig cfg;
-  cfg.cores = 1;
+  MemConfig cfg = testutil::mem_config(1);
   cfg.l1 = CacheGeometry{2 * 64 * 2, 2};  // 2 sets x 2 ways
-  MachineStats stats{1};
-  MemorySystem mem(cfg, stats);
-  RecordingSink sink;
-  sink.mem = &mem;
-  mem.set_conflict_sink(&sink);
-  // Fill set 0 with two speculative lines, then touch a third.
-  const Addr l0 = 0, l1 = 2 * kLineBytes, l2 = 4 * kLineBytes;
-  EXPECT_FALSE(mem.access(0, 0x10000 + l0, 8, AccessKind::Load, true, 1).capacity_abort);
-  EXPECT_FALSE(mem.access(0, 0x10000 + l1, 8, AccessKind::Load, true, 2).capacity_abort);
-  EXPECT_TRUE(mem.access(0, 0x10000 + l2, 8, AccessKind::Load, true, 3).capacity_abort);
+  Fixture f(cfg);
+  // Fill one set with two speculative lines, then touch a third.
+  const Addr base = f.shared_lines(5);
+  const Addr l0 = base, l1 = base + 2 * kLineBytes, l2 = base + 4 * kLineBytes;
+  EXPECT_FALSE(f.mem.access(0, l0, 8, AccessKind::Load, true, 1).capacity_abort);
+  EXPECT_FALSE(f.mem.access(0, l1, 8, AccessKind::Load, true, 2).capacity_abort);
+  EXPECT_TRUE(f.mem.access(0, l2, 8, AccessKind::Load, true, 3).capacity_abort);
 }
 
 TEST(MemorySystem, LineCrossingAccessDies) {
   Fixture f;
-  EXPECT_DEATH(f.mem->access(0, A + 60, 8, AccessKind::Load, false, 0),
+  EXPECT_DEATH(f.mem.access(0, f.a + 60, 8, AccessKind::Load, false, 0),
                "crosses");
 }
 
@@ -193,49 +187,51 @@ TEST(MemorySystem, DirectoryGrowthAndChurn) {
   Fixture f;
   Xoshiro256ss rng(99);
   constexpr unsigned kLines = 4096;  // >> the directory's initial slots
+  const Addr base = f.shared_lines(kLines);
   for (unsigned i = 0; i < kLines; ++i) {
-    const Addr a = 0x100000 + static_cast<Addr>(i) * kLineBytes;
+    const Addr a = base + static_cast<Addr>(i) * kLineBytes;
     const CoreId c = static_cast<CoreId>(i % 4);
-    f.mem->access(c, a, 8, AccessKind::Load, false, 0);
-    if (i % 512 == 0) f.mem->check_invariants();
+    f.mem.access(c, a, 8, AccessKind::Load, false, 0);
+    if (i % 512 == 0) f.mem.check_invariants();
   }
   // Random revisits: L1s are tiny relative to 4096 lines, so nearly every
   // access evicts something (directory erase) and refetches (insert).
   for (int i = 0; i < 20'000; ++i) {
     const Addr a =
-        0x100000 + static_cast<Addr>(rng.next_below(kLines)) * kLineBytes;
+        base + static_cast<Addr>(rng.next_below(kLines)) * kLineBytes;
     const CoreId c = static_cast<CoreId>(rng.next_below(4));
     const auto kind =
         rng.chance_pct(50) ? AccessKind::Store : AccessKind::Load;
-    f.mem->access(c, a, 8, kind, false, 0);
-    if (i % 1024 == 0) f.mem->check_invariants();
+    f.mem.access(c, a, 8, kind, false, 0);
+    if (i % 1024 == 0) f.mem.check_invariants();
   }
-  f.mem->check_invariants();
+  f.mem.check_invariants();
   // Spot-check that revisited lines still resolve correctly post-churn.
   for (unsigned i = 0; i < 64; ++i) {
-    const Addr a = 0x100000 + static_cast<Addr>(i * 64) * kLineBytes;
-    f.mem->access(0, a, 8, AccessKind::Load, false, 0);
-    ASSERT_NE(f.mem->peek_l1(0, line_addr(a)), nullptr);
+    const Addr a = base + static_cast<Addr>(i * 64) * kLineBytes;
+    f.mem.access(0, a, 8, AccessKind::Load, false, 0);
+    ASSERT_NE(f.mem.peek_l1(0, line_addr(a)), nullptr);
   }
-  f.mem->check_invariants();
+  f.mem.check_invariants();
 }
 
 class MemoryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MemoryFuzz, InvariantsHoldUnderRandomTraffic) {
   Fixture f;
+  const Addr base = f.shared_lines(8);
   Xoshiro256ss rng(GetParam());
   for (int i = 0; i < 4000; ++i) {
     const CoreId c = static_cast<CoreId>(rng.next_below(4));
-    const Addr a = 0x100000 + rng.next_below(64) * 8;
+    const Addr a = base + rng.next_below(64) * 8;
     const auto kind =
         rng.chance_pct(40) ? AccessKind::Store : AccessKind::Load;
     // Non-transactional only: transactional traffic needs an HTM to manage
     // abort state (covered by htm_test).
-    f.mem->access(c, a, 8, kind, false, 0);
-    if (i % 64 == 0) f.mem->check_invariants();
+    f.mem.access(c, a, 8, kind, false, 0);
+    if (i % 64 == 0) f.mem.check_invariants();
   }
-  f.mem->check_invariants();
+  f.mem.check_invariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryFuzz,

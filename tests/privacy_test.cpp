@@ -38,14 +38,14 @@ class RecordingSink final : public sim::LineEscapeSink {
   }
 };
 
+/// A heap and its privacy map, with escapes recorded instead of counted.
 struct PrivFixture {
   Heap heap;
-  PrivacyMap priv;
+  PrivacyMap& priv;
   RecordingSink sink;
   PrivFixture(unsigned arenas = 3, std::size_t arena_bytes = 1u << 20)
-      : heap(arenas, arena_bytes), priv(heap) {
+      : heap(arenas, arena_bytes), priv(heap.privacy()) {
     priv.set_sink(&sink);
-    heap.set_privacy(&priv);
   }
 };
 
@@ -68,7 +68,6 @@ TEST(PrivacyMap, SetupArenaIsAlwaysShared) {
   // Publishing a setup-arena pointer is a no-op (already shared).
   fx.priv.publish_value(0, s, 0);
   EXPECT_TRUE(fx.sink.recs.empty());
-  EXPECT_EQ(fx.priv.escaped_lines(), 0u);
 }
 
 TEST(PrivacyMap, OutOfHeapValuesAreShared) {
@@ -97,7 +96,6 @@ TEST(PrivacyMap, PublicationEscapesWholeBlockIrrevocably) {
   // Irrevocable: a second publication of the same block is a no-op.
   fx.priv.publish_value(0, b, 0);
   EXPECT_EQ(fx.sink.recs.size(), 4u);
-  EXPECT_EQ(fx.priv.escaped_lines(), 4u);
 }
 
 TEST(PrivacyMap, EscapeCascadesThroughStoredPointers) {
@@ -170,16 +168,15 @@ TEST(PrivacyMap, IntegerFalsePositiveOnlyOverEscapes) {
 }
 
 TEST(PrivacyMap, SnapshotCounters) {
-  PrivFixture fx;
-  const Addr a = fx.heap.alloc_line_aligned(1, 2 * sim::kLineBytes);
-  fx.priv.publish_value(0, a, 0);
-  fx.priv.publish_value(0, 12345, 0);
-  const sim::PrivacyStats s = fx.priv.snapshot();
-  EXPECT_EQ(s.escaped_lines, 2u);
-  EXPECT_EQ(s.publish_checks, 2u);
-  ASSERT_EQ(s.arena_escapes.size(), 2u);  // 3 arenas - 1 setup
-  EXPECT_EQ(s.arena_escapes[0], 0u);
-  EXPECT_EQ(s.arena_escapes[1], 2u);
+  // The memory system is the map's escape sink: each escaped line counts
+  // once, in the publisher's CoreStats::priv_escapes.
+  testutil::MachineRig rig(testutil::mem_config(2));
+  const Addr a = rig.heap.alloc_line_aligned(1, 2 * sim::kLineBytes);
+  rig.heap.privacy().publish_value(0, a, 0);
+  rig.heap.privacy().publish_value(0, 12345, 0);
+  EXPECT_EQ(rig.stats.core(0).priv_escapes, 2u);
+  EXPECT_EQ(rig.stats.core(1).priv_escapes, 0u);
+  EXPECT_EQ(rig.stats.total().priv_escapes, 2u);
 }
 
 /// The owner formula private_owner computes without a divide, written with

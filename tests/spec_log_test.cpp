@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "htm/htm.hpp"
 #include "sim/cache.hpp"
-#include "sim/memory_system.hpp"
+#include "test_util.hpp"
 
 namespace st::sim {
 namespace {
@@ -91,6 +90,23 @@ struct RecordingSink final : ConflictSink {
   }
 };
 
+/// The production machine with a counting sink in place of the HTM's
+/// conflict handling.
+struct SinkRig : testutil::MachineRig {
+  RecordingSink sink;
+  explicit SinkRig(const MemConfig& cfg) : MachineRig(cfg) {
+    mem.set_conflict_sink(&sink);
+    sink.mem = &mem;
+  }
+};
+
+/// 2 sets x 2 ways on one core, so three lines can fill one set.
+MemConfig tiny_l1_config() {
+  MemConfig cfg = testutil::mem_config(1);
+  cfg.l1 = CacheGeometry{2 * 64 * 2, 2};
+  return cfg;
+}
+
 /// Brute-force sweep cross-check of everything the log accelerates.
 void expect_log_matches_sweep(MemorySystem& mem, unsigned cores) {
   mem.check_invariants();  // includes per-core check_log_invariants()
@@ -113,32 +129,22 @@ void expect_log_matches_sweep(MemorySystem& mem, unsigned cores) {
 }
 
 TEST(SpecLog, RemoteAbortClearsWholeLog) {
-  MemConfig cfg;
-  cfg.cores = 2;
-  MachineStats stats{2};
-  MemorySystem mem(cfg, stats);
-  RecordingSink sink;
-  sink.mem = &mem;
-  mem.set_conflict_sink(&sink);
-  mem.access(0, 0x10000, 8, AccessKind::Load, true, 1);
-  mem.access(0, 0x20000, 8, AccessKind::Store, true, 2);
+  SinkRig f(testutil::mem_config(2));
+  MemorySystem& mem = f.mem;
+  const Addr a = f.shared_lines(1), b = f.shared_lines(1);
+  mem.access(0, a, 8, AccessKind::Load, true, 1);
+  mem.access(0, b, 8, AccessKind::Store, true, 2);
   ASSERT_EQ(mem.speculative_lines(0), 2u);
-  mem.access(1, 0x10000, 8, AccessKind::Store, false, 0);  // aborts core 0
-  EXPECT_EQ(sink.aborts, 1u);
+  mem.access(1, a, 8, AccessKind::Store, false, 0);  // aborts core 0
+  EXPECT_EQ(f.sink.aborts, 1u);
   EXPECT_EQ(mem.speculative_lines(0), 0u);
   expect_log_matches_sweep(mem, 2);
 }
 
 TEST(SpecLog, CapacityAbortOnFullSpeculativeSetCompactsLog) {
-  MemConfig cfg;
-  cfg.cores = 1;
-  cfg.l1 = CacheGeometry{2 * 64 * 2, 2};  // 2 sets x 2 ways
-  MachineStats stats{1};
-  MemorySystem mem(cfg, stats);
-  RecordingSink sink;
-  sink.mem = &mem;
-  mem.set_conflict_sink(&sink);
-  const Addr base = 0x10000;
+  SinkRig f(tiny_l1_config());
+  MemorySystem& mem = f.mem;
+  const Addr base = f.shared_lines(7);
   const Addr l0 = base, l1 = base + 2 * kLineBytes, l2 = base + 4 * kLineBytes;
   EXPECT_FALSE(mem.access(0, l0, 8, AccessKind::Load, true, 1).capacity_abort);
   EXPECT_FALSE(mem.access(0, l1, 8, AccessKind::Load, true, 2).capacity_abort);
@@ -162,12 +168,9 @@ TEST(SpecLog, CapacityAbortOnFullSpeculativeSetCompactsLog) {
 }
 
 TEST(SpecLog, NonSpeculativeEvictionOfFormerlyLoggedLine) {
-  MemConfig cfg;
-  cfg.cores = 1;
-  cfg.l1 = CacheGeometry{2 * 64 * 2, 2};  // 2 sets x 2 ways
-  MachineStats stats{1};
-  MemorySystem mem(cfg, stats);
-  const Addr base = 0x10000;
+  SinkRig f(tiny_l1_config());
+  MemorySystem& mem = f.mem;
+  const Addr base = f.shared_lines(5);
   const Addr l0 = base, l1 = base + 2 * kLineBytes, l2 = base + 4 * kLineBytes;
   mem.access(0, l0, 8, AccessKind::Store, true, 1);
   mem.clear_speculative(0, /*invalidate_written=*/false);  // commit
@@ -203,15 +206,14 @@ TEST_P(SpecLogFuzz, LogMatchesBruteForceSweepAfterEveryCommitAndAbort) {
   cfg.l1 = sim::CacheGeometry{8 * 64 * 2, 2};  // 8 sets x 2 ways: tiny, so
                                                // capacity aborts are common
   cfg.lazy_conflicts = lazy;
-  sim::MachineStats stats{4};
-  sim::Heap heap{5, 1 << 20};
-  sim::MemorySystem mem(cfg, stats);
-  HtmSystem htm(heap, mem, stats);
+  testutil::MachineRig rig(cfg);
+  sim::MemorySystem& mem = rig.mem;
+  HtmSystem& htm = rig.htm;
 
   // A pool of lines larger than one core's L1 (16 lines), shared by all
   // cores so cross-core conflicts are frequent.
   std::vector<Addr> pool;
-  for (int i = 0; i < 48; ++i) pool.push_back(heap.alloc_line_aligned(4, 8));
+  for (int i = 0; i < 48; ++i) pool.push_back(rig.shared_lines(1));
 
   Xoshiro256ss rng(static_cast<std::uint64_t>(seed));
   unsigned commits = 0, aborts = 0;

@@ -1,5 +1,6 @@
-// Shared fixtures: build a small TxIR module, compile it under a scheme,
-// stand up a TxSystem, and run atomic blocks to completion.
+// Shared fixtures: the machine below the runtime (MachineRig); a small TxIR
+// module compiled under a scheme, booted in a TxSystem, with atomic blocks
+// run to completion.
 #pragma once
 
 #include <cstdio>
@@ -13,6 +14,40 @@
 #include "workloads/harness.hpp"
 
 namespace st::testutil {
+
+/// The simulated machine below the runtime, built in TxSystem's order and
+/// wired the same way: stats, scheduler, heap (which owns the privacy map),
+/// memory system (the map's escape sink), HTM (the memory system's conflict
+/// sink). Worker arena c is private to core c until published; tests keep
+/// data meant to be shared in the setup arena, as workloads do.
+struct MachineRig {
+  sim::MachineStats stats;
+  sim::Machine machine;
+  sim::Heap heap;
+  sim::MemorySystem mem;
+  htm::HtmSystem htm;
+
+  explicit MachineRig(const sim::MemConfig& cfg,
+                      std::size_t arena_bytes = 1u << 20)
+      : stats(cfg.cores),
+        machine(cfg.cores),
+        heap(cfg.cores + 1, arena_bytes),
+        mem(cfg, stats, machine, heap.privacy()),
+        htm(machine, heap, mem, stats) {}
+
+  /// `n` fresh cache lines in the shared setup arena.
+  sim::Addr shared_lines(unsigned n) {
+    return heap.alloc_line_aligned(heap.setup_arena(), n * sim::kLineBytes);
+  }
+};
+
+/// MemConfig defaults with `cores` cores and the given detection mode.
+inline sim::MemConfig mem_config(unsigned cores, bool lazy = false) {
+  sim::MemConfig cfg;
+  cfg.cores = cores;
+  cfg.lazy_conflicts = lazy;
+  return cfg;
+}
 
 /// Owns one compiled module + machine for direct executor-level tests.
 struct MiniSystem {

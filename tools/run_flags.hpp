@@ -105,18 +105,4 @@ inline bool apply_run_flag(FlagReader& f, workloads::RunOptions* o) {
   return true;
 }
 
-/// Exits 2 naming --scale when `o` leaves `wl` no op per thread (the
-/// harness runs at least one).
-inline void check_scale(const workloads::Workload& wl,
-                        const workloads::RunOptions& o) {
-  const double ops = static_cast<double>(wl.ops_per_thread()) * o.ops_scale;
-  if (ops >= 1) return;
-  std::fprintf(stderr,
-               "--scale must be at least 1/%llu for %s (one op per thread), "
-               "got %g\n",
-               static_cast<unsigned long long>(wl.ops_per_thread()),
-               wl.name(), o.ops_scale);
-  std::exit(2);
-}
-
 }  // namespace st::tools

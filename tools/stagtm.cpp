@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
                  name.c_str());
     return 1;
   }
-  tools::check_scale(*wl, o);
+  workloads::check_scale(*wl, o.ops_scale, "--scale");
 
   const auto r = workloads::run_workload(*wl, o);
   const auto& t = r.totals;
@@ -139,11 +139,11 @@ int main(int argc, char** argv) {
   // Host-side privacy report goes to stderr: stdout carries only
   // simulated results, which CI byte-compares.
   std::fprintf(stderr,
-               "[privacy: escaped_lines=%llu publish_checks=%llu "
-               "priv_hits=%llu dir_probes=%llu]\n",
-               static_cast<unsigned long long>(r.privacy.escaped_lines),
-               static_cast<unsigned long long>(r.privacy.publish_checks),
+               "[privacy: priv_escapes=%llu priv_hits=%llu priv_misses=%llu "
+               "dir_probes=%llu]\n",
+               static_cast<unsigned long long>(t.priv_escapes),
                static_cast<unsigned long long>(t.priv_hits),
+               static_cast<unsigned long long>(t.priv_misses),
                static_cast<unsigned long long>(t.dir_probes));
   return 0;
 }

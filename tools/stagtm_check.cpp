@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
                  name.c_str());
     return 2;
   }
-  tools::check_scale(*wl, base);
+  workloads::check_scale(*wl, base.ops_scale, "--scale");
 
   std::printf("checking %s: %u seed(s), base %s\n", name.c_str(), seeds,
               sched.describe().c_str());

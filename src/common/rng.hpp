@@ -12,11 +12,21 @@
 namespace st {
 
 /// splitmix64 step; used to expand a single seed into xoshiro state and as a
-/// general-purpose 64-bit mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// general-purpose 64-bit mixer. Inline, with mix64: the directory, the
+/// advisory-lock and orec tables and the STM Bloom filters hash with them
+/// on every probe.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 /// Stateless 64-bit hash (finalizer of splitmix64).
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) {
+  std::uint64_t s = x;
+  return splitmix64(s);
+}
 
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference algorithm).
 class Xoshiro256ss {

@@ -14,6 +14,14 @@ std::uint32_t round_up_to_host_line(std::uint32_t words) {
   return (words + kWordsPerHostLine - 1) / kWordsPerHostLine *
          kWordsPerHostLine;
 }
+
+/// The TagCache recency order with rank `r`'s way moved to rank 0 and
+/// ranks 0..r-1 moved down one.
+std::uint64_t to_front(std::uint64_t order, std::uint32_t r) {
+  const std::uint64_t lower = (std::uint64_t{1} << (4 * r)) - 1;  // ranks < r
+  const std::uint64_t way = (order >> (4 * r)) & 0xF;
+  return (order & ~((lower << 4) | 0xF)) | ((order & lower) << 4) | way;
+}
 }  // namespace
 
 ZeroedLines::ZeroedLines(std::size_t words)
@@ -125,49 +133,47 @@ void L1Cache::check_tag_rows() const {
 TagCache::TagCache(const CacheGeometry& g)
     : sets_(g.sets()),
       ways_(g.ways),
-      block_words_(round_up_to_host_line(2 * g.ways)),
-      blocks_(static_cast<std::size_t>(sets_) * block_words_),
-      mru_(sets_, 0) {
+      block_words_(round_up_to_host_line(1 + (g.ways + 1) / 2)),
+      blocks_(static_cast<std::size_t>(sets_) * block_words_) {
   ST_CHECK(std::has_single_bit(sets_));
   ST_CHECK(ways_ >= 1);
+  ST_CHECK_MSG(ways_ <= kMaxWays, "more ways than the recency order holds");
 }
 
 bool TagCache::access(Addr line) {
-  ST_CHECK(line != 0);
-  std::uint64_t* tags = block(line);
-  std::uint64_t* stamps = tags + ways_;
-  std::uint32_t& mru = mru_[set_of(line)];
-  // Fast path: the way that hit last time in this set.
-  if (tags[mru] == line) {
-    stamps[mru] = ++tick_;
+  const std::uint32_t tag = tag_of(line);
+  std::uint64_t* b = block(tag);
+  std::uint64_t& order = b[0];
+  std::uint32_t* t = tags(b);
+  // Fast path: the set's most recently used way; a hit there keeps the order.
+  if (t[order & 0xF] == tag) return true;
+  std::uint32_t w = 0;
+  for (; w < ways_ && t[w] != 0; ++w) {
+    if (t[w] != tag) continue;
+    // The first rank naming w is w's own: ranks past the valid ways read 0,
+    // and they come after it.
+    std::uint32_t r = 1;
+    while (((order >> (4 * r)) & 0xF) != w) ++r;
+    order = to_front(order, r);
     return true;
   }
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (tags[w] == line) {
-      stamps[w] = ++tick_;
-      mru = w;
-      return true;
-    }
+  // Miss: the first empty way (w, the count of valid ways) goes to rank 0
+  // ahead of the others; with none, the least recently used way does.
+  if (w < ways_) {
+    order = (order << 4) | w;
+  } else {
+    order = to_front(order, ways_ - 1);
+    w = static_cast<std::uint32_t>(order & 0xF);
   }
-  // Miss: the first empty way, else the LRU way.
-  std::uint32_t v = 0;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (tags[w] == 0) {
-      v = w;
-      break;
-    }
-    if (stamps[w] < stamps[v]) v = w;
-  }
-  tags[v] = line;
-  stamps[v] = ++tick_;
-  mru = v;
+  t[w] = tag;
   return false;
 }
 
 bool TagCache::contains(Addr line) const {
-  const std::uint64_t* tags = block(line);
-  for (std::uint32_t w = 0; w < ways_; ++w)
-    if (tags[w] == line) return true;
+  const std::uint32_t tag = tag_of(line);
+  const std::uint32_t* t = tags(block(tag));
+  for (std::uint32_t w = 0; w < ways_ && t[w] != 0; ++w)
+    if (t[w] == tag) return true;
   return false;
 }
 

@@ -9,10 +9,12 @@
 //    tag row per set (one Addr per way: the line when valid, 0 when I)
 //    apart from the 32-byte per-line slots, so a full find() or the
 //    invalid-way scan in victim() never touches a slot. L2/L3 store each
-//    set as one 128-byte block: the tags, then the LRU stamps. A zero tag
-//    is an empty way; heap lines are never 0 (Heap::kBase).
-//  - A per-set MRU way hint lets the common re-access hit on the slot
-//    itself without reading the row.
+//    set (up to 14 ways) in one 64-byte block: a recency order of 4-bit
+//    way indices, then one 32-bit line index per way. A zero tag is an
+//    empty way; heap lines are never 0 (Heap::kBase).
+//  - A per-set MRU way hint lets the common L1 re-access hit on the slot
+//    itself without reading the row; an L2/L3 hit on the set's MRU way
+//    reads its block and writes nothing.
 //  - A per-core speculative-line log records the slot of every line on its
 //    first speculative touch, so commit/abort bookkeeping walks only the
 //    transaction's footprint instead of sweeping all sets × ways.
@@ -253,8 +255,19 @@ class L1Cache {
 /// Tag-only cache used to model L2/L3 hit latency. Presence is tracked with
 /// LRU replacement; no coherence state is needed at these levels because the
 /// directory is authoritative.
+///
+/// Each set is one block: word 0 holds the recency order, the way index of
+/// rank r (0 = most recently used) in bits 4r..4r+3, then come `ways` 32-bit
+/// line indices, 0 for an empty way. Ways fill in index order and no line
+/// ever leaves except by replacement, so the valid ways are a prefix and
+/// ranks 0..valid-1 are a permutation of them (higher ranks read 0). Moving
+/// the accessed way to rank 0 on every access keeps the least recently used
+/// way last: exactly the way with the smallest LRU stamp.
 class TagCache {
  public:
+  /// The recency order holds one 4-bit way index per rank.
+  static constexpr std::uint32_t kMaxWays = 16;
+
   explicit TagCache(const CacheGeometry& g);
 
   /// Looks up `line`; if absent, inserts it (evicting LRU). Returns whether
@@ -264,22 +277,28 @@ class TagCache {
   bool contains(Addr line) const;
 
  private:
-  std::uint32_t set_of(Addr line) const {
-    return static_cast<std::uint32_t>(line_index(line)) & (sets_ - 1);
+  /// `line`'s index, the stored tag. A wider index would alias when
+  /// truncated, so it must fit in 32 bits; 0 is the empty way.
+  static std::uint32_t tag_of(Addr line) {
+    const Addr idx = line_index(line);
+    ST_CHECK_MSG(idx != 0, "line 0 marks an empty way");
+    ST_CHECK_MSG((idx >> 32) == 0, "line index does not fit a 32-bit tag");
+    return static_cast<std::uint32_t>(idx);
   }
-  /// The set's block: `ways_` tags (0 = empty way), then `ways_` LRU stamps.
-  std::uint64_t* block(Addr line) const {
-    return blocks_.data() + static_cast<std::size_t>(set_of(line)) * block_words_;
+  std::uint64_t* block(std::uint32_t tag) const {
+    return blocks_.data() +
+           static_cast<std::size_t>(tag & (sets_ - 1)) * block_words_;
+  }
+  static std::uint32_t* tags(std::uint64_t* block) {
+    return reinterpret_cast<std::uint32_t*>(block + 1);
   }
 
   std::uint32_t sets_;
   std::uint32_t ways_;
-  std::uint32_t block_words_;  // 2 * ways_ rounded up to a host line
-  // The L2s and the L3 are ~6 MB at 16 cores, most of it untouched by a
+  std::uint32_t block_words_;  // order + ways_ tags, rounded up to a host line
+  // The L2s and the L3 are ~3 MB at 16 cores, most of it untouched by a
   // short simulation; ZeroedLines leaves those pages unfaulted.
   ZeroedLines blocks_;
-  std::vector<std::uint32_t> mru_;  // per-set most-recently-hit way
-  std::uint64_t tick_ = 0;
 };
 
 }  // namespace st::sim

@@ -110,32 +110,8 @@ bool Heap::try_dealloc(Addr a) {
   return true;
 }
 
-std::byte* Heap::backing(Addr a) {
-  ST_CHECK_MSG(a >= kBase && a < kBase + mem_size_, "wild simulated address");
-  return mem_.get() + (a - kBase);
-}
-
-const std::byte* Heap::backing(Addr a) const {
-  ST_CHECK_MSG(a >= kBase && a < kBase + mem_size_, "wild simulated address");
-  return mem_.get() + (a - kBase);
-}
-
 bool Heap::contains(Addr a) const {
   return a >= kBase && a < kBase + mem_size_;
-}
-
-std::uint64_t Heap::load(Addr a, unsigned size) const {
-  ST_CHECK(size == 1 || size == 2 || size == 4 || size == 8);
-  ST_CHECK_MSG(a % size == 0, "unaligned simulated load");
-  std::uint64_t v = 0;
-  std::memcpy(&v, backing(a), size);
-  return v;
-}
-
-void Heap::store(Addr a, std::uint64_t v, unsigned size) {
-  ST_CHECK(size == 1 || size == 2 || size == 4 || size == 8);
-  ST_CHECK_MSG(a % size == 0, "unaligned simulated store");
-  std::memcpy(backing(a), &v, size);
 }
 
 }  // namespace st::sim

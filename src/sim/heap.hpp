@@ -15,9 +15,11 @@
 
 #include <array>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "sim/dir_map.hpp"
 #include "sim/privacy.hpp"
 #include "sim/types.hpp"
@@ -59,9 +61,29 @@ class Heap {
   std::uint64_t invalid_frees() const { return invalid_frees_; }
 
   /// Raw value access; size in {1,2,4,8}; `a` must be size-aligned and not
-  /// cross a cache line. Loads of never-stored memory return 0.
-  std::uint64_t load(Addr a, unsigned size) const;
-  void store(Addr a, std::uint64_t v, unsigned size);
+  /// cross a cache line. Loads of never-stored memory return 0. Inline: the
+  /// simulator makes about one per simulated access, most of them 8 bytes
+  /// wide, so that width takes a fixed-size copy.
+  std::uint64_t load(Addr a, unsigned size) const {
+    ST_CHECK(size == 1 || size == 2 || size == 4 || size == 8);
+    ST_CHECK_MSG(a % size == 0, "unaligned simulated load");
+    const std::byte* p = backing(a);
+    std::uint64_t v = 0;
+    if (size == 8)
+      std::memcpy(&v, p, 8);
+    else
+      std::memcpy(&v, p, size);
+    return v;
+  }
+  void store(Addr a, std::uint64_t v, unsigned size) {
+    ST_CHECK(size == 1 || size == 2 || size == 4 || size == 8);
+    ST_CHECK_MSG(a % size == 0, "unaligned simulated store");
+    std::byte* p = backing(a);
+    if (size == 8)
+      std::memcpy(p, &v, 8);
+    else
+      std::memcpy(p, &v, size);
+  }
 
   bool contains(Addr a) const;
   std::size_t bytes_allocated() const { return bytes_allocated_; }
@@ -137,8 +159,16 @@ class Heap {
     std::array<std::vector<Addr>, kMaxClassBits> free_lists;
   };
 
-  std::byte* backing(Addr a);
-  const std::byte* backing(Addr a) const;
+  std::byte* backing(Addr a) {
+    ST_CHECK_MSG(a >= kBase && a < kBase + mem_size_,
+                 "wild simulated address");
+    return mem_.get() + (a - kBase);
+  }
+  const std::byte* backing(Addr a) const {
+    ST_CHECK_MSG(a >= kBase && a < kBase + mem_size_,
+                 "wild simulated address");
+    return mem_.get() + (a - kBase);
+  }
   static std::size_t size_class(std::size_t size);
   [[noreturn]] void oom_fail(unsigned arena, std::size_t size,
                              std::size_t cls) const;

@@ -82,7 +82,8 @@ StmSystem::Op StmSystem::read(CoreId c, Addr a, unsigned size,
   const auto data = htm_.plain_load(c, a, size);
   r.latency += data.latency;
   // Reads-own-writes; the Bloom filter screens out most redo-log probes.
-  r.value = tx.write_bloom.maybe(static_cast<std::uint32_t>(a >> 3))
+  const std::uint32_t word = static_cast<std::uint32_t>(a >> 3);
+  r.value = tx.write_bloom.maybe(Bloom64::mask(word))
                 ? tx.redo.overlay(a, size, data.value)
                 : data.value;
   ++stats(c).tx_mem_ops;
@@ -90,12 +91,13 @@ StmSystem::Op StmSystem::read(CoreId c, Addr a, unsigned size,
   // the common fresh-orec case; a maybe falls back to the exact scan). A
   // duplicate always carries the same version: any later commit bumps the
   // orec past rv (wv = clock+1 > rv), which the precheck above catches.
-  if (tx.read_bloom.maybe(idx)) {
+  const std::uint64_t m = Bloom64::mask(idx);
+  if (tx.read_bloom.maybe(m)) {
     for (const ReadEntry& e : tx.reads)
       if (e.orec == idx) return r;
   }
   tx.reads.push_back({idx, ow.value});
-  tx.read_bloom.add(idx);
+  tx.read_bloom.add(m);
   return r;
 }
 
@@ -103,7 +105,7 @@ Cycle StmSystem::write(CoreId c, Addr a, std::uint64_t v, unsigned size) {
   TxState& tx = tx_[c];
   ST_CHECK_MSG(tx.active, "STM write outside an attempt");
   tx.redo.put(a, v, size);
-  tx.write_bloom.add(static_cast<std::uint32_t>(a >> 3));
+  tx.write_bloom.add(Bloom64::mask(static_cast<std::uint32_t>(a >> 3)));
   ++stats(c).tx_mem_ops;
   return kStmWriteCost;
 }
@@ -273,12 +275,13 @@ void StmSystem::begin_irrev(CoreId c, std::uint64_t wv) {
 Cycle StmSystem::irrev_stamp(CoreId c, Addr line) {
   TxState& tx = tx_[c];
   const std::uint32_t idx = orec_index(line);
-  if (tx.irrev_bloom.maybe(idx) &&
+  const std::uint64_t m = Bloom64::mask(idx);
+  if (tx.irrev_bloom.maybe(m) &&
       std::find(tx.irrev_stamped.begin(), tx.irrev_stamped.end(), idx) !=
           tx.irrev_stamped.end())
     return 0;
   tx.irrev_stamped.push_back(idx);
-  tx.irrev_bloom.add(idx);
+  tx.irrev_bloom.add(m);
   // The stamp overwrites whatever is there — including an STM writer's
   // lock. That writer observes the glock at its next step, aborts, and its
   // guarded release leaves this stamp in place (see release_held).

@@ -74,14 +74,15 @@ inline constexpr std::uint64_t orec_version(std::uint64_t w) { return w >> 1; }
 
 /// 64-bit two-hash Bloom filter summarizing a small set of 32-bit keys.
 /// False positives only (a clear bit proves absence); callers fall back to
-/// the exact structure on a maybe.
+/// the exact structure on a maybe. add() and maybe() take the key's mask(),
+/// so a caller that asks and then adds hashes once; passing a key instead
+/// does not compile.
 struct Bloom64 {
   std::uint64_t bits = 0;
-  void add(std::uint32_t key) { bits |= mask(key); }
-  bool maybe(std::uint32_t key) const {
-    const std::uint64_t m = mask(key);
-    return (bits & m) == m;
-  }
+  void add(std::uint64_t m) { bits |= m; }
+  bool maybe(std::uint64_t m) const { return (bits & m) == m; }
+  void add(std::uint32_t key) = delete;
+  bool maybe(std::uint32_t key) const = delete;
   void clear() { bits = 0; }
   static std::uint64_t mask(std::uint32_t key) {
     const std::uint64_t h = mix64(key + 1);

@@ -148,7 +148,7 @@ TEST(TagCache, RepeatedHitsViaMruHintKeepLruExact) {
              c2 = line_in_set(1, 2);
   t.access(a);
   t.access(b);
-  // Hammer b through the hint path, then touch a once: b must be the more
+  // Hammer b through the MRU fast path, then touch a once: b must be the more
   // recently used line regardless of which path served the hits.
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(t.access(b));
   EXPECT_TRUE(t.access(a));
@@ -345,9 +345,21 @@ void tag_differential(unsigned sets, unsigned ways, std::uint64_t seed) {
 
 TEST(CacheDifferential, TagCacheMatchesNaiveLruModel) {
   tag_differential(4, 2, 11);
-  tag_differential(16, 8, 12);  // Table-2 associativity: one 128-byte block
+  tag_differential(16, 8, 12);  // Table-2 associativity: one 64-byte block
   tag_differential(8, 3, 13);
   tag_differential(4, 12, 14);
+  tag_differential(8, 1, 15);   // direct-mapped: the order is one rank
+  tag_differential(4, 16, 16);  // every rank of the order; a 128-byte block
+}
+
+TEST(TagCache, MoreWaysThanTheRecencyOrderHoldsDies) {
+  EXPECT_DEATH(TagCache({4 * 17 * 64, 17}), "more ways");
+}
+
+TEST(TagCache, LineIndexPastThirtyTwoBitsDies) {
+  TagCache t(tiny);
+  EXPECT_DEATH(t.access(Addr{1} << 40), "32-bit");
+  EXPECT_DEATH(t.contains(Addr{1} << 40), "32-bit");
 }
 
 }  // namespace

@@ -215,6 +215,83 @@ TEST(MemorySystem, DirectoryGrowthAndChurn) {
   f.mem.check_invariants();
 }
 
+/// One cache level as a naive LRU model: a stamp per way, a full scan per
+/// lookup, the first empty way or else the smallest stamp as the victim.
+struct RefLevel {
+  struct Way {
+    Addr line = 0;
+    std::uint64_t stamp = 0;
+  };
+  std::uint32_t sets, ways;
+  std::vector<Way> w;
+  std::uint64_t tick = 0;
+
+  explicit RefLevel(const CacheGeometry& g)
+      : sets(g.sets()), ways(g.ways), w(sets * ways) {}
+
+  /// Looks up `line`, filling it on a miss; returns whether it hit.
+  bool access(Addr line) {
+    Way* set = &w[line_index(line) % sets * ways];
+    Way* v = nullptr;
+    for (Way* x = set; x != set + ways; ++x) {
+      if (x->line == line) {
+        x->stamp = ++tick;
+        return true;
+      }
+      if (v == nullptr && x->line == 0) v = x;
+    }
+    if (v == nullptr) {
+      v = set;
+      for (Way* x = set + 1; x != set + ways; ++x)
+        if (x->stamp < v->stamp) v = x;
+    }
+    *v = Way{line, ++tick};
+    return false;
+  }
+};
+
+// Seeded load-only streams on two cores over disjoint line pools, with L1,
+// L2 and L3 shrunk to a few sets and ways so every level evicts. Each load's
+// latency must be what a naive per-level LRU model predicts: the only
+// end-to-end check of L2/L3 replacement, since no benchmark workload fills
+// an L2 or L3 set.
+TEST(MemorySystemDifferential, LoadLatencyMatchesNaiveThreeLevelLru) {
+  MemConfig cfg = testutil::mem_config(2);
+  cfg.l1 = CacheGeometry{2 * 2 * 64, 2};  // 2 sets x 2 ways
+  cfg.l2 = CacheGeometry{4 * 3 * 64, 3};  // 4 sets x 3 ways
+  cfg.l3 = CacheGeometry{8 * 4 * 64, 4};  // 8 sets x 4 ways, shared
+  Fixture f(cfg);
+  constexpr unsigned kPool = 64;  // lines per core: twice the L3
+  const Addr pool[2] = {f.shared_lines(kPool), f.shared_lines(kPool)};
+  std::vector<RefLevel> l1(2, RefLevel(cfg.l1)), l2(2, RefLevel(cfg.l2));
+  RefLevel l3(cfg.l3);
+  // Load latency by the level that serves it: L1, L2, L3, memory.
+  const Cycle lat[4] = {cfg.l1_lat, cfg.l1_lat + cfg.l2_lat,
+                        cfg.l1_lat + cfg.l3_lat,
+                        cfg.l1_lat + cfg.l3_lat + cfg.mem_lat};
+  ASSERT_EQ(std::vector<Cycle>(lat, lat + 4),
+            std::vector<Cycle>({2, 12, 32, 157}));
+  Xoshiro256ss rng(2024);
+  unsigned served[4] = {};  // loads per level
+  for (unsigned i = 0; i < 40'000; ++i) {
+    const CoreId c = static_cast<CoreId>(rng.next_below(2));
+    // A skewed pick, so each level both hits and misses often.
+    const std::uint64_t span = std::uint64_t{4} << (2 * rng.next_below(3));
+    const Addr line = pool[c] + rng.next_below(span) * kLineBytes;
+    const unsigned level = l1[c].access(line)   ? 0
+                           : l2[c].access(line) ? 1
+                           : l3.access(line)    ? 2
+                                                : 3;
+    const Cycle got =
+        f.mem.access(c, line + 8, 8, AccessKind::Load, false, 0).latency;
+    ASSERT_EQ(got, lat[level]) << "load " << i << " core " << c;
+    ++served[level];
+  }
+  f.mem.check_invariants();
+  for (unsigned level = 0; level < 4; ++level)
+    EXPECT_GT(served[level], 2000u) << "level " << level;
+}
+
 class MemoryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MemoryFuzz, InvariantsHoldUnderRandomTraffic) {

@@ -47,19 +47,20 @@ TEST(StmOrec, VersionNearOverflowKeepsLockBitIntact) {
 
 TEST(StmBloom, NoFalseNegatives) {
   Bloom64 b;
-  for (std::uint32_t k = 0; k < 200; ++k) b.add(k * 2654435761u);
   for (std::uint32_t k = 0; k < 200; ++k)
-    EXPECT_TRUE(b.maybe(k * 2654435761u)) << k;
+    b.add(Bloom64::mask(k * 2654435761u));
+  for (std::uint32_t k = 0; k < 200; ++k)
+    EXPECT_TRUE(b.maybe(Bloom64::mask(k * 2654435761u))) << k;
 }
 
 TEST(StmBloom, ClearBitProvesAbsenceAndClearResets) {
   Bloom64 b;
-  b.add(42);
+  b.add(Bloom64::mask(42));
   // Find a key whose mask is disjoint from the filter: provably absent.
   bool found_negative = false;
   for (std::uint32_t k = 0; k < 4096; ++k) {
     if ((Bloom64::mask(k) & b.bits) == 0) {
-      EXPECT_FALSE(b.maybe(k));
+      EXPECT_FALSE(b.maybe(Bloom64::mask(k)));
       found_negative = true;
       break;
     }
@@ -67,7 +68,7 @@ TEST(StmBloom, ClearBitProvesAbsenceAndClearResets) {
   EXPECT_TRUE(found_negative);
   b.clear();
   EXPECT_EQ(b.bits, 0u);
-  EXPECT_FALSE(b.maybe(42));
+  EXPECT_FALSE(b.maybe(Bloom64::mask(42)));
 }
 
 TEST(StmBloom, FalsePositivesExistAndMustBeResolvedExactly) {
@@ -75,9 +76,10 @@ TEST(StmBloom, FalsePositivesExistAndMustBeResolvedExactly) {
   // only a hint (the read/write sets resolve it exactly). Document that the
   // false-positive case is real, so the fallback paths are actually hit.
   Bloom64 b;
-  for (std::uint32_t k = 0; k < 64; ++k) b.add(k);
+  for (std::uint32_t k = 0; k < 64; ++k) b.add(Bloom64::mask(k));
   unsigned positives = 0;
-  for (std::uint32_t k = 1000; k < 1100; ++k) positives += b.maybe(k);
+  for (std::uint32_t k = 1000; k < 1100; ++k)
+    positives += b.maybe(Bloom64::mask(k));
   EXPECT_GT(positives, 0u);
 }
 

@@ -193,6 +193,9 @@ class Sweep {
           "\", \"threads\": %u, \"cycles\": %llu, \"total_ops\": %llu, "
           "\"throughput\": %.17g, \"commits\": %llu, \"aborts\": %llu, "
           "\"aborts_per_commit\": %.17g, \"wall_ms\": %.3f, "
+          "\"phase_ms\": {\"build\": %.3f, \"compile\": %.3f, "
+          "\"init\": %.3f, \"setup\": %.3f, \"simulate\": %.3f, "
+          "\"verify\": %.3f}, "
           "\"sched_events\": %llu, \"sched_steps\": %llu, \"instrs\": %llu, "
           "\"minstr_per_s\": %.3f, "
           "\"abort_trace_dropped\": %llu",
@@ -200,7 +203,9 @@ class Sweep {
           static_cast<unsigned long long>(r->total_ops), r->throughput(),
           static_cast<unsigned long long>(r->totals.commits),
           static_cast<unsigned long long>(r->totals.total_aborts()),
-          r->aborts_per_commit(), r->wall_ms,
+          r->aborts_per_commit(), r->wall_ms, r->phase_ms.build,
+          r->phase_ms.compile, r->phase_ms.init, r->phase_ms.setup,
+          r->phase_ms.simulate, r->phase_ms.verify,
           static_cast<unsigned long long>(r->sched_events),
           static_cast<unsigned long long>(r->sched_steps),
           static_cast<unsigned long long>(r->totals.interp_instrs),

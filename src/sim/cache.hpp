@@ -18,8 +18,10 @@
 //  - A per-core speculative-line log records the slot of every line on its
 //    first speculative touch, so commit/abort bookkeeping walks only the
 //    transaction's footprint instead of sweeping all sets × ways.
-//  - Tag rows and L2/L3 blocks are calloc'd, so sets no access reaches are
-//    never faulted in.
+//  - Tag rows and L2/L3 blocks are calloc'd. That leaves sets no access
+//    reaches unfaulted only in a process's first machine; later machines
+//    get recycled heap that calloc clears whole. These dense tables stay on
+//    the allocator anyway (sim/zero_pages.hpp says why).
 #pragma once
 
 #include <algorithm>
@@ -56,7 +58,8 @@ struct alignas(32) L1Line {
 static_assert(sizeof(L1Line) == 32);
 
 /// A zero-filled array of 64-bit words whose first word starts a 64-byte
-/// host line. calloc'd, so pages no access reaches are never faulted in.
+/// host line, calloc'd: fresh zero pages in a process's first machine, a
+/// cleared block of recycled heap in later ones.
 class ZeroedLines {
  public:
   explicit ZeroedLines(std::size_t words);
@@ -297,7 +300,8 @@ class TagCache {
   std::uint32_t ways_;
   std::uint32_t block_words_;  // order + ways_ tags, rounded up to a host line
   // The L2s and the L3 are ~3 MB at 16 cores, most of it untouched by a
-  // short simulation; ZeroedLines leaves those pages unfaulted.
+  // short simulation; still cheaper cleared up front than faulted in
+  // during the run (EXPERIMENTS, "Construction without zero-fill").
   ZeroedLines blocks_;
 };
 

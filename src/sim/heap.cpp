@@ -13,10 +13,10 @@ Heap::Heap(unsigned arenas, std::size_t arena_bytes)
     : arena_count_(arenas),
       arena_bytes_(arena_bytes),
       mem_size_(static_cast<std::size_t>(arenas) * (arena_bytes + kStagger)),
+      mem_(mem_size_),
       priv_(*this) {
   ST_CHECK(arenas >= 1);
   ST_CHECK(arena_bytes >= kLineBytes);
-  mem_.reset(new std::byte[mem_size_]);
   arenas_.resize(arenas);
   for (unsigned i = 0; i < arenas; ++i) {
     arenas_[i].base = kBase + static_cast<Addr>(i) * (arena_bytes + kStagger);

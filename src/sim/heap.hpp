@@ -16,13 +16,13 @@
 #include <array>
 #include <cstddef>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sim/dir_map.hpp"
 #include "sim/privacy.hpp"
 #include "sim/types.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace st::sim {
 
@@ -162,12 +162,12 @@ class Heap {
   std::byte* backing(Addr a) {
     ST_CHECK_MSG(a >= kBase && a < kBase + mem_size_,
                  "wild simulated address");
-    return mem_.get() + (a - kBase);
+    return mem_.data() + (a - kBase);
   }
   const std::byte* backing(Addr a) const {
     ST_CHECK_MSG(a >= kBase && a < kBase + mem_size_,
                  "wild simulated address");
-    return mem_.get() + (a - kBase);
+    return mem_.data() + (a - kBase);
   }
   static std::size_t size_class(std::size_t size);
   [[noreturn]] void oom_fail(unsigned arena, std::size_t size,
@@ -176,10 +176,10 @@ class Heap {
   unsigned arena_count_;
   std::size_t arena_bytes_;
   std::vector<Arena> arenas_;
-  // Uninitialized on purpose: every block is zeroed when allocated, so the
-  // backing store never needs the (expensive) whole-arena clear.
-  std::unique_ptr<std::byte[]> mem_;
   std::size_t mem_size_;
+  // Kernel zero pages: a run pays only for the pages it touches. alloc()
+  // still zeroes every block, since a freed block is reused dirty.
+  ZeroPages<std::byte> mem_;
   // addr -> arena<<24 | log2(class); open-addressed (alloc/dealloc is on
   // every workload's hot path). Block addresses are 8-aligned, hence the
   // shift-3 key. The packed value is never 0 (log2(class) >= 3), so a

@@ -1,7 +1,5 @@
 #include "sim/privacy.hpp"
 
-#include <cstdlib>
-
 #include "common/check.hpp"
 #include "sim/heap.hpp"
 
@@ -15,20 +13,13 @@ PrivacyMap::PrivacyMap(const Heap& heap)
       worker_arenas_(heap.arena_count() - 1),
       workers_end_(worker_arenas_ * stride_),
       stride_recip_(~Addr{0} / stride_),
-      total_lines_(heap.total_bytes() >> kLineShift) {
+      meta_(heap.total_bytes() >> kLineShift) {
   // Line-granular tracking needs line-granular geometry. kBase and the
   // stagger are line multiples by construction; arena_bytes must be too.
   ST_CHECK_MSG(arena_bytes_ % kLineBytes == 0 && stride_ % kLineBytes == 0,
                "privacy tracking needs line-multiple arena sizes");
   ST_CHECK(heap.arena_count() >= 1);
-  // calloc, not new[]: pages fault in lazily, so a 256-core machine's
-  // metadata (~2 bytes per heap line) costs only what the run touches.
-  meta_ = static_cast<std::uint16_t*>(
-      std::calloc(total_lines_, sizeof(std::uint16_t)));
-  ST_CHECK_MSG(meta_ != nullptr, "privacy metadata allocation failed");
 }
-
-PrivacyMap::~PrivacyMap() { std::free(meta_); }
 
 void PrivacyMap::on_alloc(Addr a, std::size_t cls, unsigned arena) {
   if (arena >= worker_arenas_) return;  // setup arena: always shared

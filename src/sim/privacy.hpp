@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace st::sim {
 
@@ -50,7 +51,6 @@ class LineEscapeSink {
 
 class PrivacyMap {
  public:
-  ~PrivacyMap();
   PrivacyMap(const PrivacyMap&) = delete;
   PrivacyMap& operator=(const PrivacyMap&) = delete;
 
@@ -132,8 +132,9 @@ class PrivacyMap {
   std::size_t worker_arenas_ = 0;  // arena_count - 1 (last arena is setup)
   Addr workers_end_ = 0;           // worker_arenas_ * stride_
   Addr stride_recip_ = 0;          // floor((2^64 - 1) / stride_)
-  std::size_t total_lines_ = 0;
-  std::uint16_t* meta_ = nullptr;  // calloc'd: lazily-faulted zero pages
+  // One word per heap line. Kernel zero pages: a run pays only for the
+  // pages it touches, which at 256 cores is a sliver of the ~135 MB.
+  ZeroPages<std::uint16_t> meta_;
   std::vector<Addr> work_;  // reused transitive-escape worklist
 };
 

@@ -1,5 +1,6 @@
 #include "workloads/dslib/list.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -228,6 +229,45 @@ void host_list_push_sorted(sim::Heap& heap, unsigned arena,
     heap.store(list + o.head, n, 8);
   else
     heap.store(prev + o.next, n, 8);
+}
+
+void host_lists_push_sorted(sim::Heap& heap, unsigned arena,
+                            const ListLib& lib,
+                            const std::vector<SortedPush>& pushes) {
+  const Offs o = offs(lib);
+  struct Link {
+    sim::Addr list;
+    std::int64_t key;
+    std::size_t age;
+    sim::Addr node;
+  };
+  std::vector<Link> links(pushes.size());
+  for (std::size_t i = 0; i < pushes.size(); ++i) {
+    const SortedPush& p = pushes[i];
+    const sim::Addr n = heap.alloc(arena, lib.node_t->size);
+    heap.store(n + o.key, static_cast<std::uint64_t>(p.key), 8);
+    heap.store(n + o.val, static_cast<std::uint64_t>(p.val), 8);
+    links[i] = {p.list, p.key, i, n};
+  }
+  std::sort(links.begin(), links.end(), [](const Link& x, const Link& y) {
+    if (x.list != y.list) return x.list < y.list;
+    if (x.key != y.key) return x.key < y.key;
+    return x.age > y.age;  // newest first
+  });
+  // A fresh node's next is already 0, so each list's last node is done.
+  sim::Addr list = 0;
+  sim::Addr prev = 0;
+  for (const Link& l : links) {
+    if (l.list != list) {
+      list = l.list;
+      ST_CHECK_MSG(heap.load(list + o.head, 8) == 0,
+                   "host_lists_push_sorted: lists must start empty");
+      heap.store(list + o.head, l.node, 8);
+    } else {
+      heap.store(prev + o.next, l.node, 8);
+    }
+    prev = l.node;
+  }
 }
 
 sim::Addr host_list_append(sim::Heap& heap, unsigned arena,

@@ -34,6 +34,19 @@ ListLib build_list_lib(ir::Module& m);
 sim::Addr host_list_new(sim::Heap& heap, unsigned arena, const ListLib& lib);
 void host_list_push_sorted(sim::Heap& heap, unsigned arena, const ListLib& lib,
                            sim::Addr list, std::int64_t key, std::int64_t val);
+/// One host_list_push_sorted call, for host_lists_push_sorted.
+struct SortedPush {
+  sim::Addr list;
+  std::int64_t key;
+  std::int64_t val;
+};
+/// host_list_push_sorted for each push in order, without its walk from the
+/// head per push: allocates and fills the nodes in push order, then links
+/// each list once, by key with equal keys newest first (where the per-push
+/// walk leaves them). The heap image is the same. Lists must start empty.
+void host_lists_push_sorted(sim::Heap& heap, unsigned arena,
+                            const ListLib& lib,
+                            const std::vector<SortedPush>& pushes);
 /// Links a new node after `tail` (0: `list` must be empty) and returns it,
 /// so a caller with strictly ascending keys builds a sorted list in one
 /// pass — the same heap image host_list_push_sorted leaves, without its

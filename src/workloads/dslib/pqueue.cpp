@@ -89,16 +89,34 @@ sim::Addr host_pq_new(sim::Heap& heap, unsigned arena, const PqLib& lib,
   return pq;
 }
 
-void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
-                  sim::Addr pq, std::int64_t prio, std::int64_t val) {
+namespace {
+/// The bucket list `prio` goes to.
+sim::Addr host_pq_bucket(const sim::Heap& heap, const PqLib& lib,
+                         sim::Addr pq, std::int64_t prio, std::int64_t val) {
   ST_CHECK(prio >= 0 && val != 0);
   const auto n = heap.load(pq + lib.pq_t->field(0).offset, 8);
   const auto sh = heap.load(pq + lib.pq_t->field(1).offset, 8);
   std::uint64_t idx = static_cast<std::uint64_t>(prio) >> sh;
   if (idx >= n) idx = n - 1;
   const sim::Addr barr = heap.load(pq + lib.pq_t->field(2).offset, 8);
-  const sim::Addr lp = heap.load(barr + idx * 8, 8);
-  host_list_push_sorted(heap, arena, lib.list, lp, prio, val);
+  return heap.load(barr + idx * 8, 8);
+}
+}  // namespace
+
+void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
+                  sim::Addr pq, std::int64_t prio, std::int64_t val) {
+  host_list_push_sorted(heap, arena, lib.list,
+                        host_pq_bucket(heap, lib, pq, prio, val), prio, val);
+}
+
+void host_pq_push_all(
+    sim::Heap& heap, unsigned arena, const PqLib& lib, sim::Addr pq,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& entries) {
+  std::vector<SortedPush> pushes;
+  pushes.reserve(entries.size());
+  for (const auto& [prio, val] : entries)
+    pushes.push_back({host_pq_bucket(heap, lib, pq, prio, val), prio, val});
+  host_lists_push_sorted(heap, arena, lib.list, pushes);
 }
 
 std::string host_pq_validate(const sim::Heap& heap, const PqLib& lib,

@@ -25,6 +25,11 @@ sim::Addr host_pq_new(sim::Heap& heap, unsigned arena, const PqLib& lib,
                       unsigned nbuckets, unsigned shift);
 void host_pq_push(sim::Heap& heap, unsigned arena, const PqLib& lib,
                   sim::Addr pq, std::int64_t prio, std::int64_t val);
+/// host_pq_push for each (prio, val) in order, linking each bucket once
+/// (host_lists_push_sorted). The queue must be empty.
+void host_pq_push_all(
+    sim::Heap& heap, unsigned arena, const PqLib& lib, sim::Addr pq,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& entries);
 /// Non-aborting structural check (Workload::check_invariants): "" when the
 /// header and every bucket list are well-formed, else the first violation.
 /// Safe on corrupted state. `size_out`, if set, receives the entry count.

@@ -180,12 +180,24 @@ RunOptions options_from_env() {
 
 RunResult run_workload(Workload& wl, const RunOptions& opt) {
   ST_CHECK(opt.threads >= 1);
-  const auto wall_start = std::chrono::steady_clock::now();
+  RunResult r;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point wall_start = Clock::now();
+  Clock::time_point mark = wall_start;
+  // Milliseconds since the previous lap (or the start), for phase_ms.
+  const auto lap = [&mark] {
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, std::milli> ms = now - mark;
+    mark = now;
+    return ms.count();
+  };
   ir::Module m;
   wl.build_ir(m);
+  r.phase_ms.build = lap();
   const auto mode = opt.instrument_override.value_or(
       runtime::instrument_mode_for(opt.scheme));
   auto prog = stagger::compile(m, mode, opt.pc_tag_bits);
+  r.phase_ms.compile = lap();
 
   const runtime::RuntimeConfig rt = make_runtime_config(opt);
   const std::unique_ptr<sim::SchedPerturb> perturb =
@@ -193,7 +205,9 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
 
   runtime::TxSystem sys(rt, prog);
   if (perturb != nullptr) sys.machine().set_perturb(perturb.get());
+  r.phase_ms.init = lap();
   wl.setup(sys);
+  r.phase_ms.setup = lap();
 
   const auto ops = static_cast<std::uint64_t>(
       static_cast<double>(wl.ops_per_thread()) * opt.ops_scale);
@@ -202,7 +216,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
     sys.machine().set_task(
         t, std::make_unique<WorkloadThread>(sys, wl, t, ops));
 
-  RunResult r;
+  lap();  // task creation: in wall_ms only
   bool stalled = false;
   if (opt.checked) {
     // A corrupted structure can trap the simulated program in a loop that
@@ -225,6 +239,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   } else {
     r.cycles = sys.run();
   }
+  r.phase_ms.simulate = lap();
   if (opt.checked) {
     // Checker mode reports the violations that verify() would abort on.
     r.invariant_failure =
@@ -242,6 +257,7 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   } else {
     wl.verify(sys);
   }
+  r.phase_ms.verify = lap();
 
   if (const obs::Observer* o = sys.observer()) {
     // Observer output is strictly a side channel: the notice goes to
@@ -273,9 +289,9 @@ RunResult run_workload(Workload& wl, const RunOptions& opt) {
   r.static_loads_stores = prog.loads_stores_analyzed;
   r.static_anchors = prog.anchors_selected;
   r.atomic_blocks = static_cast<unsigned>(m.atomic_blocks().size());
-  r.wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
+  r.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - wall_start)
+          .count();
   r.sched_events = sys.machine().events();
   r.sched_steps = sys.machine().steps();
   return r;

@@ -82,6 +82,19 @@ struct RunResult {
   /// Host wall-clock time this run took (not simulated time; host-side
   /// only — everything above is bit-reproducible).
   double wall_ms = 0;
+  /// wall_ms split by phase of run_workload, host-side like wall_ms: IR
+  /// build, stagger compile, TxSystem construction, Workload::setup, the
+  /// simulation, and the invariant check. The rest of wall_ms is task
+  /// creation, observer export and result collection.
+  struct PhaseMs {
+    double build = 0;
+    double compile = 0;
+    double init = 0;
+    double setup = 0;
+    double simulate = 0;
+    double verify = 0;
+  };
+  PhaseMs phase_ms;
   /// Scheduler events the run took (sim::Machine::events). Host-side like
   /// wall_ms: it counts how the run was stepped, not what it simulated.
   std::uint64_t sched_events = 0;

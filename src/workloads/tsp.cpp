@@ -38,10 +38,11 @@ class Tsp final : public Workload {
     // Seed the queue generously so pops rarely go empty.
     const std::uint64_t backlog =
         ops_per_thread() * sys.config().cores / 2 + 256;
+    std::vector<std::pair<std::int64_t, std::int64_t>> tasks(backlog);
     for (std::uint64_t i = 0; i < backlog; ++i)
-      dslib::host_pq_push(heap, arena, lib_, pq_,
-                          static_cast<std::int64_t>(draw_prio(seed_rng)),
-                          static_cast<std::int64_t>(i + 1));
+      tasks[i] = {static_cast<std::int64_t>(draw_prio(seed_rng)),
+                  static_cast<std::int64_t>(i + 1)};
+    dslib::host_pq_push_all(heap, arena, lib_, pq_, tasks);
     pushes_ = 0;
     rngs_.clear();
     for (unsigned t = 0; t < sys.config().cores; ++t)

@@ -307,5 +307,54 @@ TEST(PQueue, HostAndIrPushesInteroperate) {
   EXPECT_EQ(f.ms.run_ab(1, {f.pq}), 43u);
 }
 
+// ---- bulk setup: host_lists_push_sorted leaves the per-push heap image ----
+
+using Entries = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+/// Builds a structure in a fresh heap with `build`, then returns every
+/// 8-byte word of its setup arena up to a sentinel allocated after it. Equal
+/// results mean the same allocations in the same order (the sentinel's
+/// address is the last word) and the same bytes, node links included.
+template <typename Build>
+std::vector<std::uint64_t> setup_image(Build build) {
+  sim::Heap heap(2, 1u << 20);
+  const unsigned arena = heap.setup_arena();
+  build(heap, arena);
+  const sim::Addr sentinel = heap.alloc(arena, 8);
+  std::vector<std::uint64_t> words;
+  for (sim::Addr a = sim::Heap::kBase + heap.arena_stride(); a < sentinel;
+       a += 8)
+    words.push_back(heap.load(a, 8));
+  words.push_back(sentinel);
+  return words;
+}
+
+TEST(BulkSetup, PriorityQueueWithDuplicatePrioritiesMatchesPerPush) {
+  // tsp's geometry: 64 buckets, shift 4, priorities past the last bucket
+  // clamped into it, and many equal priorities per bucket.
+  ir::Module m;
+  const PqLib lib = build_pq_lib(m, 64);
+  Xoshiro256ss rng(11);
+  Entries tasks;
+  for (std::int64_t i = 1; i <= 3000; ++i)
+    tasks.emplace_back(static_cast<std::int64_t>(rng.next_below(1100)), i);
+  sim::Addr pq_one = 0;
+  sim::Addr pq_bulk = 0;
+  std::size_t n = 0;
+  const auto one = setup_image([&](sim::Heap& heap, unsigned arena) {
+    pq_one = host_pq_new(heap, arena, lib, 64, 4);
+    for (const auto& [prio, val] : tasks)
+      host_pq_push(heap, arena, lib, pq_one, prio, val);
+  });
+  const auto bulk = setup_image([&](sim::Heap& heap, unsigned arena) {
+    pq_bulk = host_pq_new(heap, arena, lib, 64, 4);
+    host_pq_push_all(heap, arena, lib, pq_bulk, tasks);
+    EXPECT_EQ(host_pq_validate(heap, lib, pq_bulk, &n), "");
+  });
+  EXPECT_EQ(pq_one, pq_bulk);
+  EXPECT_EQ(n, tasks.size());
+  EXPECT_TRUE(one == bulk);
+}
+
 }  // namespace
 }  // namespace st::workloads::dslib

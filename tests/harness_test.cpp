@@ -118,6 +118,21 @@ TEST(Harness, ReportsSchedulerEvents) {
   EXPECT_EQ(single.sched_steps, single.sched_events);
 }
 
+TEST(Harness, PhaseTimesSplitWallTime) {
+  RunOptions o;
+  o.threads = 4;
+  o.ops_scale = 0.05;
+  const auto r = run_workload("list-hi", o);
+  const RunResult::PhaseMs& p = r.phase_ms;
+  for (double ms : {p.build, p.compile, p.init, p.setup, p.simulate, p.verify})
+    EXPECT_GE(ms, 0.0);
+  // Every run builds a machine and simulates something.
+  EXPECT_GT(p.init, 0.0);
+  EXPECT_GT(p.simulate, 0.0);
+  EXPECT_LE(p.build + p.compile + p.init + p.setup + p.simulate + p.verify,
+            r.wall_ms);
+}
+
 TEST(Harness, InstrumentOverrideAllIncreasesAlpsExecuted) {
   RunOptions o;
   o.scheme = runtime::Scheme::kStaggered;

@@ -167,7 +167,7 @@ TEST(PrivacyMap, IntegerFalsePositiveOnlyOverEscapes) {
   EXPECT_EQ(fx.priv.private_owner(other), 0);
 }
 
-TEST(PrivacyMap, SnapshotCounters) {
+TEST(PrivacyMap, EscapesCountInPublisherStats) {
   // The memory system is the map's escape sink: each escaped line counts
   // once, in the publisher's CoreStats::priv_escapes.
   testutil::MachineRig rig(testutil::mem_config(2));
@@ -177,6 +177,39 @@ TEST(PrivacyMap, SnapshotCounters) {
   EXPECT_EQ(rig.stats.core(0).priv_escapes, 2u);
   EXPECT_EQ(rig.stats.core(1).priv_escapes, 0u);
   EXPECT_EQ(rig.stats.total().priv_escapes, 2u);
+}
+
+TEST(PrivacyMap, SecondHeapReadsAsNewOverRecycledMemory) {
+  // TxSystem's arena size, at a small and the largest machine. The first
+  // heap leaves escape bits behind in memory the host allocator may hand
+  // out again; the second heap's map must read as new all the same.
+  constexpr std::size_t kArenaBytes = 16u << 20;
+  for (unsigned cores : {16u, 256u}) {
+    {
+      Heap first(cores + 1, kArenaBytes);
+      for (unsigned c = 0; c < cores; ++c)
+        first.privacy().publish_value(c, first.alloc(c, sim::kLineBytes), 0);
+    }
+    Heap heap(cores + 1, kArenaBytes);
+    const PrivacyMap& priv = heap.privacy();
+    for (unsigned c = 0; c < cores; ++c) {
+      const Addr base = Heap::kBase + Addr{c} * heap.arena_stride();
+      const Addr gap = base + heap.arena_bytes();
+      ASSERT_EQ(priv.private_owner(base), static_cast<int>(c)) << cores;
+      ASSERT_EQ(priv.private_owner(gap - sim::kLineBytes), static_cast<int>(c))
+          << cores;
+      ASSERT_EQ(priv.private_owner(gap), -1) << cores;
+      ASSERT_EQ(priv.private_owner(base + heap.arena_stride() - 1), -1)
+          << cores;
+    }
+    const Addr setup = Heap::kBase + Addr{cores} * heap.arena_stride();
+    EXPECT_EQ(priv.private_owner(setup), -1);
+    EXPECT_EQ(priv.private_owner(setup + heap.arena_bytes() - 1), -1);
+    const Addr a = heap.alloc(cores - 1, sim::kLineBytes);
+    EXPECT_EQ(priv.private_owner(a), static_cast<int>(cores - 1));
+    heap.privacy().publish_value(0, a, 0);
+    EXPECT_EQ(priv.private_owner(a), -1);
+  }
 }
 
 /// The owner formula private_owner computes without a divide, written with

@@ -15,10 +15,10 @@ RunOptions small_options(runtime::Scheme scheme) {
   return o;
 }
 
-// Every field of RunResult except wall_ms must match bit-for-bit; wall_ms is
-// host time and legitimately differs between runs. sched_events and
-// sched_steps are host-side too, but deterministic functions of the run like
-// the simulated fields.
+// Every field of RunResult except wall_ms and phase_ms must match
+// bit-for-bit; those are host time and legitimately differ between runs.
+// sched_events and sched_steps are host-side too, but deterministic
+// functions of the run like the simulated fields.
 void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.scheme, b.scheme);
